@@ -140,6 +140,36 @@ func TestRouteIntoAllocsTracingOff(t *testing.T) {
 	}
 }
 
+// TestRouteContextAllocs: a warmed-up fault-free Router.RouteContext —
+// the shard worker's miss path — allocates only its report and the
+// path the report owns; no intermediate Result or TreeWalk copy.
+func TestRouteContextAllocs(t *testing.T) {
+	cube := gc.New(14, 2)
+	r := core.NewRouter(cube)
+	pairs := allocPairs(cube, 64, 7)
+	ctx := context.Background()
+	for _, p := range pairs {
+		if _, err := r.RouteContext(ctx, p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var firstErr error
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		p := pairs[i%len(pairs)]
+		i++
+		if _, err := r.RouteContext(ctx, p[0], p[1]); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	})
+	if firstErr != nil {
+		t.Fatal(firstErr)
+	}
+	if allocs > 2 {
+		t.Fatalf("RouteContext: %v allocs/route, want <= 2 (report + path)", allocs)
+	}
+}
+
 // TestPCAllocs: PC allocates exactly its result slice; AppendPC into a
 // capacious buffer allocates nothing.
 func TestPCAllocs(t *testing.T) {
@@ -219,7 +249,7 @@ func TestWireCodecAllocs(t *testing.T) {
 	}
 }
 
-// TestFastRouteAllocs: a warmed cache hit answered on the FastRoute
+// TestFastRouteAllocs: a warmed cache hit answered on the FastRouteTree
 // fast path — the read a wire-server reader goroutine performs per
 // pipelined request — is zero allocations. Tracing must be off
 // (TraceEvery 0): sampled ring emissions are the one legal allocation
@@ -239,12 +269,12 @@ func TestFastRouteAllocs(t *testing.T) {
 	// Route every pair once through the full pipeline to populate the
 	// shard caches, then confirm the fast path sees them.
 	for _, p := range pairs {
-		if _, err := s.Submit(context.Background(), p[0], p[1]); err != nil {
+		if _, err := s.SubmitTree(context.Background(), p[0], p[1], core.TreeAuto); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, p := range pairs {
-		if _, ok := s.FastRoute(p[0], p[1]); !ok {
+		if _, ok := s.FastRouteTree(p[0], p[1], core.TreeAuto); !ok {
 			t.Fatalf("pair (%d,%d) not cached after submit", p[0], p[1])
 		}
 	}
@@ -253,7 +283,7 @@ func TestFastRouteAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		p := pairs[i%len(pairs)]
 		i++
-		if _, ok := s.FastRoute(p[0], p[1]); !ok {
+		if _, ok := s.FastRouteTree(p[0], p[1], core.TreeAuto); !ok {
 			misses++
 		}
 	})
@@ -261,6 +291,6 @@ func TestFastRouteAllocs(t *testing.T) {
 		t.Fatalf("%d unexpected cache misses", misses)
 	}
 	if allocs >= 1 {
-		t.Fatalf("FastRoute hit: %v allocs, want 0", allocs)
+		t.Fatalf("FastRouteTree hit: %v allocs, want 0", allocs)
 	}
 }

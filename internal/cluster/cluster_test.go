@@ -279,12 +279,12 @@ func TestClusterForwarding(t *testing.T) {
 	cube := gc.New(6, 2) // 64 nodes, 4 ending classes
 	insts, _ := startCluster(t, cube, [][2]int{{0, 1}, {2, 2}, {3, 3}}, 50*time.Millisecond)
 
-	// Node 3 has ending class 3 — owned by instance 2. Submit at 0.
+	// Node 3 has ending class 3 — owned by instance 2. SubmitTree at 0.
 	src, dst := gc.NodeID(3), gc.NodeID(20)
 	if own := insts[0].node.Owns(src); own {
 		t.Fatalf("instance 0 should not own node %d", src)
 	}
-	resp, err := insts[0].srv.Submit(context.Background(), src, dst)
+	resp, err := insts[0].srv.SubmitTree(context.Background(), src, dst, core.TreeAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestClusterForwarding(t *testing.T) {
 		t.Fatalf("owner accepted=%d served=%d, want 1/1", m2.Accepted, m2.Served)
 	}
 	// A locally-owned request never touches the forwarder.
-	resp, err = insts[0].srv.Submit(context.Background(), gc.NodeID(4), gc.NodeID(33))
+	resp, err = insts[0].srv.SubmitTree(context.Background(), gc.NodeID(4), gc.NodeID(33), core.TreeAuto)
 	if err != nil || resp.Err != nil {
 		t.Fatalf("local route: %v %+v", err, resp)
 	}
@@ -380,7 +380,7 @@ func TestClusterPartitionSoak(t *testing.T) {
 				}
 				src := gc.NodeID(next(cube.Nodes()))
 				dst := gc.NodeID(next(cube.Nodes()))
-				resp, err := in.srv.Submit(ctx, src, dst)
+				resp, err := in.srv.SubmitTree(ctx, src, dst, core.TreeAuto)
 				if err != nil {
 					continue // backpressure/drain races are fine
 				}
@@ -438,7 +438,7 @@ func TestClusterPartitionSoak(t *testing.T) {
 	// A route served by the isolated instance for a class it owns comes
 	// back delivered — and degraded.
 	waitFor(t, 10*time.Second, "stale-degraded verdict on isolated instance", func() bool {
-		resp, err := insts[2].srv.Submit(ctx, gc.NodeID(7), gc.NodeID(23)) // class 3: owned by 2
+		resp, err := insts[2].srv.SubmitTree(ctx, gc.NodeID(7), gc.NodeID(23), core.TreeAuto) // class 3: owned by 2
 		if err != nil || resp.Err != nil || resp.Report == nil {
 			return false
 		}
@@ -446,7 +446,7 @@ func TestClusterPartitionSoak(t *testing.T) {
 	})
 	// Forwarding from the isolated instance to the unreachable owner
 	// falls back to a degraded local computation.
-	resp, err := insts[2].srv.Submit(ctx, gc.NodeID(4), gc.NodeID(9)) // class 0: owned by 0
+	resp, err := insts[2].srv.SubmitTree(ctx, gc.NodeID(4), gc.NodeID(9), core.TreeAuto) // class 0: owned by 0
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,13 +580,13 @@ func BenchmarkClusterForward(b *testing.B) {
 			}
 			// Warm the owner's route cache so the benchmark isolates the
 			// submit path, not the first plan.
-			if _, err := insts[0].srv.Submit(ctx, src, dst); err != nil {
+			if _, err := insts[0].srv.SubmitTree(ctx, src, dst, core.TreeAuto); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				resp, err := insts[0].srv.Submit(ctx, src, dst)
+				resp, err := insts[0].srv.SubmitTree(ctx, src, dst, core.TreeAuto)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -74,7 +74,7 @@ func (n *Node) ForwardCollective(ctx context.Context, origin gc.NodeID, dests []
 			answers[owner] = subsetAnswer{resp: resp, err: err}
 		}(owner, subset)
 	}
-	local, err := n.srv.SubmitMulticastLocal(ctx, origin, subsets[n.self])
+	local, err := n.srv.SubmitCollectiveLocal(ctx, origin, subsets[n.self], true)
 	wg.Wait()
 	if err != nil {
 		return nil, err
@@ -152,7 +152,7 @@ func (n *Node) collectiveSubset(ctx context.Context, origin gc.NodeID, subset []
 		}
 		target = n.topo.Successor(target)
 	}
-	resp, err := n.srv.SubmitMulticastLocal(ctx, origin, subset)
+	resp, err := n.srv.SubmitCollectiveLocal(ctx, origin, subset, true)
 	if err != nil || resp == nil {
 		return resp, err
 	}

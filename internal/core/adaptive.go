@@ -40,8 +40,6 @@ import (
 	"gaussiancube/internal/bitutil"
 	"gaussiancube/internal/fault"
 	"gaussiancube/internal/gc"
-	"gaussiancube/internal/mtree"
-	"gaussiancube/internal/repair"
 	"gaussiancube/internal/trace"
 )
 
@@ -83,8 +81,8 @@ const (
 	// OutcomeUndeliverablePartitioned: terminally failed with a proof —
 	// the tree-edge health map showed the destination's class (or a
 	// class owning a pending high dimension) severed from the source's
-	// component, so no route exists at all. Only emitted when
-	// AdaptiveConfig.Repair is set.
+	// component, so no route exists at all. Only emitted when the router
+	// was built WithRepair.
 	OutcomeUndeliverablePartitioned
 	// OutcomeCanceled: the caller's context was canceled or its deadline
 	// expired before delivery (Routing.RouteContext). The network may
@@ -118,69 +116,18 @@ func (o Outcome) String() string {
 	}
 }
 
-// AdaptiveConfig tunes the stepper. The zero value picks sane defaults.
-type AdaptiveConfig struct {
-	// Substrate is the intra-GEEC fault-tolerant hypercube router used
-	// by replans.
-	Substrate Substrate
-	// MaxRetries bounds the total transient wait-and-retry attempts per
-	// flight (default 8). When exhausted, transient faults are treated
-	// as permanent.
-	MaxRetries int
-	// BackoffBase is the first wait in cycles (default 1); consecutive
-	// retries at one blockage double it up to MaxBackoff (default 64).
-	BackoffBase int
-	MaxBackoff  int
-	// TTL bounds the total hops a flight may take (default 8*(n+1)).
-	TTL int
-	// MaxVisits bounds how often one node may be revisited before the
-	// livelock guard fires (default 4).
-	MaxVisits int
-	// DisableFallback removes the BFS last resort from replans,
-	// exposing the bare strategy.
-	DisableFallback bool
-	// Repair, when set, gives replans the tree-edge health map: dead
-	// crossings are detoured through surviving realizations, and a
-	// proven-severed destination class terminates the flight with
-	// OutcomeUndeliverablePartitioned instead of burning retries and
-	// BFS attempts against a graph cut. The map must track the same
-	// ground truth as the oracle (repair.Health.AttachDynamic does).
-	Repair *repair.Health
-	// Tracer, when non-nil, receives each flight's event narrative:
-	// hops as they are taken, fault discoveries with their category,
-	// backoffs, replans and the terminal outcome (on the ladder encoded
-	// as trace.OutcomeLadderBase + Outcome). The stream of a flight
-	// replays to exactly Flight.Path — adaptive flights never roll hops
-	// back. nil keeps tracing disabled at zero cost.
-	Tracer trace.Tracer
-	// Trees, when set, activates multipath routing: each flight plans
-	// over one tree of the set and, on discovering a faulted tree-edge
-	// crossing, fails over to a sibling tree before leaning on repair
-	// detours or the BFS last resort.
-	Trees *mtree.TreeSet
-	// Tree pins every flight to one tree of Trees ([0, Trees.K())); any
-	// other value — use TreeAuto — stripes flights per flow. Note the
-	// zero value pins tree 0; striping must be requested explicitly.
-	Tree int
-}
-
-func (cfg *AdaptiveConfig) fill(n uint) {
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 8
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 1
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 64
-	}
-	if cfg.TTL <= 0 {
-		cfg.TTL = 8 * (int(n) + 1)
-	}
-	if cfg.MaxVisits <= 0 {
-		cfg.MaxVisits = 4
-	}
-}
+// Flight tuning. A flight waits out a transient blockage with
+// exponential backoff — backoffBase cycles, doubling per consecutive
+// retry at one blockage up to maxBackoff — for at most maxRetries waits
+// in total, after which transient faults are treated as permanent. The
+// livelock guard fires when one node is revisited more than maxVisits
+// times; the TTL bounds total hops at 8*(n+1) (AdaptiveRouter.ttl).
+const (
+	maxRetries  = 8
+	backoffBase = 1
+	maxBackoff  = 64
+	maxVisits   = 4
+)
 
 // AdaptiveRouter steps packets through a network whose ground truth is
 // an Oracle, one hop at a time, using only local knowledge. It is
@@ -190,14 +137,18 @@ type AdaptiveRouter struct {
 	cube      *gc.Cube
 	oracle    Oracle
 	transient TransientOracle // nil when the oracle has no transience
-	cfg       AdaptiveConfig
+	opts      options
+	ttl       int // hop budget per flight
 }
 
 // NewAdaptiveRouter builds an adaptive router over cube c with ground
-// truth oracle. A nil oracle means a fault-free network.
-func NewAdaptiveRouter(c *gc.Cube, oracle Oracle, cfg AdaptiveConfig) *AdaptiveRouter {
-	cfg.fill(c.N())
-	r := &AdaptiveRouter{cube: c, oracle: oracle, cfg: cfg}
+// truth oracle, configured by opts (options.go). A nil oracle means a
+// fault-free network. Replans run the planner with the router's
+// substrate, repair map, fallback switch and tree set; the tracer
+// receives every flight's narrative. WithFaults is ignored — the oracle
+// is the ground truth.
+func NewAdaptiveRouter(c *gc.Cube, oracle Oracle, opts ...Option) *AdaptiveRouter {
+	r := &AdaptiveRouter{cube: c, oracle: oracle, opts: buildOptions(opts), ttl: 8 * (int(c.N()) + 1)}
 	if t, ok := oracle.(TransientOracle); ok {
 		r.transient = t
 	}
@@ -267,7 +218,7 @@ type Flight struct {
 	tree         int
 	treeSwitches int
 	// tracer receives this flight's event narrative; defaults to the
-	// router's cfg.Tracer, overridable per flight (StartTraced) so a
+	// router's tracer, overridable per flight (StartTraced) so a
 	// carrier interleaving many flights can keep each stream contiguous.
 	tracer trace.Tracer
 }
@@ -281,7 +232,7 @@ func (r *AdaptiveRouter) Start(s, d gc.NodeID) (*Flight, error) {
 }
 
 // StartTraced is Start with a flight-private tracer replacing the
-// router's cfg.Tracer. Carriers that interleave the steps of many
+// router's tracer. Carriers that interleave the steps of many
 // flights (e.g. the simulator's event loop) use it to buffer each
 // sampled flight into its own ring, keeping every narrative
 // contiguous.
@@ -294,15 +245,12 @@ func (r *AdaptiveRouter) StartTraced(s, d gc.NodeID, t trace.Tracer) (*Flight, e
 	return f, nil
 }
 
-// StartInformed begins a flight whose blacklist is pre-populated with
-// known faults — the "full knowledge" end of the spectrum. With known
-// equal to the oracle's ground truth, the flight reproduces exactly
-// the static fault-tolerant route (plans coincide; see the property
-// test). known may be frozen; the flight works on a private copy.
-func (r *AdaptiveRouter) StartInformed(s, d gc.NodeID, known *fault.Set) (*Flight, error) {
-	return r.start(s, d, known)
-}
-
+// start begins a flight whose blacklist is pre-populated with known
+// faults (nil for none) — with known equal to the oracle's ground
+// truth, the "full knowledge" end of the spectrum, the flight
+// reproduces exactly the static fault-tolerant route (plans coincide;
+// see the property test). known may be frozen; the flight works on a
+// private copy.
 func (r *AdaptiveRouter) start(s, d gc.NodeID, known *fault.Set) (*Flight, error) {
 	if int(s) >= r.cube.Nodes() || int(d) >= r.cube.Nodes() {
 		return nil, fmt.Errorf("core: node out of range for GC(%d,2^%d)", r.cube.N(), r.cube.Alpha())
@@ -314,41 +262,28 @@ func (r *AdaptiveRouter) start(s, d gc.NodeID, known *fault.Set) (*Flight, error
 	if known != nil {
 		bl = known.Clone()
 	}
-	tree := -1
-	if r.cfg.Trees != nil {
-		if r.cfg.Tree >= 0 && r.cfg.Tree < r.cfg.Trees.K() {
-			tree = r.cfg.Tree
-		} else {
-			tree = r.cfg.Trees.TreeForFlow(s, d)
-		}
-	}
-	o := r.plannerOptions(bl)
-	o.Tree = tree
+	tree := resolveTree(r.opts.trees, r.opts.tree, s, d)
 	f := &Flight{
 		r:         r,
-		planner:   NewRouterWith(r.cube, o),
+		planner:   r.planner(bl, tree),
 		blacklist: bl,
 		cur:       s,
 		dst:       d,
 		path:      []gc.NodeID{s},
 		visits:    map[gc.NodeID]int{s: 1},
-		tracer:    r.cfg.Tracer,
+		tracer:    r.opts.tracer,
 		tree:      tree,
 	}
 	return f, nil
 }
 
-// plannerOptions is the planner configuration shared by a flight's
-// initial planner and its tree-failover rebuilds.
-func (r *AdaptiveRouter) plannerOptions(bl *fault.Set) Options {
-	return Options{
-		Faults:          bl,
-		Substrate:       r.cfg.Substrate,
-		DisableFallback: r.cfg.DisableFallback,
-		Repair:          r.cfg.Repair,
-		Trees:           r.cfg.Trees,
-		Tree:            TreeAuto,
-	}
+// planner builds a flight's planner over blacklist bl, pinned to tree:
+// the router's options minus the tracer (flights narrate themselves),
+// with the blacklist as the fault set.
+func (r *AdaptiveRouter) planner(bl *fault.Set, tree int) *Router {
+	o := r.opts
+	o.faults, o.tracer, o.tree = bl, nil, tree
+	return newRouter(r.cube, o)
 }
 
 // Step makes the next per-hop decision from the flight's current node.
@@ -360,7 +295,6 @@ func (f *Flight) Step() Step {
 	if f.outcome != OutcomePending {
 		return f.terminal()
 	}
-	cfg := &f.r.cfg
 	for {
 		if f.cur == f.dst {
 			if f.degraded {
@@ -372,7 +306,7 @@ func (f *Flight) Step() Step {
 			// The node under the packet died; its buffers die with it.
 			return f.finish(OutcomeUndeliverable, "current node failed under the packet")
 		}
-		if f.hops >= cfg.TTL {
+		if f.hops >= f.r.ttl {
 			return f.finish(OutcomeUndeliverable, "TTL exhausted")
 		}
 		if f.planIdx+1 >= len(f.plan) {
@@ -397,17 +331,17 @@ func (f *Flight) Step() Step {
 			f.attempt = 0
 			f.path = append(f.path, next)
 			f.visits[next]++
-			if f.visits[next] > cfg.MaxVisits {
+			if f.visits[next] > maxVisits {
 				return f.finish(OutcomeUndeliverable, "livelock guard: node revisited too often")
 			}
 			return Step{Kind: StepMove, To: next}
 		}
 		// Blocked: a fault discovered locally.
-		if f.transientBlockage(f.cur, dim) && f.retries < cfg.MaxRetries {
+		if f.transientBlockage(f.cur, dim) && f.retries < maxRetries {
 			return f.backoff()
 		}
 		f.record(f.cur, dim, next)
-		if f.tree >= 0 && dim < f.r.cube.Alpha() && f.treeSwitches < f.r.cfg.Trees.K()-1 {
+		if f.tree >= 0 && dim < f.r.cube.Alpha() && f.treeSwitches < f.r.opts.trees.K()-1 {
 			// A faulted tree-edge crossing on a multipath flight: fail
 			// over to a sibling tree before the replan, so the new plan
 			// steers its crossings through a stripe where this fault is,
@@ -425,10 +359,8 @@ func (f *Flight) Step() Step {
 // knowledge, it never forgets any.
 func (f *Flight) failoverTree() {
 	f.treeSwitches++
-	f.tree = (f.tree + 1) % f.r.cfg.Trees.K()
-	o := f.r.plannerOptions(f.blacklist)
-	o.Tree = f.tree
-	f.planner = NewRouterWith(f.r.cube, o)
+	f.tree = (f.tree + 1) % f.r.opts.trees.K()
+	f.planner = f.r.planner(f.blacklist, f.tree)
 	f.degraded = true
 	if t := f.tracer; t != nil {
 		t.Emit(trace.Event{Kind: trace.KindTreeFailover, From: uint32(f.cur), Arg: int32(f.tree)})
@@ -465,7 +397,7 @@ func (f *Flight) replan() (Step, bool) {
 	// No route against current knowledge. If some of that knowledge is
 	// transient it may already be stale: wait, forget it, and rediscover
 	// whatever is still broken.
-	if f.retries < f.r.cfg.MaxRetries && f.forgetTransient() {
+	if f.retries < maxRetries && f.forgetTransient() {
 		f.plan = f.plan[:0]
 		f.planIdx = 0
 		return f.backoff(), false
@@ -481,10 +413,9 @@ func (f *Flight) replan() (Step, bool) {
 
 // backoff produces the next exponential wait.
 func (f *Flight) backoff() Step {
-	cfg := &f.r.cfg
-	wait := cfg.BackoffBase << f.attempt
-	if wait > cfg.MaxBackoff || wait <= 0 {
-		wait = cfg.MaxBackoff
+	wait := backoffBase << f.attempt
+	if wait > maxBackoff || wait <= 0 {
+		wait = maxBackoff
 	}
 	f.attempt++
 	f.retries++
@@ -668,32 +599,13 @@ func (f *Flight) DetourHops() int {
 	return f.hops - f.r.cube.Distance(f.path[0], f.dst)
 }
 
-// AdaptiveResult is the envelope Route returns.
-type AdaptiveResult struct {
-	Outcome      Outcome
-	Reason       string
-	Path         []gc.NodeID
-	Hops         int
-	Retries      int
-	Replans      int
-	WaitCycles   int
-	DetourHops   int
-	UsedFallback bool
-	Discovered   []DiscoveredFault
-	// TreeID is the multipath tree the route was (last) planned over;
-	// -1 on a single-tree router.
-	TreeID int
-	// TreeSwitches counts sibling-tree failovers (adaptive flights).
-	TreeSwitches int
-}
-
 // Route drives a flight from s to d to completion without a carrier.
 // onWait, when non-nil, is invoked for every backoff with the wait
 // length — the hook tests and offline drivers use to advance a
 // fault.Dynamic clock so that transient faults actually heal. With a
 // static oracle and nil onWait, waits burn the retry budget and the
 // blockage is then handled as permanent.
-func (r *AdaptiveRouter) Route(s, d gc.NodeID, onWait func(cycles int)) (*AdaptiveResult, error) {
+func (r *AdaptiveRouter) Route(s, d gc.NodeID, onWait func(cycles int)) (*RouteReport, error) {
 	f, err := r.Start(s, d)
 	if err != nil {
 		return nil, err

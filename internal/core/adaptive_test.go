@@ -40,7 +40,7 @@ func TestAdaptiveFullKnowledgeEquivalence(t *testing.T) {
 			fs.InjectRandomNodes(rng, tc.faults)
 			fs.Freeze()
 			static := NewRouter(cube, WithFaults(fs))
-			adaptive := NewAdaptiveRouter(cube, fs, AdaptiveConfig{})
+			adaptive := NewAdaptiveRouter(cube, fs)
 			for pair := 0; pair < 20; pair++ {
 				s := gc.NodeID(rng.Intn(cube.Nodes()))
 				d := gc.NodeID(rng.Intn(cube.Nodes()))
@@ -48,9 +48,9 @@ func TestAdaptiveFullKnowledgeEquivalence(t *testing.T) {
 					continue
 				}
 				want, err := static.Route(s, d)
-				f, ferr := adaptive.StartInformed(s, d, fs)
+				f, ferr := adaptive.start(s, d, fs)
 				if ferr != nil {
-					t.Fatalf("GC(%d,%d) StartInformed(%d,%d): %v", tc.n, tc.alpha, s, d, ferr)
+					t.Fatalf("GC(%d,%d) start(%d,%d): %v", tc.n, tc.alpha, s, d, ferr)
 				}
 				var st Step
 				for st = f.Step(); st.Kind == StepMove; st = f.Step() {
@@ -95,7 +95,7 @@ func TestAdaptiveBlindDiscovery(t *testing.T) {
 		fs := fault.NewSet(cube)
 		fs.InjectRandomNodes(rng, 3)
 		fs.Freeze()
-		adaptive := NewAdaptiveRouter(cube, fs, AdaptiveConfig{})
+		adaptive := NewAdaptiveRouter(cube, fs)
 		for pair := 0; pair < 10; pair++ {
 			s := gc.NodeID(rng.Intn(cube.Nodes()))
 			d := gc.NodeID(rng.Intn(cube.Nodes()))
@@ -144,7 +144,7 @@ func TestAdaptiveMidFlightRepair(t *testing.T) {
 	dyn := fault.NewDynamic(cube, events)
 	dyn.AdvanceTo(0)
 
-	adaptive := NewAdaptiveRouter(cube, dyn, AdaptiveConfig{})
+	adaptive := NewAdaptiveRouter(cube, dyn)
 	now := 0
 	res, err := adaptive.Route(s, d, func(wait int) {
 		now += wait
@@ -175,7 +175,7 @@ func TestAdaptivePermanentDestinationDeath(t *testing.T) {
 		{Time: 0, Op: fault.OpInject, Fault: fault.Fault{Kind: fault.KindNode, Node: 9}},
 	})
 	dyn.AdvanceTo(0)
-	adaptive := NewAdaptiveRouter(cube, dyn, AdaptiveConfig{})
+	adaptive := NewAdaptiveRouter(cube, dyn)
 	res, err := adaptive.Route(0, 9, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestAdaptiveFaultySourceRejected(t *testing.T) {
 	fs := fault.NewSet(cube)
 	fs.AddNode(4)
 	fs.Freeze()
-	adaptive := NewAdaptiveRouter(cube, fs, AdaptiveConfig{})
+	adaptive := NewAdaptiveRouter(cube, fs)
 	if _, err := adaptive.Start(4, 0); err != ErrFaultyEndpoint {
 		t.Fatalf("err = %v, want ErrFaultyEndpoint", err)
 	}
@@ -204,7 +204,8 @@ func TestAdaptiveFaultySourceRejected(t *testing.T) {
 // with the TTL reason instead of looping.
 func TestAdaptiveTTLGuard(t *testing.T) {
 	cube := gc.New(8, 1)
-	adaptive := NewAdaptiveRouter(cube, nil, AdaptiveConfig{TTL: 2})
+	adaptive := NewAdaptiveRouter(cube, nil)
+	adaptive.ttl = 2
 	res, err := adaptive.Route(0, 255, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +220,7 @@ func TestAdaptiveTTLGuard(t *testing.T) {
 func TestAdaptiveFaultFree(t *testing.T) {
 	cube := gc.New(7, 1)
 	static := NewRouter(cube)
-	adaptive := NewAdaptiveRouter(cube, nil, AdaptiveConfig{})
+	adaptive := NewAdaptiveRouter(cube, nil)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 50; i++ {
 		s := gc.NodeID(rng.Intn(cube.Nodes()))
@@ -259,7 +260,7 @@ func TestFrozenSetSharedAcrossRouters(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			static := NewRouter(cube, WithFaults(fs))
-			adaptive := NewAdaptiveRouter(cube, fs, AdaptiveConfig{})
+			adaptive := NewAdaptiveRouter(cube, fs)
 			for i := 0; i < 200; i++ {
 				s := gc.NodeID(rng.Intn(cube.Nodes()))
 				d := gc.NodeID(rng.Intn(cube.Nodes()))

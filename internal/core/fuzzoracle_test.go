@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gaussiancube/internal/fault"
@@ -21,7 +23,11 @@ import (
 //  2. oracle unreachable => the router must fail with a typed error
 //     wrapping ErrUnreachable, never a panic or a bogus path;
 //  3. the traced event stream must replay to exactly the returned
-//     path (the observability layer may not lie about the route).
+//     path (the observability layer may not lie about the route);
+//  4. RouteInto and RouteContext on the same router agree with Route:
+//     the same path, UsedFallback exactly when the report says
+//     OutcomeDeliveredDegraded, and ErrUnreachable exactly when the
+//     report says OutcomeUndeliverable.
 func FuzzRouteAgainstOracle(f *testing.F) {
 	f.Add(uint8(8), uint8(2), uint16(5), uint16(201), int64(42), uint8(3), uint8(2))
 	f.Add(uint8(6), uint8(0), uint16(0), uint16(63), int64(7), uint8(0), uint8(0))
@@ -51,6 +57,8 @@ func FuzzRouteAgainstOracle(f *testing.F) {
 		ring := trace.NewRing(4096)
 		r := NewRouter(cube, WithFaults(fs), WithTracer(ring))
 		res, err := r.Route(s, d)
+		events := ring.Events()
+		checkEntryPointParity(t, r, s, d, res, err)
 
 		if oracle == nil {
 			if err == nil {
@@ -74,7 +82,7 @@ func FuzzRouteAgainstOracle(f *testing.F) {
 				res.Hops(), len(oracle)-1)
 		}
 
-		walk, rerr := trace.Replay(uint32(s), ring.Events())
+		walk, rerr := trace.Replay(uint32(s), events)
 		if rerr != nil {
 			t.Fatalf("trace does not replay: %v", rerr)
 		}
@@ -87,4 +95,49 @@ func FuzzRouteAgainstOracle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkEntryPointParity runs RouteInto and RouteContext on r and
+// requires both to agree with Route's verdict (res, err) for s -> d.
+func checkEntryPointParity(t *testing.T, r *Router, s, d gc.NodeID, res *Result, err error) {
+	t.Helper()
+	into, ierr := r.RouteInto(nil, s, d)
+	rep, cerr := r.RouteContext(context.Background(), s, d)
+	switch {
+	case err == nil:
+		if ierr != nil || cerr != nil {
+			t.Fatalf("Route delivered but RouteInto err=%v, RouteContext err=%v", ierr, cerr)
+		}
+		if !slices.Equal(into, res.Path) || !slices.Equal(rep.Path, res.Path) {
+			t.Fatalf("entry points disagree on %d -> %d:\nRoute        %v\nRouteInto    %v\nRouteContext %v",
+				s, d, res.Path, into, rep.Path)
+		}
+		if rep.UsedFallback != res.UsedFallback || (rep.Outcome == OutcomeDeliveredDegraded) != res.UsedFallback {
+			t.Fatalf("fallback verdicts disagree: Route UsedFallback=%v, report %v (UsedFallback=%v)",
+				res.UsedFallback, rep.Outcome, rep.UsedFallback)
+		}
+		if rep.Outcome != OutcomeDelivered && rep.Outcome != OutcomeDeliveredDegraded {
+			t.Fatalf("delivered route reported %v", rep.Outcome)
+		}
+		if rep.Hops != res.Hops() || rep.DetourHops != res.Extra() || rep.TreeID != res.Tree {
+			t.Fatalf("report %+v disagrees with result hops=%d extra=%d tree=%d",
+				rep, res.Hops(), res.Extra(), res.Tree)
+		}
+	case errors.Is(err, ErrUnreachable):
+		if !errors.Is(ierr, ErrUnreachable) || len(into) != 0 {
+			t.Fatalf("Route unreachable but RouteInto returned %v, %v", into, ierr)
+		}
+		want := OutcomeUndeliverable
+		if errors.Is(err, ErrPartitioned) {
+			want = OutcomeUndeliverablePartitioned
+		}
+		if cerr != nil || rep.Outcome != want {
+			t.Fatalf("Route %v but RouteContext returned (%+v, %v), want outcome %v", err, rep, cerr, want)
+		}
+	default:
+		if ierr == nil || cerr == nil || rep != nil {
+			t.Fatalf("Route rejected the request (%v) but RouteInto err=%v, RouteContext=(%v, %v)",
+				err, ierr, rep, cerr)
+		}
+	}
 }

@@ -27,17 +27,17 @@ import (
 	"gaussiancube/internal/trace"
 )
 
-// resolveTree picks the tree a route from s to d is planned for: the
-// pinned tree, or the flow hash when striping (TreeAuto). -1 means the
-// router has no tree set and routes single-tree.
-func (r *Router) resolveTree(s, d gc.NodeID) int {
-	if r.trees == nil {
+// resolveTree picks the tree of ts a route from s to d is planned for:
+// pin when it indexes a tree of ts, the flow hash otherwise (TreeAuto).
+// -1 means no tree set — the route is single-tree.
+func resolveTree(ts *mtree.TreeSet, pin int, s, d gc.NodeID) int {
+	if ts == nil {
 		return -1
 	}
-	if r.tree >= 0 {
-		return r.tree
+	if pin >= 0 && pin < ts.K() {
+		return pin
 	}
-	return r.trees.TreeForFlow(s, d)
+	return ts.TreeForFlow(s, d)
 }
 
 // Trees returns the router's multipath tree set (nil when single-tree).

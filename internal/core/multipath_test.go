@@ -56,11 +56,11 @@ func FuzzMultipathAgainstOracle(f *testing.F) {
 		oracle := graph.ShortestPath(healthyView{cube: cube, faults: fs}, s, d)
 
 		ring := trace.NewRing(8192)
-		o := Options{Faults: fs, Tracer: ring, Repair: health, Trees: ts, Tree: TreeAuto}
+		tree := TreeAuto
 		if pinRaw != 255 {
-			o.Tree = int(pinRaw) % k
+			tree = int(pinRaw) % k
 		}
-		r := NewRouterWith(cube, o)
+		r := NewRouter(cube, WithFaults(fs), WithTracer(ring), WithRepair(health), WithTree(ts, tree))
 		res, err := r.Route(s, d)
 
 		if oracle == nil {
@@ -75,7 +75,7 @@ func FuzzMultipathAgainstOracle(f *testing.F) {
 		}
 		if err != nil {
 			t.Fatalf("oracle found a %d-hop path for %d -> %d (k=%d tree=%d) but router failed: %v",
-				len(oracle)-1, s, d, k, o.Tree, err)
+				len(oracle)-1, s, d, k, tree, err)
 		}
 		if verr := ValidatePath(cube, fs, res.Path, s, d); verr != nil {
 			t.Fatal(verr)
@@ -83,8 +83,8 @@ func FuzzMultipathAgainstOracle(f *testing.F) {
 		if res.Tree < 0 || res.Tree >= k {
 			t.Fatalf("Result.Tree = %d out of [0, %d)", res.Tree, k)
 		}
-		if o.Tree != TreeAuto && res.Tree != o.Tree {
-			t.Fatalf("pinned tree %d but Result.Tree = %d", o.Tree, res.Tree)
+		if tree != TreeAuto && res.Tree != tree {
+			t.Fatalf("pinned tree %d but Result.Tree = %d", tree, res.Tree)
 		}
 
 		walk, rerr := trace.Replay(uint32(s), ring.Events())
@@ -266,7 +266,7 @@ func TestAdaptiveTreeFailover(t *testing.T) {
 	fs := fault.NewSet(cube)
 	fs.AddLink(s, 0) // the crossing tree 0 would take
 
-	r := NewAdaptiveRouterWith(cube, fs, Options{Trees: ts, Tree: 0})
+	r := NewAdaptiveRouter(cube, fs, WithTree(ts, 0))
 	rep, err := r.RouteContext(nil, s, d)
 	if err != nil {
 		t.Fatal(err)
@@ -282,38 +282,5 @@ func TestAdaptiveTreeFailover(t *testing.T) {
 	}
 	if verr := ValidatePath(cube, fs, rep.Path, s, d); verr != nil {
 		t.Fatal(verr)
-	}
-}
-
-// TestDeprecatedConstructorsCompile exercises every deprecated
-// functional-option wrapper end to end, so the compatibility surface
-// the redesign promises cannot silently rot.
-func TestDeprecatedConstructorsCompile(t *testing.T) {
-	cube := gc.New(5, 2)
-	fs := fault.NewSet(cube)
-	health := repair.NewHealth(cube)
-	health.Rebuild(fs)
-	ring := trace.NewRing(64)
-	r := NewRouter(cube,
-		WithFaults(fs),
-		WithSubstrate(SubstrateSafety),
-		WithRepair(health),
-		WithTracer(ring),
-		WithoutFallback(),
-	)
-	res, err := r.Route(1, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tree != -1 {
-		t.Fatalf("single-tree route reports tree %d", res.Tree)
-	}
-	ar := NewAdaptiveRouter(cube, fs, AdaptiveConfig{Substrate: SubstrateVector, Repair: health})
-	rep, err := ar.RouteContext(nil, 1, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TreeID != -1 {
-		t.Fatalf("single-tree flight reports tree %d", rep.TreeID)
 	}
 }

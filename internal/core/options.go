@@ -1,17 +1,11 @@
-// The unified construction surface. PRs 1–9 accreted three ways to
-// configure routing — functional options on NewRouter, the
-// AdaptiveConfig struct, and per-subsystem config structs threading
-// through serve and simnet. Options folds them into one declarative
-// value covering both planners: the static Router reads the fault,
-// substrate, repair, tracer, fallback and tree fields; the adaptive
-// stepper additionally reads the flight-tuning knobs. The functional
-// Option form survives as thin wrappers over Options so every existing
-// caller compiles unchanged.
+// The construction surface: one set of functional options read by both
+// routers. NewRouter and NewAdaptiveRouter take the same seven options
+// — faults, substrate, repair, fallback, tracer, and the multipath tree
+// set with its pin — and unset options keep their zero-value defaults.
 package core
 
 import (
 	"gaussiancube/internal/fault"
-	"gaussiancube/internal/gc"
 	"gaussiancube/internal/mtree"
 	"gaussiancube/internal/repair"
 	"gaussiancube/internal/trace"
@@ -19,140 +13,88 @@ import (
 
 // TreeAuto selects a multipath tree per flow (hashing source and
 // destination, mtree.TreeSet.TreeForFlow) instead of pinning one tree
-// for every route. It is only meaningful alongside a non-nil Trees.
+// for every route. It is only meaningful alongside WithTrees or
+// WithTree.
 const TreeAuto = -1
 
-// Options is the single configuration surface for both routers. The
-// zero value is a fault-free, single-tree, untraced router with the
-// BFS fallback enabled — the same defaults NewRouter has always had.
-type Options struct {
-	// Faults is the fault set routes must avoid; nil means fault-free.
-	Faults *fault.Set
-	// Substrate selects the intra-class fault-tolerant hypercube router.
-	Substrate Substrate
-	// Repair, when set, supplies the tree-edge health map: severed
-	// crossings detour through surviving realizations and provable
-	// partitions return ErrPartitioned without burning a BFS. It must
-	// describe the same fault state as Faults.
-	Repair *repair.Health
-	// Tracer receives the structured event narrative of every route;
-	// nil keeps tracing disabled at zero cost.
-	Tracer trace.Tracer
-	// DisableFallback removes the BFS last resort, exposing the bare
-	// strategy.
-	DisableFallback bool
-
-	// Trees, when set, activates multipath routing: routes are planned
-	// for one tree of the set, steering their crossings through that
-	// tree's frame stripe. nil keeps the paper's single-tree behavior
-	// bit for bit (the hot path's zero-allocation property included).
-	Trees *mtree.TreeSet
-	// Tree selects which tree of Trees routes are planned for: a fixed
-	// index in [0, Trees.K()), or TreeAuto to stripe per flow. Note the
-	// zero value pins tree 0 — set TreeAuto explicitly (WithTrees does)
-	// when flow striping is wanted.
-	Tree int
-
-	// Flight tuning, read only by the adaptive stepper
-	// (NewAdaptiveRouterWith); zero values pick the documented
-	// AdaptiveConfig defaults.
-	MaxRetries  int
-	BackoffBase int
-	MaxBackoff  int
-	TTL         int
-	MaxVisits   int
+// options is the configuration the Option values fill, embedded in
+// Router. Its zero value (with tree set to TreeAuto) is a fault-free,
+// single-tree, untraced router with the BFS fallback enabled.
+type options struct {
+	faults     *fault.Set     // nil means fault-free
+	substrate  Substrate      // intra-class fault-tolerant router
+	repair     *repair.Health // nil means no tree-repair planning
+	noFallback bool           // no BFS last resort
+	// tracer, when non-nil, receives the structured event narrative of
+	// every route: hops, detours with category causes, repair
+	// crossings, rollbacks and outcomes. nil means tracing is off and
+	// costs nothing (the hot path's zero-allocation property is
+	// enforced by the alloc regression tests).
+	tracer trace.Tracer
+	// trees, when non-nil, activates multipath routing: each route is
+	// planned for one tree of the set (tree, or per-flow when tree does
+	// not index one) and steers its class crossings through that tree's
+	// frame stripe. nil is the paper's single-tree router, bit for bit.
+	trees *mtree.TreeSet
+	tree  int
 }
 
-// Option configures routing construction by mutating an Options value.
-// The With* constructors below are retained so existing callers
-// compile; new code should build an Options literal and call
-// NewRouterWith or NewAdaptiveRouterWith.
-type Option func(*Options)
+// Option configures either router's construction.
+type Option func(*options)
 
-// WithFaults supplies the fault set the router must avoid.
-//
-// Deprecated: set Options.Faults.
-func WithFaults(s *fault.Set) Option { return func(o *Options) { o.Faults = s } }
+// buildOptions applies opts over the defaults.
+func buildOptions(opts []Option) options {
+	o := options{tree: TreeAuto}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
+// WithFaults supplies the fault set the planner must avoid; without it
+// the planner is fault-free. The adaptive router ignores it: its ground
+// truth is the oracle, and each flight discovers faults for itself.
+func WithFaults(s *fault.Set) Option { return func(o *options) { o.faults = s } }
 
 // WithSubstrate selects the intra-class fault-tolerant hypercube router.
-//
-// Deprecated: set Options.Substrate.
-func WithSubstrate(s Substrate) Option { return func(o *Options) { o.Substrate = s } }
+func WithSubstrate(s Substrate) Option { return func(o *options) { o.substrate = s } }
 
 // WithRepair supplies a tree-edge health map the router consults before
 // committing to a tree edge: severed edges yield detour class-paths
 // through surviving realizations, and a provably cut-off destination
-// class returns ErrPartitioned without burning a BFS. The map must
-// describe the same fault state as WithFaults — the partition verdict
-// is only as sound as that agreement.
-//
-// Deprecated: set Options.Repair.
-func WithRepair(h *repair.Health) Option { return func(o *Options) { o.Repair = h } }
+// class returns ErrPartitioned (OutcomeUndeliverablePartitioned on the
+// adaptive router) without burning a BFS. The map must describe the
+// same fault state as WithFaults, or as the adaptive router's oracle
+// (repair.Health.AttachDynamic keeps it in step) — the partition
+// verdict is only as sound as that agreement.
+func WithRepair(h *repair.Health) Option { return func(o *options) { o.repair = h } }
 
-// WithoutFallback disables the BFS fallback, exposing the bare strategy.
-//
-// Deprecated: set Options.DisableFallback.
-func WithoutFallback() Option { return func(o *Options) { o.DisableFallback = true } }
+// WithoutFallback disables the BFS last resort, exposing the bare
+// strategy.
+func WithoutFallback() Option { return func(o *options) { o.noFallback = true } }
 
-// WithTracer attaches a trace sink: the router emits one structured
-// event per hop, detour, repair crossing, rollback and terminal
-// outcome (the taxonomy of internal/trace). The event stream of a
-// successful route replays to exactly the returned path — see
-// trace.Replay. A nil tracer keeps tracing disabled.
-//
-// Deprecated: set Options.Tracer.
-func WithTracer(t trace.Tracer) Option { return func(o *Options) { o.Tracer = t } }
+// WithTracer attaches a trace sink. The planner emits one structured
+// event per hop, detour, repair crossing, rollback and terminal outcome
+// (the taxonomy of internal/trace); the event stream of a successful
+// route replays to exactly the returned path — see trace.Replay. The
+// adaptive router emits each flight's hops, fault discoveries with
+// their category, backoffs, replans and its terminal outcome (encoded
+// as trace.OutcomeLadderBase + Outcome). A nil tracer keeps tracing
+// disabled at zero cost.
+func WithTracer(t trace.Tracer) Option { return func(o *options) { o.tracer = t } }
 
 // WithTrees activates multipath routing over ts, striping flows across
-// its trees (TreeAuto). Combine with WithTree to pin one tree instead.
+// its trees (TreeAuto). Routes steer their class crossings through
+// their tree's frame stripe; adaptive flights additionally fail over to
+// a sibling tree on discovering a faulted crossing. Combine with
+// WithTree to pin one tree instead.
 func WithTrees(ts *mtree.TreeSet) Option {
-	return func(o *Options) { o.Trees = ts; o.Tree = TreeAuto }
+	return func(o *options) { o.trees = ts; o.tree = TreeAuto }
 }
 
 // WithTree activates multipath routing over ts with every route pinned
-// to the given tree.
+// to the given tree; an index outside [0, ts.K()) stripes per flow, as
+// TreeAuto does.
 func WithTree(ts *mtree.TreeSet, tree int) Option {
-	return func(o *Options) { o.Trees = ts; o.Tree = tree }
-}
-
-// NewRouterWith builds a router over cube c from a declarative Options
-// value — the canonical constructor; NewRouter remains as the
-// functional-option form.
-func NewRouterWith(c *gc.Cube, o Options) *Router {
-	r := &Router{
-		cube:      c,
-		faults:    o.Faults,
-		repair:    o.Repair,
-		substrate: o.Substrate,
-		fallback:  !o.DisableFallback,
-		tracer:    o.Tracer,
-	}
-	if o.Trees != nil {
-		r.trees = o.Trees
-		r.tree = o.Tree
-		if r.tree < 0 || r.tree >= o.Trees.K() {
-			r.tree = TreeAuto
-		}
-	}
-	r.scratch.New = func() any { return new(routeScratch) }
-	return r
-}
-
-// NewAdaptiveRouterWith builds an adaptive router over cube c with
-// ground truth oracle from a declarative Options value — the canonical
-// constructor; NewAdaptiveRouter remains as the AdaptiveConfig form.
-func NewAdaptiveRouterWith(c *gc.Cube, oracle Oracle, o Options) *AdaptiveRouter {
-	return NewAdaptiveRouter(c, oracle, AdaptiveConfig{
-		Substrate:       o.Substrate,
-		MaxRetries:      o.MaxRetries,
-		BackoffBase:     o.BackoffBase,
-		MaxBackoff:      o.MaxBackoff,
-		TTL:             o.TTL,
-		MaxVisits:       o.MaxVisits,
-		DisableFallback: o.DisableFallback,
-		Repair:          o.Repair,
-		Tracer:          o.Tracer,
-		Trees:           o.Trees,
-		Tree:            o.Tree,
-	})
+	return func(o *options) { o.trees = ts; o.tree = tree }
 }

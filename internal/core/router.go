@@ -38,8 +38,6 @@ import (
 	"gaussiancube/internal/graph"
 	"gaussiancube/internal/gtree"
 	"gaussiancube/internal/hypercube"
-	"gaussiancube/internal/mtree"
-	"gaussiancube/internal/repair"
 	"gaussiancube/internal/trace"
 )
 
@@ -63,23 +61,8 @@ const (
 // so a single instance may be used from multiple goroutines
 // concurrently (provided the fault set is not mutated during routing).
 type Router struct {
-	cube      *gc.Cube
-	faults    *fault.Set     // nil means fault-free
-	repair    *repair.Health // nil means no tree-repair planning
-	substrate Substrate
-	fallback  bool
-	// tracer, when non-nil, receives the structured event narrative of
-	// every route: hops, detours with category causes, repair
-	// crossings, rollbacks and outcomes. nil means tracing is off and
-	// costs nothing (the hot path's zero-allocation property is
-	// enforced by the alloc regression tests).
-	tracer trace.Tracer
-	// trees, when non-nil, activates multipath routing: each route is
-	// planned for one tree of the set (tree, or per-flow when tree is
-	// TreeAuto) and steers its class crossings through that tree's
-	// frame stripe. nil is the paper's single-tree router, bit for bit.
-	trees *mtree.TreeSet
-	tree  int
+	cube *gc.Cube
+	options
 	// scratch pools routeScratch values; every Route/RouteInto call
 	// checks one out for its lifetime, which is what keeps the
 	// fault-free hot path allocation-free without a per-call lock.
@@ -91,14 +74,18 @@ type Router struct {
 	totalBridges int32
 }
 
-// NewRouter builds a router over cube c. It is the functional-option
-// form of NewRouterWith (options.go), which new code should prefer.
+// NewRouter builds a router over cube c, configured by opts
+// (options.go).
 func NewRouter(c *gc.Cube, opts ...Option) *Router {
-	o := Options{Tree: TreeAuto}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return NewRouterWith(c, o)
+	return newRouter(c, buildOptions(opts))
+}
+
+// newRouter builds a router from filled options; the adaptive router
+// builds its per-flight planners through it.
+func newRouter(c *gc.Cube, o options) *Router {
+	r := &Router{cube: c, options: o}
+	r.scratch.New = func() any { return new(routeScratch) }
+	return r
 }
 
 // Cube returns the cube this router operates on.
@@ -159,34 +146,66 @@ func (res *Result) Breakdown(c *gc.Cube) (treeHops, cubeHops int) {
 	return treeHops, cubeHops
 }
 
-// Route computes a route from s to d. It is RouteCtx without
-// cancellation — a thin compatibility wrapper retained for existing
-// callers; new code that serves requests under deadlines should prefer
-// RouteCtx (or the Routing interface).
+// Route computes a route from s to d.
 func (r *Router) Route(s, d gc.NodeID) (*Result, error) {
-	return r.RouteCtx(context.Background(), s, d)
+	var walk []gtree.Node
+	path, m, err := r.route(context.Background(), nil, &walk, s, d)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Source:       s,
+		Dest:         d,
+		Path:         path,
+		TreeWalk:     walk,
+		Optimal:      m.optimal,
+		UsedFallback: m.fallback,
+		Tree:         m.tree,
+	}, nil
 }
 
-// RouteCtx computes a route from s to d under ctx. Cancellation and
-// deadline expiry are checked between hops of the class walk; a
-// canceled route returns ctx's error (the BFS fallback is skipped —
-// the caller has already lost interest). A nil ctx means
-// context.Background().
-func (r *Router) RouteCtx(ctx context.Context, s, d gc.NodeID) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// RouteInto computes a route from s to d and appends its hop-by-hop
+// path (endpoints included) onto dst, returning the extended slice. It
+// is Route without the Result envelope: when dst has capacity, a
+// warmed-up fault-free call performs zero heap allocations. When the
+// strategy fails against the fault pattern and the fallback is enabled,
+// the BFS fallback path is appended instead.
+func (r *Router) RouteInto(dst []gc.NodeID, s, d gc.NodeID) ([]gc.NodeID, error) {
+	dst, _, err := r.route(context.Background(), dst, nil, s, d)
+	return dst, err
+}
+
+// routeMeta is what the route core reports beside the path.
+type routeMeta struct {
+	tree     int  // multipath tree planned for; -1 single-tree
+	optimal  int  // fault-free optimum for the pair
+	fallback bool // the BFS last resort produced the path
+}
+
+// route is the one planning ladder behind Route, RouteInto and
+// RouteContext: range check, faulty endpoint, plan, repair partition
+// check, execute, BFS fallback, traced outcome. It appends the path
+// (endpoints included) onto dst and returns dst unextended on error.
+// walk, when non-nil, receives a copy of the planned class walk.
+// Cancellation and deadline expiry are checked between hops of the
+// class walk; a canceled route returns ctx's error and skips the BFS
+// fallback — the caller has already lost interest. ctx must be
+// non-nil; context.Background().Err() allocates nothing, so the
+// warmed-up fault-free path stays allocation-free.
+func (r *Router) route(ctx context.Context, dst []gc.NodeID, walk *[]gtree.Node, s, d gc.NodeID) ([]gc.NodeID, routeMeta, error) {
+	m := routeMeta{tree: -1}
 	if int(s) >= r.cube.Nodes() || int(d) >= r.cube.Nodes() {
-		return nil, fmt.Errorf("core: node out of range for GC(%d,2^%d)", r.cube.N(), r.cube.Alpha())
+		return dst, m, fmt.Errorf("core: node out of range for GC(%d,2^%d)", r.cube.N(), r.cube.Alpha())
 	}
 	if r.faults != nil && (r.faults.NodeFaulty(s) || r.faults.NodeFaulty(d)) {
 		if r.tracer != nil {
 			r.traceOutcome(trace.OutcomeError, "faulty-endpoint")
 		}
-		return nil, ErrFaultyEndpoint
+		return dst, m, ErrFaultyEndpoint
 	}
 	sc := r.scratch.Get().(*routeScratch)
-	sc.tree = r.resolveTree(s, d)
+	sc.tree = resolveTree(r.trees, r.tree, s, d)
+	m.tree = sc.tree
 	r.planInto(&sc.plan, s, d)
 	if r.repair != nil {
 		if _, ok := r.repair.CheckWalk(s, d, sc.plan.classes); !ok {
@@ -194,19 +213,16 @@ func (r *Router) RouteCtx(ctx context.Context, s, d gc.NodeID) (*Result, error) 
 			if r.tracer != nil {
 				r.traceOutcome(trace.OutcomeError, "partitioned")
 			}
-			return nil, ErrPartitioned
+			return dst, m, ErrPartitioned
 		}
 	}
-	res := &Result{
-		Source:   s,
-		Dest:     d,
-		TreeWalk: append([]gtree.Node(nil), sc.plan.walk...),
-		Optimal:  sc.plan.optimal(),
-		Tree:     sc.tree,
+	m.optimal = sc.plan.optimal() // before execute consumes the masks
+	if walk != nil {
+		*walk = append(*walk, sc.plan.walk...)
 	}
 	path, err := r.execute(ctx, sc, sc.path[:0], s, d, 0)
 	if err == nil {
-		res.Path = append([]gc.NodeID(nil), path...)
+		dst = append(dst, path...)
 	}
 	abandoned := len(path) - 1
 	sc.path = path[:0] // retain the grown buffer for the next route
@@ -215,123 +231,36 @@ func (r *Router) RouteCtx(ctx context.Context, s, d gc.NodeID) (*Result, error) 
 		if r.tracer != nil {
 			r.traceOutcome(trace.OutcomeOK, "")
 		}
-		return res, nil
+		return dst, m, nil
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		if r.tracer != nil {
 			r.traceAbandoned(abandoned)
 			r.traceOutcome(trace.OutcomeError, "canceled")
 		}
-		return nil, cerr
+		return dst, m, cerr
 	}
-	if !r.fallback {
-		if r.tracer != nil {
-			r.traceAbandoned(abandoned)
-			r.traceOutcome(trace.OutcomeError, "unreachable")
+	var fb []gc.NodeID
+	if !r.noFallback {
+		fb = r.bfsFallback(s, d)
+		if fb == nil {
+			err = ErrUnreachable
 		}
-		return nil, err
 	}
-	fb := r.bfsFallback(s, d)
 	if fb == nil {
 		if r.tracer != nil {
 			r.traceAbandoned(abandoned)
 			r.traceOutcome(trace.OutcomeError, "unreachable")
 		}
-		return nil, ErrUnreachable
+		return dst, m, err
 	}
 	if r.tracer != nil {
 		r.traceAbandoned(abandoned)
 		r.traceFallbackPath(fb)
 		r.traceOutcome(trace.OutcomeOK, "bfs-fallback")
 	}
-	res.Path = fb
-	res.UsedFallback = true
-	return res, nil
-}
-
-// RouteInto computes a route from s to d and appends its hop-by-hop
-// path (endpoints included) onto dst, returning the extended slice. It
-// is Route without the Result envelope: when dst has capacity, a
-// warmed-up fault-free call performs zero heap allocations. When the
-// strategy fails against the fault pattern and the fallback is enabled,
-// the BFS fallback path is appended instead. It is RouteIntoCtx
-// without cancellation — a thin compatibility wrapper; new code should
-// prefer RouteIntoCtx.
-func (r *Router) RouteInto(dst []gc.NodeID, s, d gc.NodeID) ([]gc.NodeID, error) {
-	return r.RouteIntoCtx(context.Background(), dst, s, d)
-}
-
-// RouteIntoCtx is RouteInto under a context: cancellation and deadline
-// expiry are checked between hops of the class walk, returning ctx's
-// error with dst unextended. The zero-allocation property of the
-// warmed-up fault-free path is preserved (context.Background().Err()
-// allocates nothing; see the alloc regression tests).
-func (r *Router) RouteIntoCtx(ctx context.Context, dst []gc.NodeID, s, d gc.NodeID) ([]gc.NodeID, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if int(s) >= r.cube.Nodes() || int(d) >= r.cube.Nodes() {
-		return dst, fmt.Errorf("core: node out of range for GC(%d,2^%d)", r.cube.N(), r.cube.Alpha())
-	}
-	if r.faults != nil && (r.faults.NodeFaulty(s) || r.faults.NodeFaulty(d)) {
-		if r.tracer != nil {
-			r.traceOutcome(trace.OutcomeError, "faulty-endpoint")
-		}
-		return dst, ErrFaultyEndpoint
-	}
-	sc := r.scratch.Get().(*routeScratch)
-	sc.tree = r.resolveTree(s, d)
-	r.planInto(&sc.plan, s, d)
-	if r.repair != nil {
-		if _, ok := r.repair.CheckWalk(s, d, sc.plan.classes); !ok {
-			r.scratch.Put(sc)
-			if r.tracer != nil {
-				r.traceOutcome(trace.OutcomeError, "partitioned")
-			}
-			return dst, ErrPartitioned
-		}
-	}
-	path, err := r.execute(ctx, sc, sc.path[:0], s, d, 0)
-	if err == nil {
-		dst = append(dst, path...)
-	}
-	abandoned := len(path) - 1
-	sc.path = path[:0]
-	r.scratch.Put(sc)
-	if err == nil {
-		if r.tracer != nil {
-			r.traceOutcome(trace.OutcomeOK, "")
-		}
-		return dst, nil
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		if r.tracer != nil {
-			r.traceAbandoned(abandoned)
-			r.traceOutcome(trace.OutcomeError, "canceled")
-		}
-		return dst, cerr
-	}
-	if !r.fallback {
-		if r.tracer != nil {
-			r.traceAbandoned(abandoned)
-			r.traceOutcome(trace.OutcomeError, "unreachable")
-		}
-		return dst, err
-	}
-	fb := r.bfsFallback(s, d)
-	if fb == nil {
-		if r.tracer != nil {
-			r.traceAbandoned(abandoned)
-			r.traceOutcome(trace.OutcomeError, "unreachable")
-		}
-		return dst, ErrUnreachable
-	}
-	if r.tracer != nil {
-		r.traceAbandoned(abandoned)
-		r.traceFallbackPath(fb)
-		r.traceOutcome(trace.OutcomeOK, "bfs-fallback")
-	}
-	return append(dst, fb...), nil
+	m.fallback = true
+	return append(dst, fb...), m, nil
 }
 
 // OptimalLength returns the fault-free length of the strategy's route,

@@ -1,12 +1,10 @@
-// The unified routing entry point. PRs 1–4 grew two parallel APIs —
-// the omniscient planner (Router.Route / RouteInto) and the per-hop
-// discovery stepper (AdaptiveRouter.Start / StartTraced) — each with
-// its own envelope. A serving layer wants neither distinction: it
-// holds "something that routes", hands it a context carrying the
-// request deadline, and serializes one outcome ladder. Routing is that
-// contract, satisfied by both routers; RouteReport is the shared
-// envelope (the adaptive result generalizes the static one — a static
-// route is a flight with no discoveries).
+// The unified routing entry point. The omniscient planner
+// (Router.Route / RouteInto) and the per-hop discovery stepper
+// (AdaptiveRouter.Start / StartTraced) each have their own drivers, but
+// a serving layer wants neither distinction: it holds "something that
+// routes", hands it a context carrying the request deadline, and
+// serializes one outcome ladder. Routing is that contract, satisfied by
+// both routers; RouteReport is the shared envelope.
 package core
 
 import (
@@ -17,10 +15,27 @@ import (
 )
 
 // RouteReport is the unified envelope returned by Routing
-// implementations. It is the adaptive result: a static planner route
-// fills the plan-level fields (Outcome, Path, Hops, DetourHops,
-// UsedFallback) and leaves the discovery counters zero.
-type RouteReport = AdaptiveResult
+// implementations and AdaptiveRouter.Route. A static planner route
+// fills the plan-level fields (Outcome, Reason, Path, Hops, DetourHops,
+// UsedFallback, TreeID) and leaves the discovery counters zero — a
+// static route is a flight with no discoveries.
+type RouteReport struct {
+	Outcome      Outcome
+	Reason       string
+	Path         []gc.NodeID
+	Hops         int
+	Retries      int
+	Replans      int
+	WaitCycles   int
+	DetourHops   int
+	UsedFallback bool
+	Discovered   []DiscoveredFault
+	// TreeID is the multipath tree the route was (last) planned over;
+	// -1 on a single-tree router.
+	TreeID int
+	// TreeSwitches counts sibling-tree failovers (adaptive flights).
+	TreeSwitches int
+}
 
 // Routing is the context-aware entry point shared by Router (whole-
 // path planning against a known fault set) and AdaptiveRouter (per-hop
@@ -60,36 +75,35 @@ func (r *Router) RouteContext(ctx context.Context, s, d gc.NodeID) (*RouteReport
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	tree := r.resolveTree(s, d)
-	res, err := r.RouteCtx(ctx, s, d)
+	path, m, err := r.route(ctx, nil, nil, s, d)
 	switch {
 	case err == nil:
 		rep := &RouteReport{
 			Outcome:      OutcomeDelivered,
-			Path:         res.Path,
-			Hops:         res.Hops(),
-			DetourHops:   res.Extra(),
-			UsedFallback: res.UsedFallback,
-			TreeID:       res.Tree,
+			Path:         path,
+			Hops:         len(path) - 1,
+			DetourHops:   len(path) - 1 - m.optimal,
+			UsedFallback: m.fallback,
+			TreeID:       m.tree,
 		}
-		if res.UsedFallback {
+		if m.fallback {
 			rep.Outcome = OutcomeDeliveredDegraded
 			rep.Reason = "BFS last resort"
 		}
 		return rep, nil
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return &RouteReport{Outcome: OutcomeCanceled, Reason: err.Error(), TreeID: tree}, nil
+		return &RouteReport{Outcome: OutcomeCanceled, Reason: err.Error(), TreeID: m.tree}, nil
 	case errors.Is(err, ErrPartitioned):
 		return &RouteReport{
 			Outcome: OutcomeUndeliverablePartitioned,
 			Reason:  "destination class severed from source component",
-			TreeID:  tree,
+			TreeID:  m.tree,
 		}, nil
 	case errors.Is(err, ErrUnreachable):
 		return &RouteReport{
 			Outcome: OutcomeUndeliverable,
 			Reason:  "no route around faults",
-			TreeID:  tree,
+			TreeID:  m.tree,
 		}, nil
 	default:
 		// Caller mistakes: node out of range, faulty endpoint.

@@ -20,7 +20,7 @@ func TestRoutingParity(t *testing.T) {
 		r    Routing
 	}{
 		{"planner", NewRouter(cube)},
-		{"adaptive", NewAdaptiveRouter(cube, nil, AdaptiveConfig{})},
+		{"adaptive", NewAdaptiveRouter(cube, nil)},
 	}
 	for _, im := range impls {
 		for s := gc.NodeID(0); s < 40; s += 7 {
@@ -44,22 +44,24 @@ func TestRoutingParity(t *testing.T) {
 
 // TestRouteContextCanceled: a canceled context surfaces as
 // OutcomeCanceled on the report ladder (nil error) for both routers,
-// and as the raw context error from RouteCtx/RouteIntoCtx.
+// and as the raw context error with the buffer unextended from the
+// route core behind Route, RouteInto and RouteContext.
 func TestRouteContextCanceled(t *testing.T) {
 	cube := gc.New(8, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
 	r := NewRouter(cube)
-	if _, err := r.RouteCtx(ctx, 1, 200); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RouteCtx on canceled ctx: err=%v, want context.Canceled", err)
+	dst := make([]gc.NodeID, 1, 32)
+	out, _, err := r.route(ctx, dst, nil, 1, 200)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("route on canceled ctx: err=%v, want context.Canceled", err)
 	}
-	dst := make([]gc.NodeID, 0, 32)
-	if _, err := r.RouteIntoCtx(ctx, dst, 1, 200); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RouteIntoCtx on canceled ctx: err=%v, want context.Canceled", err)
+	if len(out) != len(dst) {
+		t.Fatalf("canceled route extended the buffer to %d nodes", len(out))
 	}
 
-	for _, impl := range []Routing{r, NewAdaptiveRouter(cube, nil, AdaptiveConfig{})} {
+	for _, impl := range []Routing{r, NewAdaptiveRouter(cube, nil)} {
 		rep, err := impl.RouteContext(ctx, 1, 200)
 		if err != nil {
 			t.Fatalf("RouteContext on canceled ctx: err=%v, want nil (report ladder)", err)

@@ -188,7 +188,7 @@ func TestTraceReplayAdaptiveFlight(t *testing.T) {
 		fs.InjectRandomNodes(rng, 1+rng.Intn(4))
 		fs.Freeze()
 		ring := trace.NewRing(1 << 14)
-		ar := NewAdaptiveRouter(cube, fs, AdaptiveConfig{Tracer: ring})
+		ar := NewAdaptiveRouter(cube, fs, WithTracer(ring))
 		for pair := 0; pair < 10; pair++ {
 			s := gc.NodeID(rng.Intn(cube.Nodes()))
 			d := gc.NodeID(rng.Intn(cube.Nodes()))

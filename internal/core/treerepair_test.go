@@ -184,8 +184,8 @@ func TestAdaptivePartitionedOutcome(t *testing.T) {
 	fs.Freeze()
 	health := repair.NewHealth(cube)
 	health.Rebuild(fs)
-	ar := NewAdaptiveRouter(cube, fs, AdaptiveConfig{Repair: health})
-	f, err := ar.StartInformed(0, 3, fs)
+	ar := NewAdaptiveRouter(cube, fs, WithRepair(health))
+	f, err := ar.start(0, 3, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestAdaptivePartitionedOutcome(t *testing.T) {
 	}
 
 	// A same-side flight under the same configuration still delivers.
-	g, err := ar.StartInformed(0, 1, fs)
+	g, err := ar.start(0, 1, fs)
 	if err != nil {
 		t.Fatal(err)
 	}

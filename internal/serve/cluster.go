@@ -28,7 +28,7 @@ import (
 // pull on this error.
 var ErrSyncDiverged = errors.New("serve: epoch sync diverged")
 
-// Forwarder is the cluster hook Submit consults: a request whose
+// Forwarder is the cluster hook SubmitTree consults: a request whose
 // source ending class this instance does not own is handed to Forward,
 // which proxies it to the owner (with failover and a degraded local
 // fallback). Installed by cluster.Node via SetForwarder.

@@ -67,12 +67,12 @@ func (s *Server) SetCollectiveForwarder(f CollectiveForwarder) {
 // SubmitBroadcast serves one broadcast: a delivery plan reaching every
 // node of the cube from root, re-rooted when root is faulted. With a
 // cluster forwarder installed the request fans out to the owners of
-// the destination class ranges; SubmitBroadcastLocal pins it here.
+// the destination class ranges; SubmitCollectiveLocal pins it here.
 func (s *Server) SubmitBroadcast(ctx context.Context, root gc.NodeID) (*CollectiveResponse, error) {
 	if box := s.cfwd.Load(); box != nil && int(root) < s.cube.Nodes() {
 		return box.f.ForwardCollective(ctx, root, nil, false)
 	}
-	return s.SubmitBroadcastLocal(ctx, root)
+	return s.SubmitCollectiveLocal(ctx, root, nil, false)
 }
 
 // SubmitMulticast serves one multicast to an explicit destination
@@ -81,26 +81,17 @@ func (s *Server) SubmitMulticast(ctx context.Context, root gc.NodeID, dests []gc
 	if box := s.cfwd.Load(); box != nil && int(root) < s.cube.Nodes() {
 		return box.f.ForwardCollective(ctx, root, dests, true)
 	}
-	return s.SubmitMulticastLocal(ctx, root, dests)
+	return s.SubmitCollectiveLocal(ctx, root, dests, true)
 }
 
-// SubmitBroadcastLocal serves a broadcast on this instance regardless
+// SubmitCollectiveLocal serves a collective on this instance regardless
 // of cluster ownership — the landing path for fanned-out subsets
-// (wire.RouteFlagNoForward).
-func (s *Server) SubmitBroadcastLocal(ctx context.Context, root gc.NodeID) (*CollectiveResponse, error) {
-	return s.submitCollectiveLocal(ctx, root, nil, false)
-}
-
-// SubmitMulticastLocal serves a multicast on this instance regardless
-// of cluster ownership.
-func (s *Server) SubmitMulticastLocal(ctx context.Context, root gc.NodeID, dests []gc.NodeID) (*CollectiveResponse, error) {
-	return s.submitCollectiveLocal(ctx, root, dests, true)
-}
-
-// submitCollectiveLocal queues one collective and applies the same
-// replay-window and stale-frontier degrade marking SubmitLocal gives
-// unicast responses.
-func (s *Server) submitCollectiveLocal(ctx context.Context, root gc.NodeID, dests []gc.NodeID, multicast bool) (*CollectiveResponse, error) {
+// (wire.RouteFlagNoForward). As for ForwardCollective, dests is nil
+// for a broadcast and multicast distinguishes an explicit empty list; a
+// multicast answers dests in request order. It applies the same
+// replay-window and stale-frontier degrade marking SubmitLocalTree
+// gives unicast responses.
+func (s *Server) SubmitCollectiveLocal(ctx context.Context, root gc.NodeID, dests []gc.NodeID, multicast bool) (*CollectiveResponse, error) {
 	resp, err := s.submitCollective(ctx, root, dests, multicast)
 	if resp != nil {
 		if s.Replaying() {

@@ -80,9 +80,9 @@ func probe(t *testing.T, s *Server, pairs [][2]gc.NodeID) []probeAnswer {
 	t.Helper()
 	out := make([]probeAnswer, len(pairs))
 	for i, p := range pairs {
-		resp, err := s.Submit(context.Background(), p[0], p[1])
+		resp, err := s.SubmitTree(context.Background(), p[0], p[1], core.TreeAuto)
 		if err != nil {
-			t.Fatalf("probe Submit(%d,%d): %v", p[0], p[1], err)
+			t.Fatalf("probe SubmitTree(%d,%d): %v", p[0], p[1], err)
 		}
 		if resp.Err != nil {
 			out[i] = probeAnswer{err: true}
@@ -382,10 +382,10 @@ func TestServeDegradedDuringReplay(t *testing.T) {
 	if js := srv.JournalStatus(); js == nil || js.State != "replaying" {
 		t.Fatalf("JournalStatus = %+v, want replaying", js)
 	}
-	if _, ok := srv.FastRoute(1, 200); ok {
+	if _, ok := srv.FastRouteTree(1, 200, core.TreeAuto); ok {
 		t.Error("fast path answered during replay; degraded marking bypassed")
 	}
-	resp, err := srv.Submit(context.Background(), 1, 200)
+	resp, err := srv.SubmitTree(context.Background(), 1, 200, core.TreeAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestServeDegradedDuringReplay(t *testing.T) {
 	if got := srv.FaultSet().Fingerprint(); got != wantFP {
 		t.Fatalf("post-replay fingerprint %#x, want %#x", got, wantFP)
 	}
-	resp, err = srv.Submit(context.Background(), 1, 200)
+	resp, err = srv.SubmitTree(context.Background(), 1, 200, core.TreeAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 // The journal-on serving benchmarks are the read-path-neutrality gate:
 // a configured journal only touches the mutation path (durable-before-
-// ack) plus one atomic phase load on FastRoute, so pipelined routing
+// ack) plus one atomic phase load on FastRouteTree, so pipelined routing
 // must stay zero-alloc and within noise of the journal-off
 // BenchmarkServeWire/BenchmarkServeBatch numbers — in both sync modes.
 

@@ -39,7 +39,7 @@ func TestSubmitTreePinned(t *testing.T) {
 		}
 	}
 
-	auto, err := s.Submit(context.Background(), src, dst)
+	auto, err := s.SubmitTree(context.Background(), src, dst, core.TreeAuto)
 	if err != nil || auto.Err != nil {
 		t.Fatalf("auto: %+v, %v", auto, err)
 	}
@@ -94,7 +94,7 @@ func TestTreeCacheIsolation(t *testing.T) {
 		t.Fatalf("cold pin: %+v, %v", cold, err)
 	}
 	// Auto resolves to the same tree — must hit the pin's entry.
-	warm, err := s.Submit(context.Background(), src, dst)
+	warm, err := s.SubmitTree(context.Background(), src, dst, core.TreeAuto)
 	if err != nil || !warm.CacheHit || warm.Report.TreeID != flow {
 		t.Fatalf("auto after same-tree pin must hit: %+v, %v", warm, err)
 	}

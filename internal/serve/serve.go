@@ -217,7 +217,7 @@ type shard struct {
 	latency *metrics.AtomicHistogram // microseconds
 	hops    *metrics.AtomicHistogram
 
-	// co merges identical in-flight planner requests (see Submit).
+	// co merges identical in-flight planner requests (see SubmitTree).
 	co coalescer
 
 	seq         atomic.Uint64 // served ordinal, drives sampling
@@ -271,7 +271,7 @@ type coalescer struct {
 }
 
 // Server is the route-serving subsystem. Construct with New, submit
-// with Submit (or the HTTP layer of NewHandler), mutate faults with
+// with SubmitTree (or the HTTP layer of NewHandler), mutate faults with
 // ApplyFaults, stop with Shutdown.
 type Server struct {
 	cfg  Config
@@ -449,53 +449,30 @@ func (s *Server) buildShardRouters(sh *shard, es *epochState) *shardRouters {
 	if es.faults.Count() > 0 {
 		fs = es.faults
 	}
+	// base is the option slice every router of the epoch shares; the
+	// adaptive router ignores WithFaults (the oracle is its ground
+	// truth), and a repair map over an empty fault set is inert for it.
+	var oracle core.Oracle
+	base := []core.Option{core.WithSubstrate(s.cfg.Substrate)}
+	if fs != nil {
+		oracle = fs
+		base = append(base, core.WithFaults(fs))
+		if s.cfg.Repair {
+			base = append(base, core.WithRepair(es.health))
+		}
+	}
 	build := func(t trace.Tracer, tree int) core.Routing {
-		if s.cfg.Adaptive {
-			var oracle core.Oracle
-			if fs != nil {
-				oracle = fs
-			}
-			acfg := core.AdaptiveConfig{Substrate: s.cfg.Substrate, Tracer: t}
-			if s.cfg.Repair {
-				acfg.Repair = es.health
-			}
-			if s.trees != nil {
-				acfg.Trees = s.trees
-				acfg.Tree = tree
-			}
-			return core.NewAdaptiveRouter(s.cube, oracle, acfg)
-		}
-		opts := []core.Option{core.WithSubstrate(s.cfg.Substrate)}
-		if fs != nil {
-			opts = append(opts, core.WithFaults(fs))
-		}
-		if s.cfg.Repair && fs != nil {
-			opts = append(opts, core.WithRepair(es.health))
-		}
-		if t != nil {
-			opts = append(opts, core.WithTracer(t))
-		}
+		opts := append(base[:len(base):len(base)], core.WithTracer(t))
 		if s.trees != nil {
-			if tree >= 0 {
-				opts = append(opts, core.WithTree(s.trees, tree))
-			} else {
-				opts = append(opts, core.WithTrees(s.trees))
-			}
+			opts = append(opts, core.WithTree(s.trees, tree))
+		}
+		if s.cfg.Adaptive {
+			return core.NewAdaptiveRouter(s.cube, oracle, opts...)
 		}
 		return core.NewRouter(s.cube, opts...)
 	}
 	buildColl := func(t trace.Tracer) *core.Router {
-		opts := []core.Option{core.WithSubstrate(s.cfg.Substrate)}
-		if fs != nil {
-			opts = append(opts, core.WithFaults(fs))
-		}
-		if s.cfg.Repair && fs != nil {
-			opts = append(opts, core.WithRepair(es.health))
-		}
-		if t != nil {
-			opts = append(opts, core.WithTracer(t))
-		}
-		return core.NewRouter(s.cube, opts...)
+		return core.NewRouter(s.cube, append(base[:len(base):len(base)], core.WithTracer(t))...)
 	}
 	rs := &shardRouters{es: es, plain: build(nil, core.TreeAuto)}
 	if r, ok := rs.plain.(*core.Router); ok {
@@ -529,29 +506,24 @@ func (s *Server) shardFor(src gc.NodeID) *shard {
 	return s.shards[int(s.cube.EndingClass(src))%len(s.shards)]
 }
 
-// Submit routes one request through the serving pipeline and waits for
-// its verdict. The returned error is submission-level only
-// (backpressure, draining, out-of-range nodes); request-level failures
-// arrive on Response.Err and routing verdicts on
-// Response.Report.Outcome. ctx bounds the request;
+// SubmitTree routes one request through the serving pipeline and waits
+// for its verdict. tree in [0, Trees().K()) plans the route on that
+// multipath tree; core.TreeAuto (-1) uses the per-flow stripe (the only
+// choice on a single-tree server). The returned error is
+// submission-level only (backpressure, draining, out-of-range nodes,
+// an invalid tree); request-level failures arrive on Response.Err and
+// routing verdicts on Response.Report.Outcome. ctx bounds the request;
 // Config.DefaultDeadline applies when ctx carries no deadline.
 //
 // Planner-mode requests take three tiers, cheapest first: a cache-hit
-// fast path answered on this goroutine (FastRoute), a singleflight
+// fast path answered on this goroutine (FastRouteTree), a singleflight
 // coalescer that joins an identical in-flight request's plan, and
 // finally the shard queue. Adaptive mode always queues — each flight's
 // per-hop discovery is its own.
 //
 // With a cluster forwarder installed (SetForwarder), a request whose
 // source ending class belongs to another instance is proxied to its
-// owner instead; SubmitLocal pins a request to this instance.
-func (s *Server) Submit(ctx context.Context, src, dst gc.NodeID) (*Response, error) {
-	return s.SubmitTree(ctx, src, dst, core.TreeAuto)
-}
-
-// SubmitTree is Submit with an explicit multipath tree pin: tree in
-// [0, Trees().K()) plans the route on that tree instead of the per-flow
-// stripe; core.TreeAuto (-1) is Submit exactly.
+// owner instead; SubmitLocalTree pins a request to this instance.
 func (s *Server) SubmitTree(ctx context.Context, src, dst gc.NodeID, tree int) (*Response, error) {
 	if box := s.fwd.Load(); box != nil &&
 		int(src) < s.cube.Nodes() && int(dst) < s.cube.Nodes() && !box.f.Owns(src) {
@@ -560,16 +532,11 @@ func (s *Server) SubmitTree(ctx context.Context, src, dst gc.NodeID, tree int) (
 	return s.SubmitLocalTree(ctx, src, dst, tree)
 }
 
-// SubmitLocal serves one request on this instance regardless of
+// SubmitLocalTree serves one request on this instance regardless of
 // cluster ownership — the landing path for requests a peer forwarded
 // here (wire.RouteFlagNoForward) and for the cluster's local-compute
 // fallback. Responses served while the journal replays or while the
 // instance trails the gossip frontier are degrade-marked.
-func (s *Server) SubmitLocal(ctx context.Context, src, dst gc.NodeID) (*Response, error) {
-	return s.SubmitLocalTree(ctx, src, dst, core.TreeAuto)
-}
-
-// SubmitLocalTree is SubmitLocal with an explicit multipath tree pin.
 func (s *Server) SubmitLocalTree(ctx context.Context, src, dst gc.NodeID, tree int) (*Response, error) {
 	resp, err := s.submit(ctx, src, dst, tree)
 	if resp != nil {
@@ -591,7 +558,7 @@ func (s *Server) SubmitLocalTree(ctx context.Context, src, dst gc.NodeID, tree i
 	return resp, err
 }
 
-// submit is Submit without the replay-window degrade marking.
+// submit is SubmitLocalTree without the replay-window degrade marking.
 func (s *Server) submit(ctx context.Context, src, dst gc.NodeID, tree int) (*Response, error) {
 	if int(src) >= s.cube.Nodes() || int(dst) >= s.cube.Nodes() {
 		return nil, fmt.Errorf("serve: node out of range for GC(%d,2^%d)", s.cube.N(), s.cube.Alpha())
@@ -644,7 +611,7 @@ func (s *Server) submit(ctx context.Context, src, dst gc.NodeID, tree int) (*Res
 }
 
 // enqueueWait pushes one task onto its shard queue and blocks for the
-// worker's answer — the queue tier of Submit.
+// worker's answer — the queue tier of submit.
 func (s *Server) enqueueWait(ctx context.Context, sh *shard, src, dst gc.NodeID, tree int, enq time.Time) (*Response, error) {
 	t := &task{ctx: ctx, src: src, dst: dst, tree: tree, enq: enq, resp: make(chan Response, 1)}
 	s.mu.RLock()
@@ -735,30 +702,25 @@ type CachedAnswer struct {
 	Tree int
 }
 
-// FastRoute answers (src, dst) from the shard's route cache without
+// FastRouteTree answers (src, dst) from the shard's route cache without
 // enqueueing, or reports ok=false when the pipeline must be used:
-// adaptive mode, draining, cache disabled, out-of-range nodes, or a
-// miss. The cache lookup is token-checked against the shard's current
-// epoch fingerprint inside the cache's shard lock, so a copy-on-write
-// fault swap atomically invalidates fast-path answers: a hit is
-// guaranteed planned against exactly the fault state it is served
-// under. A hit is fully accounted (accepted, served, outcomes, hops,
-// latency, sampling) exactly like a worker-served request.
-func (s *Server) FastRoute(src, dst gc.NodeID) (CachedAnswer, bool) {
-	return s.FastRouteTree(src, dst, core.TreeAuto)
-}
-
-// FastRouteTree is FastRoute scoped to one multipath tree: an explicit
-// pin looks up only paths planned on that tree; core.TreeAuto resolves
-// the flow's stripe first (a no-op on single-tree servers). An invalid
-// pin reports ok=false and lets the submission path raise the error.
+// adaptive mode, draining, cache disabled, out-of-range nodes, an
+// invalid tree pin (the submission path raises the error), or a miss.
+// An explicit tree pin looks up only paths planned on that tree;
+// core.TreeAuto resolves the flow's stripe first (a no-op on
+// single-tree servers). The cache lookup is token-checked against the
+// shard's current epoch fingerprint inside the cache's shard lock, so a
+// copy-on-write fault swap atomically invalidates fast-path answers: a
+// hit is guaranteed planned against exactly the fault state it is
+// served under. A hit is fully accounted (accepted, served, outcomes,
+// hops, latency, sampling) exactly like a worker-served request.
 func (s *Server) FastRouteTree(src, dst gc.NodeID, tree int) (CachedAnswer, bool) {
 	if s.cfg.Adaptive || s.drain.Load() {
 		return CachedAnswer{}, false
 	}
 	if s.jphase.Load() == jstateReplay {
 		// During the startup replay every answer must carry the degraded
-		// marking, which the fast path cannot: fall through to Submit.
+		// marking, which the fast path cannot: fall through to submit.
 		// One predictable-branch atomic load is the entire hot-path cost
 		// of journaling; with no journal (or once caught up) the phase
 		// word never changes.
@@ -767,7 +729,7 @@ func (s *Server) FastRouteTree(src, dst gc.NodeID, tree int) (CachedAnswer, bool
 	if s.stale.Load() != nil {
 		// Behind the cluster gossip frontier: same funneling as the
 		// replay window — every answer must carry the stale-epoch
-		// degrade marking, which only SubmitLocal can apply.
+		// degrade marking, which only SubmitLocalTree can apply.
 		return CachedAnswer{}, false
 	}
 	if int(src) >= s.cube.Nodes() || int(dst) >= s.cube.Nodes() {
@@ -815,7 +777,7 @@ func (s *Server) FastRouteTree(src, dst gc.NodeID, tree int) (CachedAnswer, bool
 }
 
 // responseFromCached lifts a fast-path verdict into the Response
-// envelope Submit returns — byte-for-byte what the worker's cache-hit
+// envelope SubmitTree returns — byte-for-byte what the worker's cache-hit
 // branch would have produced.
 func responseFromCached(a *CachedAnswer) *Response {
 	return &Response{Report: cachedReport(a.Path, uint32(a.DetourHops), a.Tree), Epoch: a.Epoch, CacheHit: true}
@@ -880,7 +842,7 @@ func (s *Server) process(sh *shard, rs *shardRouters, t *task) {
 	// flow stripe the auto routers resolve internally (same hash).
 	rt := s.resolveTree(t.src, t.dst, t.tree)
 	if sh.cache != nil && !s.cfg.Adaptive {
-		// len(path) > 0 mirrors FastRoute's guard: only delivered paths
+		// len(path) > 0 mirrors FastRouteTree's guard: only delivered paths
 		// are ever stored, but an empty one must not reach cachedReport.
 		if path, tag, ok := sh.cache.GetTagged(t.src, t.dst, rt, rs.es.fp); ok && len(path) > 0 {
 			sh.cacheHits.Inc()
@@ -916,7 +878,7 @@ func (s *Server) process(sh *shard, rs *shardRouters, t *task) {
 	if sh.cache != nil && !s.cfg.Adaptive && !rep.Outcome.Undeliverable() && rep.Outcome != core.OutcomeCanceled {
 		// The detour tag is stamped once here, at insertion — the planner
 		// already knows its hops beyond the fault-free optimum, so no
-		// BFS ever runs on a hit, which is what lets FastRoute stay
+		// BFS ever runs on a hit, which is what lets FastRouteTree stay
 		// allocation- and BFS-free. The epoch token pins the entry to the
 		// fault state it was planned against: a Put racing a fault swap
 		// is dropped instead of poisoning the new epoch.
@@ -1098,7 +1060,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.drain.Store(true) // refuse fast-path answers from here on
 	s.mu.Unlock()
 	if first {
-		// No sender can be in flight: Submit holds mu.RLock around its
+		// No sender can be in flight: SubmitTree holds mu.RLock around its
 		// send and re-checks draining under it.
 		for _, sh := range s.shards {
 			close(sh.ch)

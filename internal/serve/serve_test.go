@@ -37,9 +37,9 @@ func TestSubmitBasic(t *testing.T) {
 		s := mustServer(t, Config{Cube: cube, Shards: 3, Adaptive: adaptive})
 		for src := gc.NodeID(0); src < 32; src += 5 {
 			dst := gc.NodeID(cube.Nodes()-1) - src
-			r, err := s.Submit(context.Background(), src, dst)
+			r, err := s.SubmitTree(context.Background(), src, dst, core.TreeAuto)
 			if err != nil {
-				t.Fatalf("adaptive=%v Submit(%d,%d): %v", adaptive, src, dst, err)
+				t.Fatalf("adaptive=%v SubmitTree(%d,%d): %v", adaptive, src, dst, err)
 			}
 			if r.Err != nil || r.Report.Outcome != core.OutcomeDelivered {
 				t.Fatalf("adaptive=%v: %+v", adaptive, r)
@@ -67,10 +67,10 @@ func TestSubmitValidation(t *testing.T) {
 	fs.AddNode(7)
 	s := mustServer(t, Config{Cube: cube, Faults: fs})
 
-	if _, err := s.Submit(context.Background(), 0, gc.NodeID(cube.Nodes())); err == nil {
+	if _, err := s.SubmitTree(context.Background(), 0, gc.NodeID(cube.Nodes()), core.TreeAuto); err == nil {
 		t.Fatal("out-of-range dst must be rejected at submission")
 	}
-	r, err := s.Submit(context.Background(), 0, 7)
+	r, err := s.SubmitTree(context.Background(), 0, 7, core.TreeAuto)
 	if err != nil {
 		t.Fatalf("faulty endpoint must be request-level: %v", err)
 	}
@@ -85,11 +85,11 @@ func TestCacheAcrossEpochs(t *testing.T) {
 	cube := gc.New(8, 2)
 	s := mustServer(t, Config{Cube: cube, Shards: 2, CacheCapacity: 1024})
 
-	first, err := s.Submit(context.Background(), 3, 200)
+	first, err := s.SubmitTree(context.Background(), 3, 200, core.TreeAuto)
 	if err != nil || first.CacheHit {
 		t.Fatalf("first route: %+v, %v", first, err)
 	}
-	second, err := s.Submit(context.Background(), 3, 200)
+	second, err := s.SubmitTree(context.Background(), 3, 200, core.TreeAuto)
 	if err != nil || !second.CacheHit {
 		t.Fatalf("repeat route must hit the cache: %+v, %v", second, err)
 	}
@@ -101,7 +101,7 @@ func TestCacheAcrossEpochs(t *testing.T) {
 	if err != nil || epoch != 1 || n != 1 {
 		t.Fatalf("ApplyFaults: epoch=%d n=%d err=%v", epoch, n, err)
 	}
-	third, err := s.Submit(context.Background(), 3, 200)
+	third, err := s.SubmitTree(context.Background(), 3, 200, core.TreeAuto)
 	if err != nil || third.CacheHit {
 		t.Fatalf("post-mutation route must miss the invalidated cache: %+v, %v", third, err)
 	}
@@ -116,7 +116,7 @@ func TestCacheAcrossEpochs(t *testing.T) {
 // no submitter can hold the new epoch fingerprint while stale entries
 // are still readable. The cache's stamp-to-clear window — the only
 // moment a reader with the new token could see an old entry — is
-// exposed via a test hook; a FastRoute inside it must miss, because
+// exposed via a test hook; a FastRouteTree inside it must miss, because
 // the shard state it loads still carries the old fingerprint. With the
 // operations reversed (publish first, invalidate second), the probe
 // hits a not-yet-cleared entry and labels an old-epoch path with the
@@ -125,10 +125,10 @@ func TestApplyFaultsInvalidatesBeforePublish(t *testing.T) {
 	cube := gc.New(8, 2)
 	s := mustServer(t, Config{Cube: cube, Shards: 1, CacheCapacity: 1024})
 
-	if _, err := s.Submit(context.Background(), 3, 200); err != nil {
+	if _, err := s.SubmitTree(context.Background(), 3, 200, core.TreeAuto); err != nil {
 		t.Fatal(err)
 	}
-	if ans, ok := s.FastRoute(3, 200); !ok || len(ans.Path) == 0 {
+	if ans, ok := s.FastRouteTree(3, 200, core.TreeAuto); !ok || len(ans.Path) == 0 {
 		t.Fatal("warm pair must be a fast-path hit before the swap")
 	}
 
@@ -138,7 +138,7 @@ func TestApplyFaultsInvalidatesBeforePublish(t *testing.T) {
 	}
 	var probes []probe
 	simnet.TestHookInvalidateAfterStamp = func() {
-		ans, ok := s.FastRoute(3, 200)
+		ans, ok := s.FastRouteTree(3, 200, core.TreeAuto)
 		probes = append(probes, probe{ok, ans.Epoch})
 	}
 	defer func() { simnet.TestHookInvalidateAfterStamp = nil }()
@@ -194,7 +194,7 @@ func TestExpiredDeadlineAnswered(t *testing.T) {
 	s := mustServer(t, Config{Cube: cube, Shards: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, err := s.Submit(ctx, 1, 200)
+	r, err := s.SubmitTree(ctx, 1, 200, core.TreeAuto)
 	if err != nil {
 		t.Fatalf("canceled ctx must still be served: %v", err)
 	}
@@ -228,7 +228,7 @@ func TestBackpressure(t *testing.T) {
 	results := make(chan error, 3)
 	submit := func(dst gc.NodeID) {
 		defer wg.Done()
-		_, err := s.Submit(context.Background(), 1, dst)
+		_, err := s.SubmitTree(context.Background(), 1, dst, core.TreeAuto)
 		results <- err
 	}
 	wg.Add(1)
@@ -247,7 +247,7 @@ func TestBackpressure(t *testing.T) {
 		}
 	}
 
-	if _, err := s.Submit(context.Background(), 1, 203); !errors.Is(err, ErrBackpressure) {
+	if _, err := s.SubmitTree(context.Background(), 1, 203, core.TreeAuto); !errors.Is(err, ErrBackpressure) {
 		t.Fatalf("4th submit: err=%v, want ErrBackpressure", err)
 	}
 	close(release)
@@ -281,7 +281,7 @@ func TestShutdownAnswersQueued(t *testing.T) {
 			defer wg.Done()
 			src := gc.NodeID(i % cube.Nodes())
 			dst := gc.NodeID((i * 37) % cube.Nodes())
-			r, err := s.Submit(context.Background(), src, dst)
+			r, err := s.SubmitTree(context.Background(), src, dst, core.TreeAuto)
 			if errors.Is(err, ErrDraining) {
 				return // refused up front: acceptable, not a drop
 			}
@@ -303,7 +303,7 @@ func TestShutdownAnswersQueued(t *testing.T) {
 	}
 	wg.Wait()
 
-	if _, err := s.Submit(context.Background(), 1, 2); !errors.Is(err, ErrDraining) {
+	if _, err := s.SubmitTree(context.Background(), 1, 2, core.TreeAuto); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain submit: err=%v, want ErrDraining", err)
 	}
 	m := s.Metrics()
@@ -354,7 +354,7 @@ func TestSoakConservation(t *testing.T) {
 			for i := 0; i < perC; i++ {
 				src := gc.NodeID(rng.Intn(cube.Nodes()))
 				dst := gc.NodeID(rng.Intn(cube.Nodes()))
-				r, err := s.Submit(context.Background(), src, dst)
+				r, err := s.SubmitTree(context.Background(), src, dst, core.TreeAuto)
 				switch {
 				case errors.Is(err, ErrBackpressure) || errors.Is(err, ErrDraining):
 					refused.Add(1)
@@ -455,7 +455,7 @@ func runServeBatchBench(b *testing.B, cfg Config) {
 			src := gc.NodeID(rng.Intn(cube.Nodes()))
 			dst := gc.NodeID(rng.Intn(cube.Nodes()))
 			for {
-				_, err := s.Submit(context.Background(), src, dst)
+				_, err := s.SubmitTree(context.Background(), src, dst, core.TreeAuto)
 				if !errors.Is(err, ErrBackpressure) {
 					if err != nil {
 						b.Error(err)

@@ -22,12 +22,12 @@ import (
 // The throughput design is one reader goroutine per connection that
 // answers every cache hit itself: frames are decoded straight off the
 // connection's buffered reader, each RouteReq first tries the
-// Server.FastRoute cache-hit fast path, and hits are encoded into a
+// Server.FastRouteTree cache-hit fast path, and hits are encoded into a
 // per-connection write buffer that is flushed in one syscall once the
 // reader has drained what the client pipelined. A steady-state hit
 // therefore costs zero heap allocations and no goroutine switch. Only
 // misses leave the reader: each is handed to a goroutine that rides
-// the ordinary Submit pipeline (coalescer, shard queue) and writes its
+// the ordinary SubmitTree pipeline (coalescer, shard queue) and writes its
 // own frame under the connection's write mutex — out-of-order replies
 // are the protocol's contract, correlated by request id.
 type WireServer struct {
@@ -156,7 +156,7 @@ read:
 			}
 			if req.Flags&wire.RouteFlagNoForward == 0 && !ws.srv.OwnsLocally(req.Src) {
 				// Another instance owns this ending class: the request must
-				// ride Submit's forwarding path, not the local cache.
+				// ride SubmitTree's forwarding path, not the local cache.
 				ws.routeMiss(wc, h.ID, req)
 				break
 			}
@@ -251,8 +251,8 @@ read:
 }
 
 // routeMiss resolves a non-cached route off the reader goroutine via
-// the ordinary Submit pipeline and writes its own reply frame. The
-// NoForward flag pins the request to this instance (SubmitLocal) — the
+// the ordinary SubmitTree pipeline and writes its own reply frame. The
+// NoForward flag pins the request to this instance (SubmitLocalTree) — the
 // hop bound that keeps ownership disagreements from looping a request
 // between peers.
 func (ws *WireServer) routeMiss(wc *wireConn, id uint64, req wire.RouteReq) {
@@ -340,10 +340,8 @@ func (ws *WireServer) collectiveMiss(wc *wireConn, id uint64, root gc.NodeID, de
 		var resp *CollectiveResponse
 		var err error
 		switch {
-		case flags&wire.RouteFlagNoForward != 0 && multicast:
-			resp, err = ws.srv.SubmitMulticastLocal(ctx, root, dests)
 		case flags&wire.RouteFlagNoForward != 0:
-			resp, err = ws.srv.SubmitBroadcastLocal(ctx, root)
+			resp, err = ws.srv.SubmitCollectiveLocal(ctx, root, dests, multicast)
 		case multicast:
 			resp, err = ws.srv.SubmitMulticast(ctx, root, dests)
 		default:

@@ -265,7 +265,7 @@ func TestCoalescerSoak(t *testing.T) {
 				// 16 sources x 4 destinations: dense collisions.
 				src := gc.NodeID(rng.Intn(16))
 				dst := gc.NodeID(48 + rng.Intn(4))
-				r, err := s.Submit(context.Background(), src, dst)
+				r, err := s.SubmitTree(context.Background(), src, dst, core.TreeAuto)
 				if errors.Is(err, ErrBackpressure) || errors.Is(err, ErrDraining) {
 					refused.Add(1)
 					continue
@@ -344,7 +344,7 @@ func TestFastPathEpochSoak(t *testing.T) {
 		Shards:          2,
 		QueueDepth:      64,
 		Batch:           8,
-		CacheCapacity:   4096, // hot cache: FastRoute hits dominate
+		CacheCapacity:   4096, // hot cache: FastRouteTree hits dominate
 		DefaultDeadline: 2 * time.Second,
 	})
 	if err != nil {
@@ -409,7 +409,7 @@ func TestFastPathEpochSoak(t *testing.T) {
 			for i := 0; i < perC; i++ {
 				src := gc.NodeID(rng.Intn(16))
 				dst := gc.NodeID(48 + rng.Intn(4))
-				r, err := s.Submit(context.Background(), src, dst)
+				r, err := s.SubmitTree(context.Background(), src, dst, core.TreeAuto)
 				if errors.Is(err, ErrBackpressure) || errors.Is(err, ErrDraining) {
 					continue
 				}

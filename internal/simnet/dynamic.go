@@ -68,12 +68,11 @@ func runTimeline(cfg Config, cube *gc.Cube, pattern workload.Pattern, service in
 	}
 	var adaptive *core.AdaptiveRouter
 	if cfg.Adaptive {
-		ac := core.AdaptiveConfig{Substrate: cfg.Substrate, Repair: health}
+		opts := []core.Option{core.WithSubstrate(cfg.Substrate), core.WithRepair(health)}
 		if trees != nil {
-			ac.Trees = trees
-			ac.Tree = core.TreeAuto // stripe per flow; failover rotates
+			opts = append(opts, core.WithTrees(trees)) // stripe per flow; failover rotates
 		}
-		adaptive = core.NewAdaptiveRouter(cube, oracle, ac)
+		adaptive = core.NewAdaptiveRouter(cube, oracle, opts...)
 	}
 
 	// The static planner routes whole paths against a frozen snapshot

@@ -11,7 +11,7 @@ import (
 )
 
 // Client speaks the gcserved HTTP/JSON protocol: the remote
-// counterpart of Server.Submit. The zero value is not usable; call
+// counterpart of Server.SubmitTree. The zero value is not usable; call
 // NewClient.
 type Client struct {
 	base string

@@ -42,7 +42,7 @@ func ExampleNewAdaptiveRouter() {
 	cube := gcube.NewCube(6, 2)
 	faults := gcube.NewFaultSet(cube)
 	faults.AddNode(11)
-	r := gcube.NewAdaptiveRouter(cube, faults.Freeze(), gcube.AdaptiveConfig{})
+	r := gcube.NewAdaptiveRouter(cube, faults.Freeze())
 
 	rep, err := r.RouteContext(context.Background(), 3, 60)
 	if err != nil {
@@ -59,7 +59,7 @@ func ExampleRouting() {
 	cube := gcube.NewCube(6, 2)
 	routers := []gcube.Routing{
 		gcube.NewRouter(cube),
-		gcube.NewAdaptiveRouter(cube, nil, gcube.AdaptiveConfig{}),
+		gcube.NewAdaptiveRouter(cube, nil),
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -86,7 +86,7 @@ func ExampleNewServer() {
 		_ = srv.Shutdown(ctx)
 	}()
 
-	resp, err := srv.Submit(context.Background(), 3, 60)
+	resp, err := srv.SubmitTree(context.Background(), 3, 60, gcube.TreeAuto)
 	if err != nil {
 		panic(err)
 	}
@@ -100,7 +100,7 @@ func ExampleNewServer() {
 	}
 	fmt.Println(epoch, n)
 
-	resp, err = srv.Submit(context.Background(), 3, 60)
+	resp, err = srv.SubmitTree(context.Background(), 3, 60, gcube.TreeAuto)
 	if err != nil {
 		panic(err)
 	}

@@ -19,6 +19,9 @@
 //   - Routing: NewRouter (whole-path planner) and NewAdaptiveRouter
 //     (per-hop discovery) both satisfy Routing; RouteContext returns a
 //     RouteReport whose Outcome ladder encodes the network verdict.
+//     Both constructors take the same functional options (WithFaults,
+//     WithSubstrate, WithTracer, WithTrees, WithTree); there is no
+//     struct form.
 //   - Serving: NewServer runs the sharded worker pool of
 //     internal/serve in-process; NewHTTPHandler exposes it over
 //     HTTP/JSON; Client speaks that protocol to a remote gcserved.
@@ -66,10 +69,6 @@ type Router = core.Router
 // a local oracle instead of global knowledge.
 type AdaptiveRouter = core.AdaptiveRouter
 
-// AdaptiveConfig tunes an AdaptiveRouter (retry budget, TTL, backoff,
-// tracing).
-type AdaptiveConfig = core.AdaptiveConfig
-
 // Oracle is the adaptive router's window onto ground truth: the
 // fault-status queries a node can answer about its own links. A frozen
 // *FaultSet implements it.
@@ -113,32 +112,24 @@ const (
 	SubstrateVector   = core.SubstrateVector
 )
 
-// Option configures NewRouter. Options are the canonical constructor
-// surface: every router knob — faults, substrate, tracing, multipath
-// trees — is an Option (or a field of RouterOptions for the struct
-// form); the With* helpers below compose freely and unset knobs keep
-// their zero-value defaults.
+// Option configures NewRouter and NewAdaptiveRouter. Options are the
+// only constructor surface: every router knob — faults, substrate,
+// tracing, multipath trees — is an Option; the With* helpers below
+// compose freely and unset knobs keep their zero-value defaults.
 type Option = core.Option
 
-// RouterOptions is the struct form of the functional options: fill the
-// fields directly and build with NewRouterWith when the call site
-// assembles configuration programmatically (e.g. from flags).
-type RouterOptions = core.Options
-
-// WithFaults routes around the given (frozen) fault set.
+// WithFaults routes the planner around the given (frozen) fault set.
+// The adaptive router ignores it: its oracle is the ground truth.
 func WithFaults(s *FaultSet) Option { return core.WithFaults(s) }
 
 // WithSubstrate selects the intra-class fault-tolerant router.
 func WithSubstrate(s Substrate) Option { return core.WithSubstrate(s) }
 
-// WithTracer attaches a trace sink to the planner.
+// WithTracer attaches a trace sink to either router.
 func WithTracer(t Tracer) Option { return core.WithTracer(t) }
 
 // NewRouter builds the FFGCR planner over cube c.
 func NewRouter(c *Cube, opts ...Option) *Router { return core.NewRouter(c, opts...) }
-
-// NewRouterWith builds the planner from the struct form of the options.
-func NewRouterWith(c *Cube, o RouterOptions) *Router { return core.NewRouterWith(c, o) }
 
 // Multipath: k edge-disjoint spanning realizations over the cube's
 // frames (DESIGN.md §15). A TreeSet stripes flows across trees; a
@@ -162,9 +153,10 @@ func WithTrees(ts *TreeSet) Option { return core.WithTrees(ts) }
 func WithTree(ts *TreeSet, tree int) Option { return core.WithTree(ts, tree) }
 
 // NewAdaptiveRouter builds a per-hop adaptive router over cube c with
-// ground truth oracle (nil means fault-free).
-func NewAdaptiveRouter(c *Cube, oracle Oracle, cfg AdaptiveConfig) *AdaptiveRouter {
-	return core.NewAdaptiveRouter(c, oracle, cfg)
+// ground truth oracle (nil means fault-free), configured by the same
+// options as NewRouter.
+func NewAdaptiveRouter(c *Cube, oracle Oracle, opts ...Option) *AdaptiveRouter {
+	return core.NewAdaptiveRouter(c, oracle, opts...)
 }
 
 // Tracer receives structured routing events; TraceRing is the bounded
@@ -248,7 +240,7 @@ const (
 	KindLink = serve.KindLink
 )
 
-// Submission errors of Server.Submit.
+// Submission errors of Server.SubmitTree.
 var (
 	ErrBackpressure = serve.ErrBackpressure
 	ErrDraining     = serve.ErrDraining
