@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gaussiancube/internal/core"
+	"gaussiancube/internal/fault"
 	"gaussiancube/internal/gc"
 	"gaussiancube/internal/gtree"
 	"gaussiancube/internal/serve"
@@ -137,6 +138,54 @@ func TestRouteIntoAllocsTracingOff(t *testing.T) {
 	}
 	if allocs >= 1 {
 		t.Fatalf("RouteInto with tracing off: %v allocs/route, want 0", allocs)
+	}
+}
+
+// TestRouteIntoFallbackAllocs: the BFS fallback keeps its search state
+// in the pooled route scratch and appends its path onto dst, so a
+// warmed-up RouteInto allocates nothing even when the strategy gives
+// up. The pairs are those of the wire-miss fault pattern (GC(14,2^2),
+// 32 node faults from seed 1) that take the fallback.
+func TestRouteIntoFallbackAllocs(t *testing.T) {
+	cube := gc.New(14, 2)
+	fs := fault.NewSet(cube)
+	fs.InjectRandomNodes(rand.New(rand.NewSource(1)), 32)
+	r := core.NewRouter(cube, core.WithFaults(fs.Freeze()))
+	var pairs [][2]gc.NodeID
+	for _, p := range allocPairs(cube, 4096, 2) {
+		if fs.NodeFaulty(p[0]) || fs.NodeFaulty(p[1]) {
+			continue
+		}
+		if res, err := r.Route(p[0], p[1]); err == nil && res.UsedFallback {
+			pairs = append(pairs, p)
+		}
+	}
+	if len(pairs) == 0 {
+		t.Fatal("no pair takes the fallback")
+	}
+	dst := make([]gc.NodeID, 0, 64)
+	for _, p := range pairs {
+		var err error
+		if dst, err = r.RouteInto(dst[:0], p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var firstErr error
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		p := pairs[i%len(pairs)]
+		i++
+		var err error
+		dst, err = r.RouteInto(dst[:0], p[0], p[1])
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	})
+	if firstErr != nil {
+		t.Fatal(firstErr)
+	}
+	if allocs >= 1 {
+		t.Fatalf("RouteInto over %d fallback pairs: %v allocs/route, want 0", len(pairs), allocs)
 	}
 }
 

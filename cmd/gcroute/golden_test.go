@@ -100,6 +100,16 @@ func TestGoldenTraceDetour(t *testing.T) {
 		runOK(t, "-n", "8", "-alpha", "2", "-from", "0", "-to", "16", "-faultlinks", "0:4", "-trace"))
 }
 
+// TestGoldenTraceFallback pins a route past the strategy's reach — two
+// C-category node faults and an A-category link fault — so both the
+// fault listing (nodes ascending, then links by node and dimension,
+// whatever the flag order) and the BFS fallback's path are fixed.
+func TestGoldenTraceFallback(t *testing.T) {
+	checkGolden(t, "trace_fallback.golden",
+		runOK(t, "-n", "8", "-alpha", "2", "-from", "5", "-to", "201",
+			"-faultnodes", "47,7", "-faultlinks", "0:4", "-trace"))
+}
+
 // TestTraceNarrativeMatchesPath validates the printed narrative against
 // the printed path: every hop line of the trace section must appear as
 // a transition of the numbered path section, in order — the CLI-level

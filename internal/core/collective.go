@@ -214,19 +214,3 @@ func (r *Router) Multidrop(src gc.NodeID, dests []gc.NodeID) ([]gc.NodeID, []gc.
 func (r *Router) Eccentricity(root gc.NodeID) int {
 	return graph.Eccentricity(r.cube, root)
 }
-
-// DisjointRoutes returns up to max pairwise edge-disjoint healthy
-// routes between s and d (all of them when max <= 0). The count is the
-// pair's surviving edge connectivity (Menger), quantifying how many
-// simultaneous link failures the pair can absorb — the multipath
-// complement to the paper's single-path strategy.
-func (r *Router) DisjointRoutes(s, d gc.NodeID, max int) ([][]gc.NodeID, error) {
-	if int(s) >= r.cube.Nodes() || int(d) >= r.cube.Nodes() {
-		return nil, fmt.Errorf("core: node out of range")
-	}
-	if r.faults != nil && (r.faults.NodeFaulty(s) || r.faults.NodeFaulty(d)) {
-		return nil, ErrFaultyEndpoint
-	}
-	hv := healthyView{cube: r.cube, faults: r.faults}
-	return graph.EdgeDisjointPaths(hv, s, d, max), nil
-}

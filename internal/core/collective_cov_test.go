@@ -171,65 +171,6 @@ func TestMultidropPartitionExactness(t *testing.T) {
 	}
 }
 
-// TestDisjointRoutesPartition checks validity and pairwise
-// edge-disjointness of the multipath answer under random faults.
-func TestDisjointRoutesPartition(t *testing.T) {
-	c := gc.New(5, 2)
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 15; trial++ {
-		fs := fault.NewSet(c)
-		fs.InjectRandomLinks(rng, rng.Intn(3))
-		fs.InjectRandomNodes(rng, rng.Intn(4))
-		s := gc.NodeID(rng.Intn(c.Nodes()))
-		d := gc.NodeID(rng.Intn(c.Nodes()))
-		if s == d || fs.NodeFaulty(s) || fs.NodeFaulty(d) {
-			continue
-		}
-		r := NewRouter(c, WithFaults(fs))
-		routes, err := r.DisjointRoutes(s, d, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reachable := oracleReachable(c, fs, s)[d]
-		if (len(routes) > 0) != reachable {
-			t.Fatalf("%d routes for reachable=%v", len(routes), reachable)
-		}
-		type edge struct {
-			v gc.NodeID
-			d uint
-		}
-		used := map[edge]bool{}
-		for _, p := range routes {
-			if p[0] != s || p[len(p)-1] != d {
-				t.Fatalf("route endpoints %d..%d", p[0], p[len(p)-1])
-			}
-			for i := 1; i < len(p); i++ {
-				u, v := p[i-1], p[i]
-				x := uint64(u ^ v)
-				if x == 0 || x&(x-1) != 0 {
-					t.Fatalf("route step %d->%d is not a hop", u, v)
-				}
-				dim := uint(0)
-				for 1<<dim != gc.NodeID(x) {
-					dim++
-				}
-				if !c.HasLinkDim(u, dim) || fs.LinkFaulty(u, dim) {
-					t.Fatalf("route uses unusable link %d dim %d", u, dim)
-				}
-				lo := u
-				if v < u {
-					lo = v
-				}
-				e := edge{lo, dim}
-				if used[e] {
-					t.Fatalf("routes share link {%d, dim %d}", lo, dim)
-				}
-				used[e] = true
-			}
-		}
-	}
-}
-
 // TestBroadcastPlanningAllocs is the alloc-regression pin for the
 // collective planning fast path: Broadcast must stay O(1) allocations
 // (the tree's own arrays) and Children must be allocation-free now

@@ -5,6 +5,7 @@ import (
 
 	"gaussiancube/internal/bitutil"
 	"gaussiancube/internal/exchanged"
+	"gaussiancube/internal/fault"
 	"gaussiancube/internal/gc"
 	"gaussiancube/internal/gtree"
 	"gaussiancube/internal/hypercube"
@@ -39,6 +40,14 @@ type routeScratch struct {
 	// tree is the multipath tree this route is planned for (-1 when
 	// single-tree), resolved once per route by the entry points.
 	tree int
+	// view and adaptive are the GEEC substrate's fault oracle and working
+	// state (subcubeRoute).
+	view     fault.GEECView
+	adaptive hypercube.AdaptiveScratch
+	// via, level and next are the BFS fallback's state (appendFallback),
+	// sized to the cube on the first fallback through this scratch.
+	via         []uint8
+	level, next []gc.NodeID
 }
 
 // planInto computes the FFGCR tree-level plan for the pair (s, d) into
@@ -170,7 +179,7 @@ func (r *Router) fixClassDims(sc *routeScratch, path []gc.NodeID, cur gc.NodeID,
 		// (see package comment); the caller may fall back.
 		return path, cur, ErrUnreachable
 	}
-	walk, err := r.subcubeRoute(g, from, to)
+	walk, err := r.subcubeRoute(sc, g, from, to)
 	if err != nil {
 		return path, cur, ErrUnreachable
 	}

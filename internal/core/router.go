@@ -30,12 +30,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"gaussiancube/internal/bitutil"
-	"gaussiancube/internal/fault"
 	"gaussiancube/internal/gc"
-	"gaussiancube/internal/graph"
 	"gaussiancube/internal/gtree"
 	"gaussiancube/internal/hypercube"
 	"gaussiancube/internal/trace"
@@ -166,10 +165,11 @@ func (r *Router) Route(s, d gc.NodeID) (*Result, error) {
 
 // RouteInto computes a route from s to d and appends its hop-by-hop
 // path (endpoints included) onto dst, returning the extended slice. It
-// is Route without the Result envelope: when dst has capacity, a
-// warmed-up fault-free call performs zero heap allocations. When the
-// strategy fails against the fault pattern and the fallback is enabled,
-// the BFS fallback path is appended instead.
+// is Route without the Result envelope. When the strategy fails against
+// the fault pattern and the fallback is enabled, the BFS fallback path
+// is appended instead. When dst has capacity, a warmed-up fault-free
+// call performs zero heap allocations, and so do the adaptive GEEC
+// substrate and the BFS fallback.
 func (r *Router) RouteInto(dst []gc.NodeID, s, d gc.NodeID) ([]gc.NodeID, error) {
 	dst, _, err := r.route(context.Background(), dst, nil, s, d)
 	return dst, err
@@ -204,12 +204,12 @@ func (r *Router) route(ctx context.Context, dst []gc.NodeID, walk *[]gtree.Node,
 		return dst, m, ErrFaultyEndpoint
 	}
 	sc := r.scratch.Get().(*routeScratch)
+	defer r.scratch.Put(sc)
 	sc.tree = resolveTree(r.trees, r.tree, s, d)
 	m.tree = sc.tree
 	r.planInto(&sc.plan, s, d)
 	if r.repair != nil {
 		if _, ok := r.repair.CheckWalk(s, d, sc.plan.classes); !ok {
-			r.scratch.Put(sc)
 			if r.tracer != nil {
 				r.traceOutcome(trace.OutcomeError, "partitioned")
 			}
@@ -226,7 +226,6 @@ func (r *Router) route(ctx context.Context, dst []gc.NodeID, walk *[]gtree.Node,
 	}
 	abandoned := len(path) - 1
 	sc.path = path[:0] // retain the grown buffer for the next route
-	r.scratch.Put(sc)
 	if err == nil {
 		if r.tracer != nil {
 			r.traceOutcome(trace.OutcomeOK, "")
@@ -240,14 +239,13 @@ func (r *Router) route(ctx context.Context, dst []gc.NodeID, walk *[]gtree.Node,
 		}
 		return dst, m, cerr
 	}
-	var fb []gc.NodeID
+	start, found := len(dst), false
 	if !r.noFallback {
-		fb = r.bfsFallback(s, d)
-		if fb == nil {
+		if dst, found = r.appendFallback(dst, sc, s, d); !found {
 			err = ErrUnreachable
 		}
 	}
-	if fb == nil {
+	if !found {
 		if r.tracer != nil {
 			r.traceAbandoned(abandoned)
 			r.traceOutcome(trace.OutcomeError, "unreachable")
@@ -256,11 +254,11 @@ func (r *Router) route(ctx context.Context, dst []gc.NodeID, walk *[]gtree.Node,
 	}
 	if r.tracer != nil {
 		r.traceAbandoned(abandoned)
-		r.traceFallbackPath(fb)
+		r.traceFallbackPath(dst[start:])
 		r.traceOutcome(trace.OutcomeOK, "bfs-fallback")
 	}
 	m.fallback = true
-	return append(dst, fb...), m, nil
+	return dst, m, nil
 }
 
 // OptimalLength returns the fault-free length of the strategy's route,
@@ -273,35 +271,63 @@ func (r *Router) OptimalLength(s, d gc.NodeID) int {
 	return n
 }
 
-// bfsFallback routes over the healthy subgraph.
-func (r *Router) bfsFallback(s, d gc.NodeID) []gc.NodeID {
-	return graph.ShortestPath(healthyView{cube: r.cube, faults: r.faults}, s, d)
-}
-
-// healthyView exposes the non-faulty part of the cube as a
-// graph.Topology.
-type healthyView struct {
-	cube   *gc.Cube
-	faults *fault.Set
-}
-
-func (h healthyView) Nodes() int { return h.cube.Nodes() }
-
-func (h healthyView) Neighbors(v gc.NodeID) []gc.NodeID {
-	if h.faults == nil {
-		return h.cube.Neighbors(v)
+// appendFallback is the BFS last resort: it appends a shortest path
+// from s to d over the healthy subgraph onto dst and reports whether one
+// exists. Neighbours are visited in ascending link dimension, the order
+// of cube.LinkDims, so the path is exactly the one graph.ShortestPath
+// finds over the healthy cube. The search state lives in sc, one byte
+// per node plus two BFS levels: via[v] is the dimension of the link v
+// was reached through plus one (0 = unvisited), level is the frontier
+// being expanded and next the one being found. Expanding each level in
+// discovery order is a FIFO's order. Once these buffers have grown the
+// search allocates nothing.
+func (r *Router) appendFallback(dst []gc.NodeID, sc *routeScratch, s, d gc.NodeID) ([]gc.NodeID, bool) {
+	if s == d {
+		return append(dst, s), true
 	}
-	if h.faults.NodeFaulty(v) {
-		return nil
+	n := r.cube.Nodes()
+	if len(sc.via) < n {
+		sc.via = make([]uint8, n)
 	}
-	out := make([]gc.NodeID, 0, 4)
-	for _, dim := range h.cube.LinkDims(v) {
-		w := v ^ (1 << dim)
-		if !h.faults.LinkFaulty(v, dim) && !h.faults.NodeFaulty(w) {
-			out = append(out, w)
+	via := sc.via[:n]
+	clear(via)
+	via[s] = 0xff // visited; the walk back stops at s before reading it
+	level, next := append(sc.level[:0], s), sc.next[:0]
+	found := false
+search:
+	for len(level) > 0 {
+		for _, v := range level {
+			for _, dim := range r.cube.LinkDims(v) {
+				w := v ^ (1 << dim)
+				if via[w] != 0 || (r.faults != nil && r.faults.LinkFaulty(v, dim)) {
+					continue
+				}
+				via[w] = uint8(dim) + 1
+				if w == d {
+					found = true
+					break search
+				}
+				next = append(next, w)
+			}
 		}
+		level, next = next, level[:0]
 	}
-	return out
+	sc.level, sc.next = level[:0], next[:0]
+	if !found {
+		return dst, false
+	}
+	hops := 0
+	for v := d; v != s; v ^= 1 << (via[v] - 1) {
+		hops++
+	}
+	dst = slices.Grow(dst, hops+1)[:len(dst)+hops+1]
+	i := len(dst) - 1
+	for v := d; v != s; v ^= 1 << (via[v] - 1) {
+		dst[i] = v
+		i--
+	}
+	dst[i] = s
+	return dst, true
 }
 
 // Tracing emission helpers. Every call site is guarded by a tracer nil
@@ -347,22 +373,21 @@ func (r *Router) traceOutcome(arg int32, note string) {
 }
 
 // subcubeRoute runs the selected fault-tolerant substrate inside a GEEC
-// slice.
-func (r *Router) subcubeRoute(g *gc.GEEC, from, to hypercube.Node) ([]hypercube.Node, error) {
+// slice. The adaptive substrate routes in sc's buffers without
+// allocating; the returned walk is valid until the next call on sc.
+func (r *Router) subcubeRoute(sc *routeScratch, g *gc.GEEC, from, to hypercube.Node) ([]hypercube.Node, error) {
 	q := g.Cube()
-	if r.faults == nil {
-		return hypercube.ECubeRoute(q, from, to), nil
-	}
-	view := r.faults.GEECView(g)
-	var walk []hypercube.Node
+	// The view lives in the pooled scratch so that handing it to the
+	// substrate as an interface does not allocate.
+	sc.view = r.faults.GEECView(g)
 	var err error
 	switch r.substrate {
 	case SubstrateSafety:
-		walk, _, err = hypercube.RouteSafety(q, view, from, to)
+		sc.hcWalk, _, err = hypercube.RouteSafety(q, &sc.view, from, to)
 	case SubstrateVector:
-		walk, _, err = hypercube.RouteSafetyVector(q, view, from, to)
+		sc.hcWalk, _, err = hypercube.RouteSafetyVector(q, &sc.view, from, to)
 	default:
-		walk, _, err = hypercube.RouteAdaptive(q, view, from, to)
+		sc.hcWalk, _, err = hypercube.AppendRouteAdaptive(sc.hcWalk[:0], &sc.adaptive, q, &sc.view, from, to)
 	}
-	return walk, err
+	return sc.hcWalk, err
 }

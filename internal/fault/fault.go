@@ -20,7 +20,9 @@ package fault
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"sort"
 	"sync/atomic"
 
 	"gaussiancube/internal/gc"
@@ -73,7 +75,8 @@ type Fault struct {
 //
 // Read-only-after-handoff contract: a Set handed to a Router (or any
 // other concurrent reader) must not be mutated for the lifetime of that
-// handoff — the query methods read the underlying maps without locking.
+// handoff — the query methods read the underlying bitmap and map
+// without locking.
 // Call Freeze after the last mutation to have the Set enforce the
 // contract itself. The frozen flag is atomic, so Freeze, Frozen and the
 // panic guard inside every mutator are themselves safe to call while
@@ -87,8 +90,13 @@ type Fault struct {
 // hold; the mutation produces a new frozen set to swap in (see
 // internal/serve).
 type Set struct {
-	cube  *gc.Cube
-	nodes map[gc.NodeID]bool
+	cube *gc.Cube
+	// nodes is a dense bitmap of the node faults, one bit per node of the
+	// cube, allocated by the first AddNode so that an empty set costs no
+	// more than its header; nnodes counts its set bits.
+	nodes  []uint64
+	nnodes int
+	// links holds the marked link faults, allocated by the first AddLink.
 	links map[linkKey]bool
 	// frozen is 0 or 1, accessed atomically (see the contract above).
 	frozen uint32
@@ -100,13 +108,7 @@ type linkKey struct {
 }
 
 // NewSet creates an empty fault set for cube c.
-func NewSet(c *gc.Cube) *Set {
-	return &Set{
-		cube:  c,
-		nodes: make(map[gc.NodeID]bool),
-		links: make(map[linkKey]bool),
-	}
-}
+func NewSet(c *gc.Cube) *Set { return &Set{cube: c} }
 
 // Cube returns the cube this set is defined over.
 func (s *Set) Cube() *gc.Cube { return s.cube }
@@ -116,7 +118,7 @@ func (s *Set) Cube() *gc.Cube { return s.cube }
 // concurrent routers) into a deterministic failure at the mutation
 // site. Freezing is idempotent and cannot be undone; Clone returns a
 // thawed copy. Freeze may race with readers safely: the flag is
-// atomic, and the map contents are not touched.
+// atomic, and the fault contents are not touched.
 func (s *Set) Freeze() *Set {
 	atomic.StoreUint32(&s.frozen, 1)
 	return s
@@ -146,10 +148,21 @@ func (s *Set) mutable(op string) {
 	}
 }
 
-// AddNode marks node v faulty.
+// AddNode marks node v faulty. It panics if v is not a node of the
+// cube.
 func (s *Set) AddNode(v gc.NodeID) {
 	s.mutable("AddNode")
-	s.nodes[v] = true
+	if int(v) >= s.cube.Nodes() {
+		panic(fmt.Sprintf("fault: node %d out of range for a %d-node cube", v, s.cube.Nodes()))
+	}
+	if s.nodes == nil {
+		s.nodes = make([]uint64, (s.cube.Nodes()+63)/64)
+	}
+	w, bit := &s.nodes[v>>6], uint64(1)<<(v&63)
+	if *w&bit == 0 {
+		*w |= bit
+		s.nnodes++
+	}
 }
 
 // AddLink marks the link at v in dimension dim faulty. It panics if the
@@ -159,6 +172,9 @@ func (s *Set) AddLink(v gc.NodeID, dim uint) {
 	if !s.cube.HasLinkDim(v, dim) {
 		panic(fmt.Sprintf("fault: GC node %d has no link in dimension %d", v, dim))
 	}
+	if s.links == nil {
+		s.links = make(map[linkKey]bool)
+	}
 	s.links[normLink(v, dim)] = true
 }
 
@@ -166,7 +182,10 @@ func (s *Set) AddLink(v gc.NodeID, dim uint) {
 // marked faulty independently stay faulty.
 func (s *Set) RemoveNode(v gc.NodeID) {
 	s.mutable("RemoveNode")
-	delete(s.nodes, v)
+	if s.NodeFaulty(v) {
+		s.nodes[v>>6] &^= 1 << (v & 63)
+		s.nnodes--
+	}
 }
 
 // RemoveLink clears a link fault (no-op when the link is healthy). The
@@ -181,52 +200,86 @@ func normLink(v gc.NodeID, dim uint) linkKey {
 }
 
 // NodeFaulty reports whether node v is faulty.
-func (s *Set) NodeFaulty(v gc.NodeID) bool { return s.nodes[v] }
+func (s *Set) NodeFaulty(v gc.NodeID) bool {
+	w := int(v >> 6)
+	return w < len(s.nodes) && s.nodes[w]>>(v&63)&1 != 0
+}
 
 // LinkFaulty reports whether the link at v in dimension dim is unusable:
-// marked faulty, or incident to a faulty node.
+// incident to a faulty node, or marked faulty.
 func (s *Set) LinkFaulty(v gc.NodeID, dim uint) bool {
-	if s.links[normLink(v, dim)] {
+	if s.NodeFaulty(v) || s.NodeFaulty(v^(1<<dim)) {
 		return true
 	}
-	return s.nodes[v] || s.nodes[v^(1<<dim)]
+	return len(s.links) != 0 && s.links[normLink(v, dim)]
+}
+
+// linkSubsumed reports whether a marked link fault is covered by a
+// node fault at one of its endpoints.
+func (s *Set) linkSubsumed(k linkKey) bool {
+	return s.NodeFaulty(k.low) || s.NodeFaulty(k.low^(1<<k.dim))
 }
 
 // Count returns the number of faulty components: faulty nodes plus
 // faulty links not incident to a faulty node.
 func (s *Set) Count() int {
-	n := len(s.nodes)
+	n := s.nnodes
 	for k := range s.links {
-		if !s.nodes[k.low] && !s.nodes[k.low^(1<<k.dim)] {
+		if !s.linkSubsumed(k) {
 			n++
 		}
 	}
 	return n
 }
 
-// Faults enumerates the faulty components (links incident to faulty
-// nodes are subsumed by the node fault), in unspecified order.
-func (s *Set) Faults() []Fault {
-	out := make([]Fault, 0, s.Count())
-	for v := range s.nodes {
-		out = append(out, Fault{Kind: KindNode, Node: v})
-	}
-	for k := range s.links {
-		if !s.nodes[k.low] && !s.nodes[k.low^(1<<k.dim)] {
-			out = append(out, Fault{Kind: KindLink, Node: k.low, Dim: k.dim})
+// appendNodes appends the node faults onto out in ascending order.
+func (s *Set) appendNodes(out []Fault) []Fault {
+	for i, w := range s.nodes {
+		for ; w != 0; w &= w - 1 {
+			v := gc.NodeID(i<<6 | bits.TrailingZeros64(w))
+			out = append(out, Fault{Kind: KindNode, Node: v})
 		}
 	}
 	return out
 }
 
+// appendLinks appends the marked link faults onto out sorted by (node,
+// dim), skipping those subsumed by a node fault unless raw is set.
+func (s *Set) appendLinks(out []Fault, raw bool) []Fault {
+	start := len(out)
+	for k := range s.links {
+		if raw || !s.linkSubsumed(k) {
+			out = append(out, Fault{Kind: KindLink, Node: k.low, Dim: k.dim})
+		}
+	}
+	links := out[start:]
+	sort.Slice(links, func(i, j int) bool {
+		if links[i].Node != links[j].Node {
+			return links[i].Node < links[j].Node
+		}
+		return links[i].Dim < links[j].Dim
+	})
+	return out
+}
+
+// Faults enumerates the faulty components (links incident to faulty
+// nodes are subsumed by the node fault): node faults in ascending
+// order, then link faults sorted by (node, dim).
+func (s *Set) Faults() []Fault {
+	return s.appendLinks(s.appendNodes(make([]Fault, 0, s.Count())), false)
+}
+
 // Clone returns an independent copy of the set.
 func (s *Set) Clone() *Set {
-	c := NewSet(s.cube)
-	for v := range s.nodes {
-		c.nodes[v] = true
+	c := &Set{cube: s.cube, nnodes: s.nnodes}
+	if s.nodes != nil {
+		c.nodes = append([]uint64(nil), s.nodes...)
 	}
-	for k := range s.links {
-		c.links[k] = true
+	if len(s.links) != 0 {
+		c.links = make(map[linkKey]bool, len(s.links))
+		for k := range s.links {
+			c.links[k] = true
+		}
 	}
 	return c
 }
@@ -239,10 +292,12 @@ func (s *Set) Clone() *Set {
 // (see simnet.RouteCache.InvalidateTo).
 func (s *Set) Fingerprint() uint64 {
 	// XOR of per-component mixes is commutative, so iteration order
-	// over the maps does not matter.
+	// does not matter.
 	var h uint64
-	for v := range s.nodes {
-		h ^= mix64(uint64(v)*2 + 1)
+	for i, w := range s.nodes {
+		for ; w != 0; w &= w - 1 {
+			h ^= mix64(uint64(i<<6|bits.TrailingZeros64(w))*2 + 1)
+		}
 	}
 	for k := range s.links {
 		h ^= mix64(uint64(k.low)<<32 | uint64(k.dim)<<1)
@@ -299,7 +354,7 @@ func (s *Set) InjectRandomNodes(rng *rand.Rand, count int, protect ...gc.NodeID)
 	}
 	for added := 0; added < count; {
 		v := gc.NodeID(rng.Intn(s.cube.Nodes()))
-		if prot[v] || s.nodes[v] {
+		if prot[v] || s.NodeFaulty(v) {
 			continue
 		}
 		s.AddNode(v)
@@ -319,8 +374,7 @@ func (s *Set) InjectRandomLinks(rng *rand.Rand, count int) {
 		v := gc.NodeID(rng.Intn(s.cube.Nodes()))
 		dims := s.cube.LinkDims(v)
 		d := dims[rng.Intn(len(dims))]
-		key := normLink(v, d)
-		if s.links[key] || s.nodes[key.low] || s.nodes[key.low^(1<<key.dim)] {
+		if s.LinkFaulty(v, d) {
 			continue
 		}
 		s.AddLink(v, d)
@@ -334,7 +388,7 @@ func (s *Set) healthyLinks(minDim uint) int {
 	avail := 0
 	for v := 0; v < s.cube.Nodes(); v++ {
 		p := gc.NodeID(v)
-		if s.nodes[p] {
+		if s.NodeFaulty(p) {
 			continue
 		}
 		for _, d := range s.cube.LinkDims(p) {
@@ -420,14 +474,8 @@ func (s *Set) InjectSeveringFaults(u, v gtree.Node) {
 // RawFaults enumerates every faulty component as marked, including link
 // faults subsumed by a node fault at an endpoint (which Faults omits).
 // Health maps rebuild from this view so that a later node repair does
-// not resurrect a link that was independently marked faulty.
+// not resurrect a link that was independently marked faulty. The order
+// is that of Faults.
 func (s *Set) RawFaults() []Fault {
-	out := make([]Fault, 0, len(s.nodes)+len(s.links))
-	for v := range s.nodes {
-		out = append(out, Fault{Kind: KindNode, Node: v})
-	}
-	for k := range s.links {
-		out = append(out, Fault{Kind: KindLink, Node: k.low, Dim: k.dim})
-	}
-	return out
+	return s.appendLinks(s.appendNodes(make([]Fault, 0, s.nnodes+len(s.links))), true)
 }

@@ -28,7 +28,7 @@ func TestSubscriberEpochOrderUnderConcurrentMutation(t *testing.T) {
 	}
 	var (
 		batches     []batchRec
-		eventEpochs []uint64 // epoch in force when each event callback ran
+		eventEpochs []uint64 // live epoch when each event callback ran
 		epochSeen   []uint64 // epoch-subscriber arrivals
 		pending     []Event  // events since the last batch callback
 	)
@@ -87,13 +87,17 @@ func TestSubscriberEpochOrderUnderConcurrentMutation(t *testing.T) {
 			t.Fatalf("epoch subscriber saw %d at position %d; want %d", e, i, want)
 		}
 	}
-	// An event callback always runs after its own epoch was bumped and
-	// before any later epoch's callbacks, so the epoch read inside it is
-	// exactly the batch it belongs to.
+	// An event callback runs after its own epoch was bumped, so the live
+	// epoch read inside it is at least the batch it belongs to. It may be
+	// later: a racing mutator bumps the epoch under d.mu before it waits
+	// its turn at the turnstile, so the live counter can run ahead of the
+	// batch being delivered (subscribers use the epoch they are handed,
+	// not the live one). The pending-count check in the batch callback
+	// ties each event to its batch.
 	idx := 0
 	for _, b := range batches {
 		for range b.events {
-			if eventEpochs[idx] != b.epoch {
+			if eventEpochs[idx] < b.epoch {
 				t.Fatalf("event callback %d observed epoch %d inside batch %d", idx, eventEpochs[idx], b.epoch)
 			}
 			idx++

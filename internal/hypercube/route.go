@@ -54,53 +54,87 @@ func AppendECubeRoute(dst []Node, s, d Node) []Node {
 // real message would traverse. The second result is the number of spare
 // (non-preferred, non-backtrack) hops taken.
 func RouteAdaptive(c *Cube, f Faults, s, d Node) ([]Node, int, error) {
-	if f.NodeFaulty(s) || f.NodeFaulty(d) {
-		return nil, 0, ErrFaultyEndpoint
+	walk, spares, err := AppendRouteAdaptive(nil, new(AdaptiveScratch), c, f, s, d)
+	if err != nil {
+		return nil, spares, err
 	}
-	if s == d {
-		return []Node{s}, 0, nil
-	}
+	return walk, spares, nil
+}
 
-	visited := map[Node]bool{s: true}
+// AdaptiveScratch is the reusable working state of AppendRouteAdaptive.
+// The zero value is ready to use; a scratch serves one route at a time.
+type AdaptiveScratch struct {
+	// seen is the visited set, a bitmap over the cube's nodes. It is all
+	// zero between routes: every node it marks is on the walk, which
+	// clears it.
+	seen []uint64
+	// stack[i] is the dimension used to enter the (i+1)th node of the
+	// forward path; popping it backtracks.
+	stack []uint
+}
+
+// AppendRouteAdaptive is RouteAdaptive appending the walk onto dst and
+// keeping its visited set and backtrack stack in sc, so once dst and sc
+// have grown a route allocates nothing. On error dst comes back
+// unextended.
+func AppendRouteAdaptive(dst []Node, sc *AdaptiveScratch, c *Cube, f Faults, s, d Node) ([]Node, int, error) {
+	if f.NodeFaulty(s) || f.NodeFaulty(d) {
+		return dst, 0, ErrFaultyEndpoint
+	}
+	start := len(dst)
+	dst = append(dst, s)
+	if s == d {
+		return dst, 0, nil
+	}
+	if n := (c.Nodes() + 63) / 64; len(sc.seen) < n {
+		sc.seen = make([]uint64, n)
+	}
+	seen, stack := sc.seen, sc.stack[:0]
+	seen[s>>6] |= 1 << (s & 63)
 	var spareMask uint64 // dimensions consumed as spares
 	spares := 0
-	walk := []Node{s}
-	// stack[i] is the dimension used to enter walk[i+1]; used to backtrack.
-	var stack []uint
 	cur := s
-
+	var err error
 	for cur != d {
-		dim, ok := pickDim(c, f, cur, d, visited, spareMask)
+		dim, ok := pickDim(c, f, cur, d, seen, spareMask)
 		if ok {
 			if !bitutil.HasBit(uint64(cur^d), dim) {
 				spareMask = bitutil.Set(spareMask, dim)
 				spares++
 			}
 			cur ^= 1 << dim
-			visited[cur] = true
-			walk = append(walk, cur)
+			seen[cur>>6] |= 1 << (cur & 63)
+			dst = append(dst, cur)
 			stack = append(stack, dim)
 			continue
 		}
 		// Dead end: backtrack one hop.
 		if len(stack) == 0 {
-			return nil, spares, ErrUnreachable
+			err = ErrUnreachable
+			break
 		}
 		dim = stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		cur ^= 1 << dim
-		walk = append(walk, cur)
+		dst = append(dst, cur)
 	}
-	return walk, spares, nil
+	for _, v := range dst[start:] {
+		seen[v>>6] &^= 1 << (v & 63)
+	}
+	sc.stack = stack[:0]
+	if err != nil {
+		return dst[:start], spares, err
+	}
+	return dst, spares, nil
 }
 
 // pickDim selects the next dimension out of cur: first a usable
 // preferred dimension (lowest first, mirroring e-cube order), then a
-// usable unmasked spare dimension.
-func pickDim(c *Cube, f Faults, cur, d Node, visited map[Node]bool, spareMask uint64) (uint, bool) {
+// usable unmasked spare dimension. seen is the visited bitmap.
+func pickDim(c *Cube, f Faults, cur, d Node, seen []uint64, spareMask uint64) (uint, bool) {
 	r := uint64(cur ^ d)
-	for _, dim := range bitutil.BitsSet(r) {
-		if usable(f, cur, dim) && !visited[cur^(1<<dim)] {
+	for m := r; m != 0; m &= m - 1 {
+		if dim := uint(bitutil.LowestBit(m)); usable(f, cur, dim) && !marked(seen, cur^(1<<dim)) {
 			return dim, true
 		}
 	}
@@ -108,12 +142,15 @@ func pickDim(c *Cube, f Faults, cur, d Node, visited map[Node]bool, spareMask ui
 		if bitutil.HasBit(r, dim) || bitutil.HasBit(spareMask, dim) {
 			continue
 		}
-		if usable(f, cur, dim) && !visited[cur^(1<<dim)] {
+		if usable(f, cur, dim) && !marked(seen, cur^(1<<dim)) {
 			return dim, true
 		}
 	}
 	return 0, false
 }
+
+// marked reports whether bitmap seen has node v's bit set.
+func marked(seen []uint64, v Node) bool { return seen[v>>6]>>(v&63)&1 != 0 }
 
 // ValidatePath checks that path is a hop-by-hop walk in Q_dim from s to
 // d crossing no faulty component.
