@@ -2,10 +2,10 @@ package gaussiancube_bench
 
 import (
 	"context"
-	"time"
-
 	"math/rand"
+	"net"
 	"testing"
+	"time"
 
 	"gaussiancube/internal/core"
 	"gaussiancube/internal/fault"
@@ -341,5 +341,63 @@ func TestFastRouteAllocs(t *testing.T) {
 	}
 	if allocs >= 1 {
 		t.Fatalf("FastRouteTree hit: %v allocs, want 0", allocs)
+	}
+}
+
+// TestWireRouteBatchAllocs: a warmed RouteBatch over loopback — the
+// pipelined client loop the wire benchmarks run — performs zero heap
+// allocations per batch, counted process-wide, so the server's
+// reader-goroutine fast path is inside the bound too. Every pair is
+// warmed into the route cache first so no reply takes the miss
+// goroutine.
+func TestWireRouteBatchAllocs(t *testing.T) {
+	cube := gc.New(10, 3)
+	s, err := serve.New(serve.Config{Cube: cube, CacheCapacity: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := serve.NewWireServer(s, ln)
+	go func() { _ = ws.Serve() }()
+	defer func() {
+		_ = ws.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	}()
+	c, err := serve.DialWire(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	pairs := allocPairs(cube, 64, 13)
+	out := make([]serve.WireRoute, len(pairs))
+	// Two warm passes: the first plans every pair into the cache, the
+	// second grows each slot's Path and Reason to its steady size.
+	for pass := 0; pass < 2; pass++ {
+		if err := c.RouteBatch(pairs, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var firstErr error
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := c.RouteBatch(pairs, out); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	})
+	if firstErr != nil {
+		t.Fatal(firstErr)
+	}
+	for i := range out {
+		if !out[i].Delivered() || !out[i].CacheHit() {
+			t.Fatalf("slot %d: %+v, want a delivered cache hit", i, out[i])
+		}
+	}
+	if allocs >= 1 {
+		t.Fatalf("RouteBatch: %v allocs/batch, want 0", allocs)
 	}
 }

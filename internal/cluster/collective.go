@@ -135,6 +135,7 @@ func (n *Node) ForwardCollective(ctx context.Context, origin gc.NodeID, dests []
 // fallback — the collective twin of Forward's ladder.
 func (n *Node) collectiveSubset(ctx context.Context, origin gc.NodeID, subset []gc.NodeID, deadlineMS uint32) (*serve.CollectiveResponse, error) {
 	target := n.topo.OwnerOf(subset[0])
+	req := wire.MulticastReq{Root: origin, DeadlineMS: deadlineMS, Flags: wire.RouteFlagNoForward, Dests: subset}
 	for attempt := 0; attempt < 2; attempt++ {
 		if target == n.self {
 			break // ring wrapped back home: compute locally, undegraded
@@ -142,9 +143,8 @@ func (n *Node) collectiveSubset(ctx context.Context, origin gc.NodeID, subset []
 		if attempt > 0 {
 			n.forwardRetries.Inc()
 		}
-		p := n.peers[target]
 		var res wire.CollectiveResult
-		if err := p.fwd.MulticastRaw(origin, subset, deadlineMS, wire.RouteFlagNoForward, &res); err == nil {
+		if err := n.peers[target].fwd.Multicast(ctx, &req, &res); err == nil {
 			return collectiveResponse(&res), nil
 		}
 		if err := ctx.Err(); err != nil {

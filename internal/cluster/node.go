@@ -58,14 +58,15 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// peer is one remote member: two wire clients (forwarding must not
-// queue behind a long journal pull, so gossip gets its own
-// connection) plus the frontier book-keeping the gossip loop keeps.
+// peer is one remote member: a multiplexed connection that carries
+// every concurrent forward at once, a wire client of its own for gossip
+// (forwarding must not queue behind a long journal pull), and the
+// frontier book-keeping the gossip loop keeps.
 type peer struct {
 	idx  int
 	addr string
 	sync *serve.WireClient // gossip + epoch pulls
-	fwd  *serve.WireClient // route forwarding
+	fwd  *serve.WireMux    // route and collective-subset forwarding
 
 	mu           sync.Mutex
 	epoch, fp    uint64
@@ -141,7 +142,7 @@ func Start(cfg Config) (*Node, error) {
 			idx:  i,
 			addr: m.Addr,
 			sync: serve.NewWireDialer(m.Addr, opts),
-			fwd:  serve.NewWireDialer(m.Addr, opts),
+			fwd:  serve.NewWireMux(m.Addr, opts),
 		}
 	}
 	n.srv.SetForwarder(n)
@@ -181,12 +182,15 @@ func (n *Node) Owns(src gc.NodeID) bool { return n.topo.OwnerOf(src) == n.self }
 // multipath tree pin (tree >= 0) rides along on the wire.
 func (n *Node) Forward(ctx context.Context, src, dst gc.NodeID, tree int) (*serve.Response, error) {
 	n.forwarded.Inc()
-	deadlineMS := uint32(n.cfg.ForwardTimeout / time.Millisecond)
-	flags := wire.RouteFlagNoForward
-	treeByte := uint8(0)
+	req := wire.RouteReq{
+		Src:        src,
+		Dst:        dst,
+		DeadlineMS: uint32(n.cfg.ForwardTimeout / time.Millisecond),
+		Flags:      wire.RouteFlagNoForward,
+	}
 	if tree >= 0 && tree <= 255 {
-		flags |= wire.RouteFlagTree
-		treeByte = uint8(tree)
+		req.Flags |= wire.RouteFlagTree
+		req.Tree = uint8(tree)
 	}
 	target := n.topo.OwnerOf(src)
 	for attempt := 0; attempt < 2; attempt++ {
@@ -196,9 +200,8 @@ func (n *Node) Forward(ctx context.Context, src, dst gc.NodeID, tree int) (*serv
 		if attempt > 0 {
 			n.forwardRetries.Inc()
 		}
-		p := n.peers[target]
 		var out serve.WireRoute
-		if err := p.fwd.RouteRawTree(src, dst, deadlineMS, flags, treeByte, &out); err == nil {
+		if err := n.peers[target].fwd.Route(ctx, req, &out); err == nil {
 			return wireResponse(n.srv, &out)
 		}
 		if err := ctx.Err(); err != nil {
@@ -223,7 +226,9 @@ func (n *Node) Forward(ctx context.Context, src, dst gc.NodeID, tree int) (*serv
 
 // wireResponse maps a proxied wire verdict back onto the Server's
 // Response shape, so the front end that accepted the request renders
-// it exactly as if computed locally.
+// it exactly as if computed locally. The verdict is the caller's own
+// (WireMux.Route hands its reply over), so its path is taken, not
+// copied.
 func wireResponse(s *serve.Server, w *serve.WireRoute) (*serve.Response, error) {
 	if w.ErrCode != 0 {
 		switch w.ErrCode {
@@ -247,9 +252,7 @@ func wireResponse(s *serve.Server, w *serve.WireRoute) (*serve.Response, error) 
 		DetourHops:   w.Detour,
 		UsedFallback: w.Flags&wire.FlagUsedFallback != 0,
 		TreeID:       w.Tree, // -1 when the reply carried no tree byte
-	}
-	if len(w.Path) > 0 {
-		rep.Path = append([]gc.NodeID(nil), w.Path...)
+		Path:         w.Path,
 	}
 	return &serve.Response{Report: rep, Epoch: w.Epoch, CacheHit: w.CacheHit()}, nil
 }

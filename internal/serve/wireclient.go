@@ -37,9 +37,10 @@ type WireDialOptions struct {
 	BackoffMax  time.Duration
 	// DialTimeout bounds each dial attempt (default 2s).
 	DialTimeout time.Duration
-	// CallTimeout, when positive, bounds every request/response
-	// round-trip by setting a connection deadline per call — the
-	// cluster forwarder's per-hop deadline.
+	// CallTimeout, when positive, bounds every call: a WireClient sets
+	// it as a connection deadline per round trip, a WireMux as each
+	// call's reply wait and each write's deadline — the cluster
+	// forwarder's per-hop deadline.
 	CallTimeout time.Duration
 	// Dial overrides the transport — cluster tests plant partition
 	// gates here. nil dials TCP.
@@ -68,7 +69,8 @@ func (o *WireDialOptions) fill() {
 //
 // A client is safe for concurrent use but serializes requests on one
 // connection; open one client per submitting goroutine for parallel
-// load. Route and the cold-path calls allocate their responses;
+// load, or share a WireMux for single route and multicast calls.
+// Route and the cold-path calls allocate their responses;
 // RouteBatch is the steady-state-zero-allocation path — it pipelines a
 // whole batch in one write and decodes every reply into caller-reused
 // WireRoute slots.
@@ -157,31 +159,42 @@ func (w *WireClient) ensureConn() error {
 	if w.addr == "" {
 		return fmt.Errorf("%w: no address to redial", ErrConnClosed)
 	}
-	dial := w.opts.Dial
+	c, err := w.opts.dial(w.addr)
+	if err != nil {
+		return err
+	}
+	w.attach(c)
+	w.redials++
+	return nil
+}
+
+// dial connects to addr through the Dial override (TCP when nil),
+// retrying with exponential backoff and jitter under the retry budget.
+// Exhausting the budget fails with ErrConnClosed.
+func (o *WireDialOptions) dial(addr string) (net.Conn, error) {
+	dial := o.Dial
 	if dial == nil {
 		dial = func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, w.opts.DialTimeout)
+			return net.DialTimeout("tcp", addr, o.DialTimeout)
 		}
 	}
-	backoff := w.opts.BackoffBase
+	backoff := o.BackoffBase
 	var lastErr error
-	for attempt := 0; attempt < w.opts.RetryBudget; attempt++ {
+	for attempt := 0; attempt < o.RetryBudget; attempt++ {
 		if attempt > 0 {
 			// Full jitter on the top half: wait in [backoff/2, backoff).
 			time.Sleep(backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1)))
-			if backoff *= 2; backoff > w.opts.BackoffMax {
-				backoff = w.opts.BackoffMax
+			if backoff *= 2; backoff > o.BackoffMax {
+				backoff = o.BackoffMax
 			}
 		}
-		c, err := dial(w.addr)
+		c, err := dial(addr)
 		if err == nil {
-			w.attach(c)
-			w.redials++
-			return nil
+			return c, nil
 		}
 		lastErr = err
 	}
-	return fmt.Errorf("%w: dial %s after %d attempts: %v", ErrConnClosed, w.addr, w.opts.RetryBudget, lastErr)
+	return nil, fmt.Errorf("%w: dial %s after %d attempts: %v", ErrConnClosed, addr, o.RetryBudget, lastErr)
 }
 
 // fail tears down the connection after an I/O error so the next call
@@ -261,7 +274,7 @@ func (w *WireClient) RouteTree(src, dst gc.NodeID, tree int) (*RouteResponse, er
 	if tree >= 0 && tree <= 255 {
 		flags, treeByte = wire.RouteFlagTree, uint8(tree)
 	}
-	if err := w.RouteRawTree(src, dst, 0, flags, treeByte, &raw); err != nil {
+	if err := w.routeRawTree(src, dst, flags, treeByte, &raw); err != nil {
 		return nil, err
 	}
 	if raw.ErrCode != 0 {
@@ -293,8 +306,9 @@ func (w *WireClient) RouteTree(src, dst gc.NodeID, tree int) (*RouteResponse, er
 	return out, nil
 }
 
-// WireRoute is one RouteBatch/RouteRaw slot. Slices are reused across
-// calls; copy anything that must outlive the next batch.
+// WireRoute is one RouteBatch slot, or one WireMux.Route reply. A
+// RouteBatch slot's slices are reused across calls; copy anything that
+// must outlive the next batch.
 type WireRoute struct {
 	// Outcome is the core.Outcome ladder value; meaningless when
 	// ErrCode is set.
@@ -331,54 +345,25 @@ func (r *WireRoute) CacheHit() bool { return r.Flags&wire.FlagCacheHit != 0 }
 // Degraded reports a delivered-degraded verdict flag.
 func (r *WireRoute) Degraded() bool { return r.Flags&wire.FlagDegraded != 0 }
 
-// RouteRaw routes one pair into a caller-reused slot, carrying an
-// explicit per-request deadline and request flags — the cluster
-// forwarder's hop primitive (wire.RouteFlagNoForward pins the request
-// to the receiving instance). A server error frame lands in
-// out.ErrCode/ErrMsg, not in the returned error, which reports only
-// connection-level failures (wrapped in ErrConnClosed).
-func (w *WireClient) RouteRaw(src, dst gc.NodeID, deadlineMS uint32, flags uint8, out *WireRoute) error {
-	return w.RouteRawTree(src, dst, deadlineMS, flags, 0, out)
-}
-
-// RouteRawTree is RouteRaw with the request's multipath tree byte; set
-// wire.RouteFlagTree in flags for the server to honor it.
-func (w *WireClient) RouteRawTree(src, dst gc.NodeID, deadlineMS uint32, flags, tree uint8, out *WireRoute) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.begin(); err != nil {
-		return err
-	}
-	id := w.nextID
-	w.nextID++
-	w.wbuf = wire.AppendRouteReq(w.wbuf[:0], id, wire.RouteReq{Src: src, Dst: dst, DeadlineMS: deadlineMS, Flags: flags, Tree: tree})
-	if _, err := w.c.Write(w.wbuf); err != nil {
-		return w.fail(err)
-	}
-	h, p, err := w.readFrame()
-	if err != nil {
-		return w.fail(err)
-	}
-	if h.ID != id {
-		return w.fail(fmt.Errorf("response id %d for request %d", h.ID, id))
-	}
+// decodeRouteReply maps one reply to a route request onto a slot: a
+// RouteResult fills the verdict, an ErrorFrame sets ErrCode and ErrMsg.
+// The slot's slice capacity is reused. Any other frame type, or a
+// payload that does not decode, is a protocol error.
+func decodeRouteReply(t wire.Type, p []byte, out *WireRoute) error {
 	out.ErrCode = 0
-	switch h.Type {
+	switch t {
 	case wire.TypeError:
-		var ef wire.ErrorFrame
-		ef.Msg = out.ErrMsg[:0]
+		ef := wire.ErrorFrame{Msg: out.ErrMsg[:0]}
 		if err := wire.DecodeError(p, &ef); err != nil {
-			return w.fail(err)
+			return err
 		}
 		out.ErrCode = ef.Code
 		out.ErrMsg = ef.Msg
 		return nil
 	case wire.TypeRouteResult:
-		var res wire.RouteResult
-		res.Reason = out.Reason[:0]
-		res.Path = out.Path[:0]
+		res := wire.RouteResult{Reason: out.Reason[:0], Path: out.Path[:0]}
 		if err := wire.DecodeRouteResult(p, &res); err != nil {
-			return w.fail(err)
+			return err
 		}
 		out.Outcome = res.Outcome
 		out.Flags = res.Flags
@@ -397,8 +382,38 @@ func (w *WireClient) RouteRawTree(src, dst gc.NodeID, deadlineMS uint32, flags, 
 		out.Path = res.Path
 		return nil
 	default:
-		return w.fail(fmt.Errorf("unexpected reply type %d", h.Type))
+		return fmt.Errorf("unexpected reply type %d", t)
 	}
+}
+
+// routeRawTree routes one pair into out, with request flags and the
+// multipath tree byte (set wire.RouteFlagTree for the server to honor
+// it). A server error frame lands in out.ErrCode/ErrMsg, not in the
+// returned error, which reports only connection-level failures
+// (wrapped in ErrConnClosed).
+func (w *WireClient) routeRawTree(src, dst gc.NodeID, flags, tree uint8, out *WireRoute) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.begin(); err != nil {
+		return err
+	}
+	id := w.nextID
+	w.nextID++
+	w.wbuf = wire.AppendRouteReq(w.wbuf[:0], id, wire.RouteReq{Src: src, Dst: dst, Flags: flags, Tree: tree})
+	if _, err := w.c.Write(w.wbuf); err != nil {
+		return w.fail(err)
+	}
+	h, p, err := w.readFrame()
+	if err != nil {
+		return w.fail(err)
+	}
+	if h.ID != id {
+		return w.fail(fmt.Errorf("response id %d for request %d", h.ID, id))
+	}
+	if err := decodeRouteReply(h.Type, p, out); err != nil {
+		return w.fail(err)
+	}
+	return nil
 }
 
 // RouteBatch pipelines len(pairs) route requests in one write and
@@ -437,8 +452,6 @@ func (w *WireClient) RouteBatch(pairs [][2]gc.NodeID, out []WireRoute) error {
 	for i := range w.seen {
 		w.seen[i] = 0
 	}
-	var res wire.RouteResult
-	var ef wire.ErrorFrame
 	for answered := 0; answered < len(pairs); answered++ {
 		h, p, err := w.readFrame()
 		if err != nil {
@@ -452,39 +465,8 @@ func (w *WireClient) RouteBatch(pairs [][2]gc.NodeID, out []WireRoute) error {
 			return w.fail(fmt.Errorf("duplicate response id %d in batch [%d,%d)", h.ID, base, base+uint64(len(pairs))))
 		}
 		w.seen[slot/64] |= 1 << (slot % 64)
-		o := &out[slot]
-		o.ErrCode = 0
-		switch h.Type {
-		case wire.TypeError:
-			ef.Msg = o.ErrMsg[:0]
-			if err := wire.DecodeError(p, &ef); err != nil {
-				return w.fail(err)
-			}
-			o.ErrCode = ef.Code
-			o.ErrMsg = ef.Msg
-		case wire.TypeRouteResult:
-			res.Reason = o.Reason[:0]
-			res.Path = o.Path[:0]
-			if err := wire.DecodeRouteResult(p, &res); err != nil {
-				return w.fail(err)
-			}
-			o.Outcome = res.Outcome
-			o.Flags = res.Flags
-			o.Hops = int(res.Hops)
-			o.Detour = int(res.Detour)
-			o.Retries = res.Retries
-			o.Replans = res.Replans
-			o.Discovered = res.Discovered
-			o.WaitCycles = res.WaitCycles
-			o.Epoch = res.Epoch
-			o.Tree = -1
-			if res.Flags&wire.FlagHasTree != 0 {
-				o.Tree = int(res.Tree)
-			}
-			o.Reason = res.Reason
-			o.Path = res.Path
-		default:
-			return w.fail(fmt.Errorf("unexpected reply type %d", h.Type))
+		if err := decodeRouteReply(h.Type, p, &out[slot]); err != nil {
+			return w.fail(err)
 		}
 	}
 	return nil

@@ -1,0 +1,371 @@
+package serve
+
+import (
+	"bufio"
+	"context"
+	"fmt"
+	"io"
+	"net"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"gaussiancube/internal/wire"
+)
+
+// WireMux is a gcwire connection shared by many concurrent callers:
+// the cluster's forwarding hop (DESIGN.md §13). Where a WireClient
+// holds its mutex across a whole round trip, a WireMux keeps any number
+// of requests in flight on one connection.
+//
+//   - Write combining: a caller appends its request frame to the
+//     connection's queue under a short mutex. If no write is in
+//     progress it becomes the writer and flushes the queue; otherwise
+//     the writer in progress picks its frame up on its next pass, so a
+//     burst of calls costs one syscall.
+//   - Id demux: one reader goroutine per connection matches each reply
+//     to its call by request id and decodes it into storage the call
+//     owns.
+//   - Deadline rule: a call waits for its reply until ctx is done or
+//     opts.CallTimeout passes, whichever comes first. A caller that
+//     gives up removes its id, and a late reply for that id is read
+//     and dropped.
+//   - Failure rule: a torn connection (read or write error, malformed
+//     reply) fails every pending call with ErrConnClosed, and the next
+//     call redials through opts (Dial override, retry budget, backoff).
+//
+// It carries RouteReq and MulticastReq frames, the two that forwarding
+// sends. The zero value is not usable; build one with NewWireMux.
+type WireMux struct {
+	addr string
+	opts WireDialOptions
+
+	cur     atomic.Pointer[muxConn]
+	mu      sync.Mutex // serializes dials and guards closed
+	closed  bool
+	readers sync.WaitGroup // one per dialed connection, until it fails
+}
+
+// NewWireMux builds a multiplexed connection to addr without dialing:
+// the first call connects.
+func NewWireMux(addr string, opts WireDialOptions) *WireMux {
+	opts.fill()
+	return &WireMux{addr: addr, opts: opts}
+}
+
+// Close tears the connection down, failing its pending calls, and
+// waits for every reader goroutine to exit. Every later call fails
+// with ErrConnClosed.
+func (m *WireMux) Close() error {
+	m.mu.Lock()
+	m.closed = true
+	mc := m.cur.Swap(nil)
+	m.mu.Unlock()
+	if mc != nil {
+		mc.tear(fmt.Errorf("%w: client closed", ErrConnClosed))
+	}
+	m.readers.Wait()
+	return nil
+}
+
+// Route sends one route request and fills out with the reply, which
+// the caller then owns outright: out's slices are never reused by a
+// later call. A server error frame lands in out.ErrCode/ErrMsg; the
+// returned error reports a torn connection (ErrConnClosed), ctx's
+// error, or a CallTimeout expiry (wrapping context.DeadlineExceeded).
+func (m *WireMux) Route(ctx context.Context, req wire.RouteReq, out *WireRoute) error {
+	call := getMuxCall()
+	call.req = req
+	err := m.roundTrip(ctx, call)
+	if err == nil {
+		*out = call.route
+	}
+	call.route = WireRoute{}
+	putMuxCall(call)
+	return err
+}
+
+// Multicast sends one multicast request and fills out with the
+// reply's collective result, which the caller then owns outright. A
+// server error frame surfaces as *WireStatusError; other errors are as
+// for Route.
+func (m *WireMux) Multicast(ctx context.Context, req *wire.MulticastReq, out *wire.CollectiveResult) error {
+	call := getMuxCall()
+	call.mreq = req
+	err := m.roundTrip(ctx, call)
+	if err == nil {
+		*out = call.coll
+	}
+	call.mreq = nil
+	call.coll = wire.CollectiveResult{}
+	putMuxCall(call)
+	return err
+}
+
+// roundTrip sends call's frame and waits for its reply under the
+// deadline rule.
+func (m *WireMux) roundTrip(ctx context.Context, call *muxCall) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	mc, err := m.conn()
+	if err != nil {
+		return err
+	}
+	id, err := mc.send(call, m.opts.CallTimeout)
+	if err != nil {
+		return err
+	}
+	var expired <-chan time.Time
+	if m.opts.CallTimeout > 0 {
+		if call.timer == nil {
+			call.timer = time.NewTimer(m.opts.CallTimeout)
+		} else {
+			call.timer.Reset(m.opts.CallTimeout)
+		}
+		expired = call.timer.C
+		defer call.stopTimer()
+	}
+	select {
+	case <-call.ready:
+		return call.err
+	case <-ctx.Done():
+		err = ctx.Err()
+	case <-expired:
+		err = fmt.Errorf("gcwire: no reply within %v: %w", m.opts.CallTimeout, context.DeadlineExceeded)
+	}
+	if mc.abandon(id) {
+		return err
+	}
+	// The reader (or a tear) claimed the call before we could withdraw
+	// it; its answer is being written into the call right now.
+	<-call.ready
+	return call.err
+}
+
+// conn returns the live connection, dialing one when there is none or
+// the last one was torn.
+func (m *WireMux) conn() (*muxConn, error) {
+	if mc := m.cur.Load(); mc != nil && !mc.dead.Load() {
+		return mc, nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return nil, fmt.Errorf("%w: client closed", ErrConnClosed)
+	}
+	if mc := m.cur.Load(); mc != nil && !mc.dead.Load() {
+		return mc, nil // another caller redialed while we waited
+	}
+	c, err := m.opts.dial(m.addr)
+	if err != nil {
+		return nil, err
+	}
+	mc := &muxConn{c: c, pending: make(map[uint64]*muxCall)}
+	m.cur.Store(mc)
+	m.readers.Add(1)
+	go func() {
+		defer m.readers.Done()
+		mc.read()
+	}()
+	return mc, nil
+}
+
+// muxConn is one dialed connection of a WireMux with its reader.
+type muxConn struct {
+	c    net.Conn
+	dead atomic.Bool // set first thing in tear
+
+	mu      sync.Mutex
+	err     error // why the connection was torn; nil while live
+	nextID  uint64
+	pending map[uint64]*muxCall
+	queued  []byte // frames waiting for the next write
+	spare   []byte // the buffer the writer in progress hands back
+	writing bool   // a caller is flushing queued on everyone's behalf
+}
+
+// send registers call under a fresh id and gets its frame written,
+// combined with any frames queued beside it. Once registered, the call
+// is answered through call.ready even if the write fails.
+func (mc *muxConn) send(call *muxCall, timeout time.Duration) (uint64, error) {
+	mc.mu.Lock()
+	if mc.err != nil {
+		err := mc.err
+		mc.mu.Unlock()
+		return 0, err
+	}
+	id := mc.nextID
+	mc.nextID++
+	mc.pending[id] = call
+	if call.mreq != nil {
+		mc.queued = wire.AppendMulticastReq(mc.queued, id, call.mreq)
+	} else {
+		mc.queued = wire.AppendRouteReq(mc.queued, id, call.req)
+	}
+	if mc.writing {
+		mc.mu.Unlock() // the writer in progress carries our frame
+		return id, nil
+	}
+	mc.writing = true
+	for len(mc.queued) > 0 {
+		buf := mc.queued
+		mc.queued = mc.spare[:0]
+		mc.mu.Unlock()
+		var err error
+		if timeout > 0 {
+			err = mc.c.SetWriteDeadline(time.Now().Add(timeout))
+		}
+		if err == nil {
+			_, err = mc.c.Write(buf)
+		}
+		mc.mu.Lock()
+		mc.spare = buf[:0]
+		if err != nil {
+			mc.writing = false
+			mc.mu.Unlock()
+			mc.tear(fmt.Errorf("%w: %v", ErrConnClosed, err))
+			return id, nil
+		}
+	}
+	mc.writing = false
+	mc.mu.Unlock()
+	return id, nil
+}
+
+// abandon withdraws a call whose caller gave up. It reports false when
+// the reader or a tear already claimed the call, which will then be
+// signalled.
+func (mc *muxConn) abandon(id uint64) bool {
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	if _, ok := mc.pending[id]; !ok {
+		return false
+	}
+	delete(mc.pending, id)
+	return true
+}
+
+// claim removes and returns the call waiting on id, or nil when its
+// caller has given up.
+func (mc *muxConn) claim(id uint64) *muxCall {
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	call := mc.pending[id]
+	delete(mc.pending, id)
+	return call
+}
+
+// tear closes the connection and fails every pending call with err.
+// Only the first tear's error is kept.
+func (mc *muxConn) tear(err error) {
+	mc.dead.Store(true)
+	mc.mu.Lock()
+	if mc.err == nil {
+		mc.err = err
+	}
+	pending := mc.pending
+	mc.pending = nil
+	mc.mu.Unlock()
+	_ = mc.c.Close()
+	for _, call := range pending {
+		call.err = err
+		call.ready <- struct{}{}
+	}
+}
+
+// read is the connection's reader goroutine: it hands each reply to
+// the call waiting on its id until the connection fails.
+func (mc *muxConn) read() {
+	br := bufio.NewReaderSize(mc.c, 16<<10)
+	var hdr [wire.HeaderSize]byte
+	var payload []byte
+	for {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			mc.tear(fmt.Errorf("%w: %v", ErrConnClosed, err))
+			return
+		}
+		h, err := wire.ParseHeader(hdr[:])
+		if err != nil {
+			mc.tear(fmt.Errorf("%w: %v", ErrConnClosed, err))
+			return
+		}
+		if cap(payload) < int(h.Len) {
+			payload = make([]byte, h.Len)
+		}
+		p := payload[:h.Len]
+		if _, err := io.ReadFull(br, p); err != nil {
+			mc.tear(fmt.Errorf("%w: %v", ErrConnClosed, err))
+			return
+		}
+		call := mc.claim(h.ID)
+		if call == nil {
+			continue // a late reply for a call whose caller gave up
+		}
+		if err := call.decode(h.Type, p); err != nil {
+			err = fmt.Errorf("%w: %v", ErrConnClosed, err)
+			call.err = err
+			call.ready <- struct{}{}
+			mc.tear(err)
+			return
+		}
+		call.ready <- struct{}{}
+	}
+}
+
+// muxCall is one in-flight request and the storage its reply decodes
+// into. Whoever removes a call from pending (the reader or a tear)
+// signals ready exactly once; a caller that removes its own call gets
+// no signal. Either way the caller holds the call alone again before
+// it returns it to the pool.
+type muxCall struct {
+	ready chan struct{} // capacity 1
+	timer *time.Timer   // the CallTimeout timer, reused across calls
+
+	req  wire.RouteReq
+	mreq *wire.MulticastReq // non-nil for a multicast call
+
+	route WireRoute
+	coll  wire.CollectiveResult
+	err   error
+}
+
+var muxCalls = sync.Pool{New: func() any { return &muxCall{ready: make(chan struct{}, 1)} }}
+
+func getMuxCall() *muxCall { return muxCalls.Get().(*muxCall) }
+
+func putMuxCall(c *muxCall) {
+	c.err = nil
+	muxCalls.Put(c)
+}
+
+// stopTimer stops the call's timer and drains a tick it may have left,
+// so the next Reset starts clean.
+func (c *muxCall) stopTimer() {
+	if !c.timer.Stop() {
+		select {
+		case <-c.timer.C:
+		default:
+		}
+	}
+}
+
+// decode reads the reply payload into the call's own storage.
+func (c *muxCall) decode(t wire.Type, p []byte) error {
+	if c.mreq == nil {
+		return decodeRouteReply(t, p, &c.route)
+	}
+	switch t {
+	case wire.TypeError:
+		var ef wire.ErrorFrame
+		if err := wire.DecodeError(p, &ef); err != nil {
+			return err
+		}
+		c.err = &WireStatusError{Code: ef.Code, Msg: string(ef.Msg)}
+		return nil
+	case wire.TypeCollectiveResult:
+		return wire.DecodeCollectiveResult(p, &c.coll)
+	default:
+		return fmt.Errorf("unexpected reply type %d", t)
+	}
+}

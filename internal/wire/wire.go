@@ -334,6 +334,9 @@ func DecodeRouteResult(p []byte, into *RouteResult) error {
 	}
 	into.Reason = append(into.Reason[:0], p[routeResultFixed:routeResultFixed+rlen]...)
 	into.Path = into.Path[:0]
+	if cap(into.Path) < plen {
+		into.Path = make([]gc.NodeID, 0, plen) // one allocation, not append's doublings
+	}
 	end := routeResultFixed + rlen + 4*plen
 	for off := routeResultFixed + rlen; off < end; off += 4 {
 		into.Path = append(into.Path, gc.NodeID(binary.LittleEndian.Uint32(p[off:off+4])))
