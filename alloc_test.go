@@ -348,8 +348,8 @@ func TestFastRouteAllocs(t *testing.T) {
 // pipelined client loop the wire benchmarks run — performs zero heap
 // allocations per batch, counted process-wide, so the server's
 // reader-goroutine fast path is inside the bound too. Every pair is
-// warmed into the route cache first so no reply takes the miss
-// goroutine.
+// warmed into the route cache first so no request takes the miss path
+// (TestWireMissAllocs bounds that one).
 func TestWireRouteBatchAllocs(t *testing.T) {
 	cube := gc.New(10, 3)
 	s, err := serve.New(serve.Config{Cube: cube, CacheCapacity: 1 << 12})
@@ -399,5 +399,72 @@ func TestWireRouteBatchAllocs(t *testing.T) {
 	}
 	if allocs >= 1 {
 		t.Fatalf("RouteBatch: %v allocs/batch, want 0", allocs)
+	}
+}
+
+// TestWireMissAllocs: a warmed loopback RouteBatch with the route cache
+// disabled, so every route is a miss that rides the coalescer, the
+// shard queue and the planner, and its reply is queued by the shard
+// worker on the connection's write combiner. Counted process-wide, a
+// miss allocates exactly its queued task and the planner's report and
+// path: no goroutine, context, completion channel or reply buffer of
+// its own. The bound allows a fraction of an alloc for the runtime's
+// own background work.
+func TestWireMissAllocs(t *testing.T) {
+	cube := gc.New(10, 3)
+	s, err := serve.New(serve.Config{Cube: cube, CacheCapacity: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := serve.NewWireServer(s, ln)
+	go func() { _ = ws.Serve() }()
+	defer func() {
+		_ = ws.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	}()
+	c, err := serve.DialWire(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Distinct pairs: a repeated one would coalesce onto its twin.
+	var pairs [][2]gc.NodeID
+	seen := map[[2]gc.NodeID]bool{}
+	for _, p := range allocPairs(cube, 128, 17) {
+		if p[0] != p[1] && !seen[p] && len(pairs) < 64 {
+			seen[p] = true
+			pairs = append(pairs, p)
+		}
+	}
+	out := make([]serve.WireRoute, len(pairs))
+	for pass := 0; pass < 4; pass++ {
+		if err := c.RouteBatch(pairs, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var firstErr error
+	perBatch := testing.AllocsPerRun(100, func() {
+		if err := c.RouteBatch(pairs, out); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	})
+	if firstErr != nil {
+		t.Fatal(firstErr)
+	}
+	for i := range out {
+		if !out[i].Delivered() || out[i].CacheHit() {
+			t.Fatalf("slot %d: %+v, want a delivered miss", i, out[i])
+		}
+	}
+	perRoute := perBatch / float64(len(pairs))
+	if perRoute > 3.25 {
+		t.Fatalf("wire miss: %.2f allocs/route, want <= 3 (task + report + path)", perRoute)
 	}
 }

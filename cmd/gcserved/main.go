@@ -256,8 +256,9 @@ func run(args []string, out io.Writer) error {
 	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	// Stop accepting new work first — HTTP, then the wire listener (its
-	// Close unblocks every connection reader and waits for in-flight
-	// miss goroutines, which need the workers still running) — then
+	// Close unblocks every connection reader and waits for each
+	// connection's in-flight misses, which need the workers still
+	// running) — then
 	// drain the worker queues; every request accepted before the signal
 	// is answered.
 	if err := httpSrv.Shutdown(dctx); err != nil {

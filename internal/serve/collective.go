@@ -127,24 +127,12 @@ func (s *Server) submitCollective(ctx context.Context, root gc.NodeID, dests []g
 		defer cancel()
 	}
 	t := &task{
-		ctx: ctx, src: root, enq: time.Now(),
-		dests: dests, multicast: multicast,
+		request: request{ctx: ctx, src: root, enq: time.Now()},
+		dests:   dests, multicast: multicast,
 		cresp: make(chan CollectiveResponse, 1),
 	}
-	sh := s.shardFor(root)
-	s.mu.RLock()
-	if s.draining {
-		s.mu.RUnlock()
-		return nil, ErrDraining
-	}
-	select {
-	case sh.ch <- t:
-		s.accepted.Inc()
-		s.mu.RUnlock()
-	default:
-		s.mu.RUnlock()
-		s.rejected.Inc()
-		return nil, ErrBackpressure
+	if err := s.enqueue(s.shardFor(root), t); err != nil {
+		return nil, err
 	}
 	r := <-t.cresp
 	return &r, nil

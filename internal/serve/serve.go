@@ -161,23 +161,68 @@ type Response struct {
 	CacheHit bool
 }
 
-// task is one queued request. A task with cresp non-nil is a
-// collective (src is the root; dests is the multicast list, nil with
-// multicast unset for a broadcast) and is answered on cresp; otherwise
-// it is a unicast route answered on resp.
-type task struct {
-	ctx      context.Context
+// request is one unicast route request from submission until its
+// verdict is delivered. It moves by value: into a queued task when it
+// leads a coalescing group (or bypasses coalescing), into a follower
+// when it joins one.
+type request struct {
+	ctx context.Context
+	// cancel releases a deadline the server set on ctx (the wire
+	// DeadlineMS or DefaultDeadline); nil otherwise.
+	cancel   context.CancelFunc
 	src, dst gc.NodeID
 	// tree is the requested multipath tree: an explicit pin in
 	// [0, Trees.K()), or TreeAuto (-1) for per-flow striping (and for
 	// single-tree servers, where it is ignored).
 	tree int
 	enq  time.Time
-	resp chan Response
+	done completion
+	// retried: the request spent its one requeue after its coalescing
+	// leader died of the leader's own deadline.
+	retried bool
+}
+
+// completion is where a unicast verdict goes: the channel a blocking
+// submitter waits on, or, for a gcwire request, the write queue of the
+// connection it arrived on under its frame id.
+type completion struct {
+	ch chan verdict
+	wc *wireConn
+	id uint64
+}
+
+// verdict is what a blocking submitter receives: a Response, or the
+// refusal (backpressure, drain) of the coalescing leader it joined.
+type verdict struct {
+	resp *Response
+	err  error
+}
+
+// task is one queued request. A task with cresp non-nil is a
+// collective (src is the root; dests is the multicast list, nil with
+// multicast unset for a broadcast) and is answered on cresp; otherwise
+// it is a unicast route answered through its completion.
+type task struct {
+	request
+
+	// lead marks a task registered in its shard's coalescer under key;
+	// followers are the identical requests that joined it there.
+	lead      bool
+	key       coalesceKey
+	followers []*follower
 
 	dests     []gc.NodeID
 	multicast bool
 	cresp     chan CollectiveResponse
+}
+
+// follower is a request coalesced onto an in-flight leader. Its
+// leader's verdict and its own deadline race to answer it; claimed
+// lets exactly one of them do so.
+type follower struct {
+	request
+	claimed atomic.Bool
+	stop    func() bool // detaches the deadline watch; nil without one
 }
 
 // epochState is the immutable fault state of one epoch, shared by all
@@ -256,18 +301,11 @@ type coalesceKey struct {
 	fp       uint64
 }
 
-// flightGroup is one leader's in-flight request plus everyone waiting
-// on it. resp/err are written exactly once, before done is closed.
-type flightGroup struct {
-	done chan struct{}
-	resp *Response
-	err  error
-}
-
-// coalescer is a per-shard singleflight table.
+// coalescer is a per-shard singleflight table: each key maps to the
+// queued task leading that plan.
 type coalescer struct {
 	mu sync.Mutex
-	m  map[coalesceKey]*flightGroup
+	m  map[coalesceKey]*task
 }
 
 // Server is the route-serving subsystem. Construct with New, submit
@@ -362,7 +400,7 @@ func New(cfg Config) (*Server, error) {
 			// when the server starts with a non-empty fault set.
 			sh.cache.InvalidateTo(es.fp)
 		}
-		sh.co.m = make(map[coalesceKey]*flightGroup)
+		sh.co.m = make(map[coalesceKey]*task)
 		if cfg.TraceEvery > 0 {
 			sh.ring = trace.NewRing(cfg.TraceRing)
 		}
@@ -538,7 +576,181 @@ func (s *Server) SubmitTree(ctx context.Context, src, dst gc.NodeID, tree int) (
 // fallback. Responses served while the journal replays or while the
 // instance trails the gossip frontier are degrade-marked.
 func (s *Server) SubmitLocalTree(ctx context.Context, src, dst gc.NodeID, tree int) (*Response, error) {
-	resp, err := s.submit(ctx, src, dst, tree)
+	ch := make(chan verdict, 1)
+	if err := s.submitRoute(ctx, 0, src, dst, tree, completion{ch: ch}); err != nil {
+		return nil, err
+	}
+	// Every accepted request is answered exactly once — including
+	// during a drain, and with OutcomeCanceled once its deadline dies —
+	// so this receive cannot leak.
+	v := <-ch
+	return v.resp, v.err
+}
+
+// submitRoute is the enqueue core of every unicast request: blocking
+// submitters pass a channel completion, the gcwire front end its
+// connection. It never blocks. A non-nil error is a submission-level
+// refusal (out-of-range nodes, an invalid tree, backpressure, drain)
+// and done never fires; otherwise done receives the verdict exactly
+// once, possibly before submitRoute returns (a cache hit). timeout,
+// when positive, bounds the request (the wire's DeadlineMS);
+// otherwise Config.DefaultDeadline applies when ctx has no deadline.
+func (s *Server) submitRoute(ctx context.Context, timeout time.Duration, src, dst gc.NodeID, tree int, done completion) error {
+	if int(src) >= s.cube.Nodes() || int(dst) >= s.cube.Nodes() {
+		return fmt.Errorf("serve: node out of range for GC(%d,2^%d)", s.cube.N(), s.cube.Alpha())
+	}
+	if err := s.validateTree(tree); err != nil {
+		return err
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	r := request{src: src, dst: dst, tree: tree, done: done}
+	if timeout > 0 {
+		ctx, r.cancel = context.WithTimeout(ctx, timeout)
+	} else if _, has := ctx.Deadline(); !has && s.cfg.DefaultDeadline > 0 {
+		ctx, r.cancel = context.WithTimeout(ctx, s.cfg.DefaultDeadline)
+	}
+	r.ctx = ctx
+	r.enq = time.Now()
+	err := s.attempt(s.shardFor(src), r, nil)
+	if err != nil && r.cancel != nil {
+		r.cancel()
+	}
+	return err
+}
+
+// attempt runs r through the three tiers, cheapest first: the
+// cache-hit fast path, joining an identical in-flight plan, or the
+// shard queue. Adaptive mode always queues — each flight's per-hop
+// discovery is its own. A refusal is returned, not delivered. rb is
+// the shard worker's reply batch when attempt runs there (a follower's
+// retry); nil answers wire requests at once.
+func (s *Server) attempt(sh *shard, r request, rb *replyBatch) error {
+	if ans, ok := s.FastRouteTree(r.src, r.dst, r.tree); ok {
+		s.deliver(&r, responseFromCached(&ans), nil, rb)
+		return nil
+	}
+	if s.cfg.Adaptive {
+		return s.enqueue(sh, &task{request: r})
+	}
+	key := coalesceKey{src: r.src, dst: r.dst, tree: int16(s.resolveTree(r.src, r.dst, r.tree)), fp: sh.state.Load().es.fp}
+	sh.co.mu.Lock()
+	if lead, ok := sh.co.m[key]; ok {
+		f := &follower{request: r}
+		if r.ctx.Done() != nil {
+			// The follower's own deadline answers it canceled if it dies
+			// before the leader's verdict arrives.
+			f.stop = context.AfterFunc(r.ctx, func() { s.expire(sh, f) })
+		}
+		lead.followers = append(lead.followers, f)
+		sh.co.mu.Unlock()
+		sh.coalesced.Inc()
+		return nil
+	}
+	t := &task{request: r, lead: true, key: key}
+	sh.co.m[key] = t
+	sh.co.mu.Unlock()
+	if err := s.enqueue(sh, t); err != nil {
+		// The leader was refused; so is everyone who joined it meanwhile.
+		for _, f := range sh.retire(t) {
+			s.settle(sh, f, nil, err, rb)
+		}
+		return err
+	}
+	return nil
+}
+
+// enqueue puts t on its shard queue without waiting: ErrDraining once
+// Shutdown has begun, ErrBackpressure (counted rejected) when the queue
+// is full. An accepted task is always answered by the worker —
+// including during a drain, and an expired ctx with OutcomeCanceled
+// rather than abandoned — which is what keeps accepted == served exact.
+func (s *Server) enqueue(sh *shard, t *task) error {
+	s.mu.RLock()
+	if s.draining {
+		s.mu.RUnlock()
+		return ErrDraining
+	}
+	select {
+	case sh.ch <- t:
+		s.accepted.Inc()
+		s.mu.RUnlock()
+		return nil
+	default:
+		s.mu.RUnlock()
+		s.rejected.Inc()
+		return ErrBackpressure
+	}
+}
+
+// retire removes a leader from its shard's coalescer and returns the
+// followers it gathered; nobody can join it afterwards, so a request
+// arriving after the leader's verdict opens a fresh group.
+func (sh *shard) retire(t *task) []*follower {
+	sh.co.mu.Lock()
+	delete(sh.co.m, t.key)
+	fs := t.followers
+	t.followers = nil
+	sh.co.mu.Unlock()
+	return fs
+}
+
+// settle answers a follower with its leader's verdict, or with the
+// leader's refusal (err), unless its own deadline answered it first.
+// Every follower of a group receives the one leader verdict, so a
+// fault swap mid-flight can never hand a torn mix of old- and
+// new-epoch plans to the same group. A follower whose leader died of
+// the leader's own deadline while the follower is still alive requeues
+// once instead; out of retries, it adopts the canceled verdict.
+func (s *Server) settle(sh *shard, f *follower, resp *Response, err error, rb *replyBatch) {
+	if !f.claimed.CompareAndSwap(false, true) {
+		return
+	}
+	if f.stop != nil {
+		f.stop()
+	}
+	if err != nil {
+		s.rejected.Inc()
+		s.deliver(&f.request, nil, err, rb)
+		return
+	}
+	if !f.retried && resp.Report != nil && resp.Report.Outcome == core.OutcomeCanceled && f.ctx.Err() == nil {
+		r := f.request
+		r.retried = true
+		if err := s.attempt(sh, r, rb); err != nil {
+			s.deliver(&r, nil, err, rb)
+		}
+		return
+	}
+	cp := *resp
+	s.accepted.Inc()
+	s.accountDirect(sh, &cp, f.enq)
+	s.deliver(&f.request, &cp, nil, rb)
+}
+
+// expire answers a follower canceled when its own deadline dies before
+// its leader's verdict — counted exactly like a worker-answered
+// cancellation.
+func (s *Server) expire(sh *shard, f *follower) {
+	if !f.claimed.CompareAndSwap(false, true) {
+		return
+	}
+	rep := &core.RouteReport{Outcome: core.OutcomeCanceled, Reason: f.ctx.Err().Error(), TreeID: -1}
+	r := &Response{Report: rep, Epoch: s.state.Load().epoch}
+	s.accepted.Inc()
+	s.accountDirect(sh, r, f.enq)
+	s.deliver(&f.request, r, nil, nil)
+}
+
+// deliver hands r its verdict (resp) or refusal (err), releasing any
+// deadline the server set. Responses served while the journal replays
+// or while the instance trails the gossip frontier are degrade-marked
+// here, per delivery, so coalesced followers each get their own mark.
+func (s *Server) deliver(r *request, resp *Response, err error, rb *replyBatch) {
+	if r.cancel != nil {
+		r.cancel()
+	}
 	if resp != nil {
 		if s.Replaying() {
 			// Served during the startup journal replay: the verdict was
@@ -555,123 +767,20 @@ func (s *Server) SubmitLocalTree(ctx context.Context, src, dst gc.NodeID, tree i
 			}
 		}
 	}
-	return resp, err
+	if r.done.wc != nil {
+		r.done.wc.reply(r.done.id, resp, err, rb)
+		return
+	}
+	v := verdict{err: err}
+	if resp != nil {
+		cp := *resp
+		v.resp = &cp
+	}
+	r.done.ch <- v
 }
 
-// submit is SubmitLocalTree without the replay-window degrade marking.
-func (s *Server) submit(ctx context.Context, src, dst gc.NodeID, tree int) (*Response, error) {
-	if int(src) >= s.cube.Nodes() || int(dst) >= s.cube.Nodes() {
-		return nil, fmt.Errorf("serve: node out of range for GC(%d,2^%d)", s.cube.N(), s.cube.Alpha())
-	}
-	if err := s.validateTree(tree); err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var cancel context.CancelFunc
-	if _, has := ctx.Deadline(); !has && s.cfg.DefaultDeadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultDeadline)
-		defer cancel()
-	}
-	enq := time.Now()
-	sh := s.shardFor(src)
-	for attempt := 0; ; attempt++ {
-		if ans, ok := s.FastRouteTree(src, dst, tree); ok {
-			return responseFromCached(&ans), nil
-		}
-		if s.cfg.Adaptive {
-			return s.enqueueWait(ctx, sh, src, dst, tree, enq)
-		}
-
-		key := coalesceKey{src: src, dst: dst, tree: int16(s.resolveTree(src, dst, tree)), fp: sh.state.Load().es.fp}
-		sh.co.mu.Lock()
-		if g, ok := sh.co.m[key]; ok {
-			sh.co.mu.Unlock()
-			resp, retry, err := s.waitCoalesced(ctx, sh, g, enq, attempt == 0)
-			if retry {
-				// The leader died of its own deadline while ours is still
-				// alive; its canceled verdict is not ours. One requeue.
-				continue
-			}
-			return resp, err
-		}
-		g := &flightGroup{done: make(chan struct{})}
-		sh.co.m[key] = g
-		sh.co.mu.Unlock()
-
-		resp, err := s.enqueueWait(ctx, sh, src, dst, tree, enq)
-		g.resp, g.err = resp, err
-		sh.co.mu.Lock()
-		delete(sh.co.m, key)
-		sh.co.mu.Unlock()
-		close(g.done)
-		return resp, err
-	}
-}
-
-// enqueueWait pushes one task onto its shard queue and blocks for the
-// worker's answer — the queue tier of submit.
-func (s *Server) enqueueWait(ctx context.Context, sh *shard, src, dst gc.NodeID, tree int, enq time.Time) (*Response, error) {
-	t := &task{ctx: ctx, src: src, dst: dst, tree: tree, enq: enq, resp: make(chan Response, 1)}
-	s.mu.RLock()
-	if s.draining {
-		s.mu.RUnlock()
-		return nil, ErrDraining
-	}
-	select {
-	case sh.ch <- t:
-		s.accepted.Inc()
-		s.mu.RUnlock()
-	default:
-		s.mu.RUnlock()
-		s.rejected.Inc()
-		return nil, ErrBackpressure
-	}
-	// The worker always answers — including during a drain — so this
-	// receive cannot leak. An expired ctx is answered with
-	// OutcomeCanceled by the worker rather than abandoned here, which
-	// is what keeps accepted == served exact.
-	r := <-t.resp
-	return &r, nil
-}
-
-// waitCoalesced blocks a follower on its group's leader. Every
-// follower of a group receives the one leader verdict (or its
-// submission error), so a fault swap mid-flight can never hand a torn
-// mix of old- and new-epoch plans to the same group. retry is set only
-// when canRetry holds and the leader's verdict was its own
-// cancellation while this follower is still alive; out of retries, the
-// canceled verdict is adopted as our own.
-func (s *Server) waitCoalesced(ctx context.Context, sh *shard, g *flightGroup, enq time.Time, canRetry bool) (resp *Response, retry bool, err error) {
-	sh.coalesced.Inc()
-	select {
-	case <-g.done:
-	case <-ctx.Done():
-		// Our deadline died first. Answer canceled ourselves — counted
-		// exactly like a worker-answered cancellation.
-		rep := &core.RouteReport{Outcome: core.OutcomeCanceled, Reason: ctx.Err().Error(), TreeID: -1}
-		r := &Response{Report: rep, Epoch: s.state.Load().epoch}
-		s.accepted.Inc()
-		s.accountDirect(sh, r, enq)
-		return r, false, nil
-	}
-	if g.err != nil {
-		// The leader was refused (backpressure or drain); so are we.
-		s.rejected.Inc()
-		return nil, false, g.err
-	}
-	if canRetry && g.resp.Report != nil && g.resp.Report.Outcome == core.OutcomeCanceled && ctx.Err() == nil {
-		return nil, true, nil
-	}
-	cp := *g.resp
-	s.accepted.Inc()
-	s.accountDirect(sh, &cp, enq)
-	return &cp, false, nil
-}
-
-// accountDirect records a request answered off-worker (fast path
-// followers and coalesced waiters) with exactly the bookkeeping finish
+// accountDirect records a request answered off-worker (coalesced
+// followers) with exactly the bookkeeping finish
 // gives a queued task, preserving the accepted == served conservation
 // law.
 func (s *Server) accountDirect(sh *shard, r *Response, enq time.Time) {
@@ -787,6 +896,7 @@ func responseFromCached(a *CachedAnswer) *Response {
 func (s *Server) worker(sh *shard) {
 	defer s.wg.Done()
 	batch := make([]*task, 0, s.cfg.Batch)
+	var replies replyBatch
 	for {
 		t, ok := <-sh.ch
 		if !ok {
@@ -810,8 +920,12 @@ func (s *Server) worker(sh *shard) {
 		// which is the freshest — never a stale — view.
 		rs := sh.state.Load()
 		for _, tk := range batch {
-			s.process(sh, rs, tk)
+			s.process(sh, rs, tk, &replies)
 		}
+		// One append and one signal per connection lets each
+		// connection's writer send the batch's replies in one write. The
+		// worker itself never touches a socket.
+		replies.publish()
 	}
 }
 
@@ -821,7 +935,7 @@ func (s *Server) worker(sh *shard) {
 var testHookProcess func()
 
 // process serves one task on its shard's worker.
-func (s *Server) process(sh *shard, rs *shardRouters, t *task) {
+func (s *Server) process(sh *shard, rs *shardRouters, t *task, rb *replyBatch) {
 	if testHookProcess != nil {
 		testHookProcess()
 	}
@@ -832,7 +946,7 @@ func (s *Server) process(sh *shard, rs *shardRouters, t *task) {
 	if err := t.ctx.Err(); err != nil {
 		// Deadline died in the queue: still answered, still counted.
 		rep := &core.RouteReport{Outcome: core.OutcomeCanceled, Reason: err.Error(), TreeID: -1}
-		s.finish(sh, t, Response{Report: rep, Epoch: rs.es.epoch})
+		s.finish(sh, t, Response{Report: rep, Epoch: rs.es.epoch}, rb)
 		return
 	}
 	n := sh.seq.Add(1)
@@ -851,7 +965,7 @@ func (s *Server) process(sh *shard, rs *shardRouters, t *task) {
 				sh.ring.Emit(trace.Event{Kind: trace.KindPacket, From: uint32(t.src), To: uint32(t.dst), Arg: int32(n)})
 				sh.ring.Emit(trace.Event{Kind: trace.KindCacheHit, From: uint32(t.src), To: uint32(t.dst)})
 			}
-			s.finish(sh, t, Response{Report: cachedReport(path, tag, rt), Epoch: rs.es.epoch, CacheHit: true})
+			s.finish(sh, t, Response{Report: cachedReport(path, tag, rt), Epoch: rs.es.epoch, CacheHit: true}, rb)
 			return
 		}
 		sh.cacheMisses.Inc()
@@ -872,7 +986,7 @@ func (s *Server) process(sh *shard, rs *shardRouters, t *task) {
 	}
 	rep, err := router.RouteContext(t.ctx, t.src, t.dst)
 	if err != nil {
-		s.finish(sh, t, Response{Err: err, Epoch: rs.es.epoch})
+		s.finish(sh, t, Response{Err: err, Epoch: rs.es.epoch}, rb)
 		return
 	}
 	if sh.cache != nil && !s.cfg.Adaptive && !rep.Outcome.Undeliverable() && rep.Outcome != core.OutcomeCanceled {
@@ -888,7 +1002,7 @@ func (s *Server) process(sh *shard, rs *shardRouters, t *task) {
 		}
 		sh.cache.PutTagged(t.src, t.dst, rt, rep.Path, uint32(extra), rs.es.fp)
 	}
-	s.finish(sh, t, Response{Report: rep, Epoch: rs.es.epoch})
+	s.finish(sh, t, Response{Report: rep, Epoch: rs.es.epoch}, rb)
 }
 
 // cachedReport rebuilds a routing envelope from a cached path and its
@@ -905,10 +1019,10 @@ func cachedReport(path []gc.NodeID, tag uint32, tree int) *core.RouteReport {
 	return rep
 }
 
-// finish records one served task and answers it. Every accepted task
-// passes through here exactly once — the conservation law the metrics
-// and the drain test rely on.
-func (s *Server) finish(sh *shard, t *task, r Response) {
+// finish records one served task and answers it, then the followers
+// coalesced onto it. Every accepted task passes through here exactly
+// once — the conservation law the metrics and the drain test rely on.
+func (s *Server) finish(sh *shard, t *task, r Response, rb *replyBatch) {
 	sh.served.Inc()
 	sh.latency.Add(float64(time.Since(t.enq).Microseconds()))
 	if r.Err != nil {
@@ -920,7 +1034,14 @@ func (s *Server) finish(sh *shard, t *task, r Response) {
 			sh.hops.Add(float64(r.Report.Hops))
 		}
 	}
-	t.resp <- r
+	var followers []*follower
+	if t.lead {
+		followers = sh.retire(t)
+	}
+	s.deliver(&t.request, &r, nil, rb)
+	for _, f := range followers {
+		s.settle(sh, f, &r, nil, rb)
+	}
 }
 
 // ApplyFaults validates and applies a batch of fault mutations as one

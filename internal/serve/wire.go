@@ -25,17 +25,25 @@ import (
 // Server.FastRouteTree cache-hit fast path, and hits are encoded into a
 // per-connection write buffer that is flushed in one syscall once the
 // reader has drained what the client pipelined. A steady-state hit
-// therefore costs zero heap allocations and no goroutine switch. Only
-// misses leave the reader: each is handed to a goroutine that rides
-// the ordinary SubmitTree pipeline (coalescer, shard queue) and writes its
-// own frame under the connection's write mutex — out-of-order replies
-// are the protocol's contract, correlated by request id.
+// therefore costs zero heap allocations and no goroutine switch.
+//
+// A miss costs no goroutine either: the reader enqueues it (coalescer,
+// shard queue) with the connection as its completion target, and the
+// shard worker that answers it encodes the reply into its batch's
+// share for the connection. At the end of the batch the worker appends
+// each share to its connection's writeCombiner and signals the
+// connection's writer goroutine once, which sends the batch's replies
+// in one write. The worker never touches a socket, so a client that
+// stops reading stalls only its own connection. Out-of-order replies are the protocol's contract,
+// correlated by request id. Only requests that block on a peer — a
+// forward to another cluster member, a collective — ride a goroutine,
+// and their replies go through the same combiner.
 type WireServer struct {
 	srv *Server
 	ln  net.Listener
 
 	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns  map[net.Conn]*wireConn
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -43,7 +51,7 @@ type WireServer struct {
 // NewWireServer wraps an accepted listener around a running Server.
 // Call Serve to start accepting; Close to stop.
 func NewWireServer(s *Server, ln net.Listener) *WireServer {
-	return &WireServer{srv: s, ln: ln, conns: make(map[net.Conn]struct{})}
+	return &WireServer{srv: s, ln: ln, conns: make(map[net.Conn]*wireConn)}
 }
 
 // Addr returns the listener's address.
@@ -69,15 +77,17 @@ func (ws *WireServer) Serve() error {
 			c.Close()
 			return nil
 		}
-		ws.conns[c] = struct{}{}
+		wc := &wireConn{out: newWriteCombiner(c, 0), kick: make(chan struct{}, 1)}
+		ws.conns[c] = wc
 		ws.wg.Add(1)
 		ws.mu.Unlock()
-		go ws.handleConn(c)
+		go ws.handleConn(c, wc)
 	}
 }
 
 // Close stops accepting, closes every live connection and waits for
-// their handlers (including in-flight miss goroutines) to finish.
+// their handlers to finish, each after its in-flight requests are
+// answered.
 func (ws *WireServer) Close() error {
 	ws.mu.Lock()
 	if ws.closed {
@@ -95,21 +105,121 @@ func (ws *WireServer) Close() error {
 	return err
 }
 
-// wireConn is one connection's shared write state. The reader owns
-// wbuf; miss goroutines write their own frames under wmu.
+// wireConn is one connection's reply side: the combiner every reply
+// frame goes through, the wakeup of the writer goroutine that flushes
+// it for the shard workers, and the requests answered off the reader
+// (queued misses, forwards, collectives) that still owe a reply.
 type wireConn struct {
-	c        net.Conn
-	wmu      sync.Mutex
+	out      *writeCombiner
+	kick     chan struct{} // capacity 1: a pending wakeup covers later ones
 	inflight sync.WaitGroup
+}
+
+// signal wakes the connection's writer goroutine (write) to flush. It
+// never blocks.
+func (wc *wireConn) signal() {
+	select {
+	case wc.kick <- struct{}{}:
+	default:
+	}
+}
+
+// write is the connection's writer goroutine: it flushes on every
+// signal until stop closes, so the goroutines that only append and
+// signal — the shard workers above all — never wait on the socket. A
+// signal that finds a write in progress is answered by that write's
+// next pass.
+func (wc *wireConn) write(stop <-chan struct{}) {
+	for {
+		select {
+		case <-wc.kick:
+			_ = wc.out.flush(nil, 0)
+		case <-stop:
+			return
+		}
+	}
+}
+
+// reply answers one unicast request with its verdict (or refusal). On
+// a shard worker the reply joins the worker's batch (rb), published
+// when the batch ends; elsewhere (rb nil) it is queued and the writer
+// signalled at once. Either way the inflight count settles only once
+// the reply is queued.
+func (wc *wireConn) reply(id uint64, resp *Response, err error, rb *replyBatch) {
+	if rb != nil {
+		st := rb.stage(wc)
+		st.buf = appendRouteReply(st.buf, id, resp, err)
+		st.n++
+		return
+	}
+	b := wc.out.lock()
+	b = appendRouteReply(b, id, resp, err)
+	wc.out.unlock(b)
+	wc.signal()
+	wc.inflight.Done()
+}
+
+// replyBatch stages a shard worker's gcwire replies per connection for
+// one batch. At the batch's end each connection gets its replies in one
+// append and one signal, so its writer sends the whole batch in one
+// write and never catches it half-queued.
+type replyBatch struct {
+	staged []stagedReplies
+	used   int
+}
+
+// stagedReplies is one connection's share of a batch: n replies
+// encoded back to back in buf.
+type stagedReplies struct {
+	wc  *wireConn
+	buf []byte
+	n   int
+}
+
+// stage returns wc's share of the batch, opening one (and reusing an
+// earlier batch's buffer) on its first reply.
+func (b *replyBatch) stage(wc *wireConn) *stagedReplies {
+	for i := range b.staged[:b.used] {
+		if b.staged[i].wc == wc {
+			return &b.staged[i]
+		}
+	}
+	if b.used == len(b.staged) {
+		b.staged = append(b.staged, stagedReplies{})
+	}
+	st := &b.staged[b.used]
+	b.used++
+	st.wc = wc
+	return st
+}
+
+// publish queues every staged share on its connection, signals the
+// connection's writer, and only then settles the replies' inflight
+// counts, so a closing connection waits for them.
+func (b *replyBatch) publish() {
+	for i := range b.staged[:b.used] {
+		st := &b.staged[i]
+		q := st.wc.out.lock()
+		q = append(q, st.buf...)
+		st.wc.out.unlock(q)
+		st.wc.signal()
+		st.wc.inflight.Add(-st.n)
+		st.wc, st.buf, st.n = nil, st.buf[:0], 0
+	}
+	b.used = 0
 }
 
 // cachedDetourReason is the fast path's preencoded degraded reason —
 // the byte twin of cachedReport's "cached detour".
 var cachedDetourReason = []byte("cached detour")
 
-func (ws *WireServer) handleConn(c net.Conn) {
+func (ws *WireServer) handleConn(c net.Conn, wc *wireConn) {
 	defer ws.wg.Done()
-	wc := &wireConn{c: c}
+	stop, writerDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		wc.write(stop)
+	}()
 	br := bufio.NewReaderSize(c, 64<<10)
 	var hdr [wire.HeaderSize]byte
 	payload := make([]byte, 0, 4096)
@@ -117,14 +227,14 @@ func (ws *WireServer) handleConn(c net.Conn) {
 	var res wire.RouteResult // reused fast-path encode scratch
 	var req wire.RouteReq
 	var ops []wire.FaultOp
+	// flushAt is a syscall's worth of batching for the reader's own
+	// replies, and the most reply bytes the connection queues before the
+	// reader stops reading: a client that does not read its replies
+	// stalls its own reader, never a shard worker.
+	flushAt := 256 << 10
 
 	flush := func() bool {
-		if len(wbuf) == 0 {
-			return true
-		}
-		wc.wmu.Lock()
-		_, err := c.Write(wbuf)
-		wc.wmu.Unlock()
+		err := wc.out.flush(wbuf, flushAt)
 		wbuf = wbuf[:0]
 		return err == nil
 	}
@@ -157,7 +267,7 @@ read:
 			if req.Flags&wire.RouteFlagNoForward == 0 && !ws.srv.OwnsLocally(req.Src) {
 				// Another instance owns this ending class: the request must
 				// ride SubmitTree's forwarding path, not the local cache.
-				ws.routeMiss(wc, h.ID, req)
+				wbuf = ws.routeMiss(wbuf, wc, h.ID, req)
 				break
 			}
 			tree := core.TreeAuto
@@ -186,7 +296,7 @@ read:
 				wbuf = wire.AppendRouteResult(wbuf, h.ID, &res)
 				break
 			}
-			ws.routeMiss(wc, h.ID, req)
+			wbuf = ws.routeMiss(wbuf, wc, h.ID, req)
 		case wire.TypeBroadcastReq:
 			var breq wire.BroadcastReq
 			if err := wire.DecodeBroadcastReq(payload, &breq); err != nil {
@@ -232,101 +342,126 @@ read:
 			wbuf = wire.AppendError(wbuf, h.ID, wire.CodeBadRequest, "wire: unexpected frame type")
 		}
 
-		// Flush once the client's pipelined burst is drained (or the
-		// buffer has grown past a syscall's worth of batching).
-		if br.Buffered() < wire.HeaderSize || len(wbuf) > 256<<10 {
+		// Flush once the client's pipelined burst is drained, or once the
+		// reader's buffer or the connection's queue has grown past
+		// flushAt; the latter waits for the socket before reading on.
+		if (br.Buffered() < wire.HeaderSize && len(wbuf) > 0) || len(wbuf) > flushAt || wc.out.queuedBytes() > flushAt {
 			if !flush() {
 				break read
 			}
 		}
 	}
 	flush()
-	// Let in-flight misses answer (Shutdown guarantees queued tasks are
-	// served) before the connection goes away under them.
+	// Let in-flight requests answer (Shutdown guarantees queued tasks are
+	// served), then send what they queued before the connection goes
+	// away under them.
 	wc.inflight.Wait()
+	_ = wc.out.flush(nil, 0)
+	close(stop)
+	<-writerDone
 	ws.mu.Lock()
 	delete(ws.conns, c)
 	ws.mu.Unlock()
 	c.Close()
 }
 
-// routeMiss resolves a non-cached route off the reader goroutine via
-// the ordinary SubmitTree pipeline and writes its own reply frame. The
-// NoForward flag pins the request to this instance (SubmitLocalTree) — the
-// hop bound that keeps ownership disagreements from looping a request
-// between peers.
-func (ws *WireServer) routeMiss(wc *wireConn, id uint64, req wire.RouteReq) {
+// routeMiss answers a RouteReq the fast path could not. A request this
+// instance serves is enqueued with the connection as its completion
+// target, so whoever answers it (the shard worker, its coalescing
+// leader, its own deadline) queues the reply. A request another member
+// owns blocks on the forward, so it alone gets a goroutine. The
+// NoForward flag pins the request to this instance, the hop bound that
+// keeps ownership disagreements from looping a request between peers.
+// A refusal is appended to wbuf, the reader's own batch.
+func (ws *WireServer) routeMiss(wbuf []byte, wc *wireConn, id uint64, req wire.RouteReq) []byte {
+	tree := core.TreeAuto
+	if req.Flags&wire.RouteFlagTree != 0 {
+		tree = int(req.Tree)
+	}
+	timeout := time.Duration(req.DeadlineMS) * time.Millisecond
 	wc.inflight.Add(1)
-	go func() {
-		defer wc.inflight.Done()
-		ctx := context.Background()
-		if req.DeadlineMS > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-			defer cancel()
+	if req.Flags&wire.RouteFlagNoForward == 0 && !ws.srv.OwnsLocally(req.Src) {
+		go func() {
+			ctx := context.Background()
+			if timeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, timeout)
+				defer cancel()
+			}
+			resp, err := ws.srv.SubmitTree(ctx, req.Src, req.Dst, tree)
+			wc.reply(id, resp, err, nil)
+		}()
+		return wbuf
+	}
+	if err := ws.srv.submitRoute(context.Background(), timeout, req.Src, req.Dst, tree, completion{wc: wc, id: id}); err != nil {
+		wc.inflight.Done()
+		return appendRouteReply(wbuf, id, nil, err)
+	}
+	return wbuf
+}
+
+// appendRouteReply encodes one unicast answer as its reply frame: an
+// error frame for a refusal (err) or a request-level failure
+// (resp.Err), the RouteResult otherwise.
+func appendRouteReply(dst []byte, id uint64, resp *Response, err error) []byte {
+	switch {
+	case err != nil:
+		return appendRefusal(dst, id, err)
+	case resp.Err != nil:
+		code := wire.CodeBadRequest
+		if errors.Is(resp.Err, core.ErrFaultyEndpoint) {
+			code = wire.CodeFaultyNode
 		}
-		tree := core.TreeAuto
-		if req.Flags&wire.RouteFlagTree != 0 {
-			tree = int(req.Tree)
-		}
-		submit := ws.srv.SubmitTree
-		if req.Flags&wire.RouteFlagNoForward != 0 {
-			submit = ws.srv.SubmitLocalTree
-		}
-		var out []byte
-		resp, err := submit(ctx, req.Src, req.Dst, tree)
-		switch {
-		case errors.Is(err, ErrBackpressure):
-			out = wire.AppendError(nil, id, wire.CodeBackpressure, err.Error())
-		case errors.Is(err, ErrDraining):
-			out = wire.AppendError(nil, id, wire.CodeDraining, err.Error())
-		case err != nil:
-			out = wire.AppendError(nil, id, wire.CodeBadRequest, err.Error())
-		case resp.Err != nil:
-			code := wire.CodeBadRequest
-			if errors.Is(resp.Err, core.ErrFaultyEndpoint) {
-				code = wire.CodeFaultyNode
-			}
-			out = wire.AppendError(nil, id, code, resp.Err.Error())
-		default:
-			rep := resp.Report
-			res := wire.RouteResult{
-				Outcome:    uint8(rep.Outcome),
-				Hops:       uint16(rep.Hops),
-				Detour:     uint16(rep.DetourHops),
-				Retries:    uint16(rep.Retries),
-				Replans:    uint16(rep.Replans),
-				Discovered: uint16(len(rep.Discovered)),
-				WaitCycles: uint32(rep.WaitCycles),
-				Epoch:      resp.Epoch,
-				Reason:     []byte(rep.Reason),
-				Path:       rep.Path,
-			}
-			if resp.CacheHit {
-				res.Flags |= wire.FlagCacheHit
-			}
-			if rep.Outcome == core.OutcomeDeliveredDegraded {
-				res.Flags |= wire.FlagDegraded
-			}
-			if rep.UsedFallback {
-				res.Flags |= wire.FlagUsedFallback
-			}
-			if rep.TreeID >= 0 && rep.TreeID <= 255 {
-				res.Flags |= wire.FlagHasTree
-				res.Tree = uint8(rep.TreeID)
-			}
-			out = wire.AppendRouteResult(nil, id, &res)
-		}
-		wc.wmu.Lock()
-		_, _ = wc.c.Write(out)
-		wc.wmu.Unlock()
-	}()
+		return wire.AppendError(dst, id, code, resp.Err.Error())
+	}
+	rep := resp.Report
+	res := wire.RouteResult{
+		Outcome:    uint8(rep.Outcome),
+		Hops:       uint16(rep.Hops),
+		Detour:     uint16(rep.DetourHops),
+		Retries:    uint16(rep.Retries),
+		Replans:    uint16(rep.Replans),
+		Discovered: uint16(len(rep.Discovered)),
+		WaitCycles: uint32(rep.WaitCycles),
+		Epoch:      resp.Epoch,
+		Reason:     []byte(rep.Reason),
+		Path:       rep.Path,
+	}
+	if resp.CacheHit {
+		res.Flags |= wire.FlagCacheHit
+	}
+	if rep.Outcome == core.OutcomeDeliveredDegraded {
+		res.Flags |= wire.FlagDegraded
+	}
+	if rep.UsedFallback {
+		res.Flags |= wire.FlagUsedFallback
+	}
+	if rep.TreeID >= 0 && rep.TreeID <= 255 {
+		res.Flags |= wire.FlagHasTree
+		res.Tree = uint8(rep.TreeID)
+	}
+	return wire.AppendRouteResult(dst, id, &res)
+}
+
+// appendRefusal encodes a submission-level refusal as its error frame,
+// in the HTTP layer's status vocabulary: 429 backpressure, 503 drain,
+// 400 anything else.
+func appendRefusal(dst []byte, id uint64, err error) []byte {
+	code := wire.CodeBadRequest
+	switch {
+	case errors.Is(err, ErrBackpressure):
+		code = wire.CodeBackpressure
+	case errors.Is(err, ErrDraining):
+		code = wire.CodeDraining
+	}
+	return wire.AppendError(dst, id, code, err.Error())
 }
 
 // collectiveMiss serves a broadcast/multicast request off the reader
 // goroutine — a collective is always a whole-plan computation, never a
-// cache hit — and writes its own CollectiveResult frame. NoForward pins
-// the request to this instance, exactly as for unicast misses.
+// cache hit, and may fan out to peers — and queues its CollectiveResult
+// frame on the connection's combiner. NoForward pins the request to
+// this instance, exactly as for unicast misses.
 func (ws *WireServer) collectiveMiss(wc *wireConn, id uint64, root gc.NodeID, dests []gc.NodeID, multicast bool, deadlineMS uint32, flags uint8) {
 	wc.inflight.Add(1)
 	go func() {
@@ -347,23 +482,18 @@ func (ws *WireServer) collectiveMiss(wc *wireConn, id uint64, root gc.NodeID, de
 		default:
 			resp, err = ws.srv.SubmitBroadcast(ctx, root)
 		}
-		var out []byte
+		b := wc.out.lock()
 		switch {
-		case errors.Is(err, ErrBackpressure):
-			out = wire.AppendError(nil, id, wire.CodeBackpressure, err.Error())
-		case errors.Is(err, ErrDraining):
-			out = wire.AppendError(nil, id, wire.CodeDraining, err.Error())
 		case err != nil:
-			out = wire.AppendError(nil, id, wire.CodeBadRequest, err.Error())
+			b = appendRefusal(b, id, err)
 		case resp.Err != nil:
-			out = wire.AppendError(nil, id, wire.CodeBadRequest, resp.Err.Error())
+			b = wire.AppendError(b, id, wire.CodeBadRequest, resp.Err.Error())
 		default:
 			res := collectiveWireResult(resp)
-			out = wire.AppendCollectiveResult(nil, id, &res)
+			b = wire.AppendCollectiveResult(b, id, &res)
 		}
-		wc.wmu.Lock()
-		_, _ = wc.c.Write(out)
-		wc.wmu.Unlock()
+		wc.out.unlock(b)
+		wc.signal()
 	}()
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -537,4 +538,374 @@ func runServeWireBench(b *testing.B, cfg Config) {
 	if m.Served < routed.Load() {
 		b.Fatalf("served %d < %d routed", m.Served, routed.Load())
 	}
+}
+
+// heldServer starts a server whose shard worker stops inside the first
+// task it processes until release is called; held closes once the
+// worker is there. Tests defer release so a failure never leaves the
+// worker (and every drain waiting on it) stuck.
+func heldServer(t *testing.T, cfg Config) (s *Server, held <-chan struct{}, release func()) {
+	t.Helper()
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var hold, open sync.Once
+	testHookProcess = func() { hold.Do(func() { close(entered); <-gate }) }
+	release = func() { open.Do(func() { close(gate) }) }
+	s, err := New(cfg)
+	if err != nil {
+		testHookProcess = nil
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		release()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+		testHookProcess = nil
+	})
+	return s, entered, release
+}
+
+// waitFor polls cond until it holds, failing the test after 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// countingListener hands out accepted connections that count their
+// Write calls.
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int32
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{Conn: c, writes: l.writes}, nil
+}
+
+// distinctMisses returns n distinct (src, dst) pairs, src != dst.
+func distinctMisses(cube *gc.Cube, n int) [][2]gc.NodeID {
+	pairs := make([][2]gc.NodeID, n)
+	for i := range pairs {
+		pairs[i] = [2]gc.NodeID{gc.NodeID(i), gc.NodeID(cube.Nodes() - 1 - i)}
+	}
+	return pairs
+}
+
+// TestWireMissWriteCombining: the replies to a connection's queued
+// misses leave in one write per worker batch, not one per miss. The
+// worker is held until all 64 pipelined misses are queued, then
+// answers them in batches of Config.Batch.
+func TestWireMissWriteCombining(t *testing.T) {
+	cube := gc.New(8, 2)
+	s, held, release := heldServer(t, Config{Cube: cube, Shards: 1, CacheCapacity: -1})
+	defer release()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writes atomic.Int32
+	ws := NewWireServer(s, countingListener{Listener: ln, writes: &writes})
+	go func() { _ = ws.Serve() }()
+	defer ws.Close()
+	c, err := DialWire(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const misses = 64
+	pairs := distinctMisses(cube, misses)
+	out := make([]WireRoute, misses)
+	done := make(chan error, 1)
+	go func() { done <- c.RouteBatch(pairs, out) }()
+	<-held
+	waitFor(t, "every miss to queue", func() bool { return s.Metrics().Accepted == misses })
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for i := range out {
+		if !out[i].Delivered() || out[i].CacheHit() {
+			t.Fatalf("slot %d: %+v, want a delivered miss", i, out[i])
+		}
+	}
+	batch := s.cfg.Batch
+	if got, most := int(writes.Load()), (misses+batch-1)/batch+1; got > most {
+		t.Fatalf("%d misses answered in %d writes, want at most %d (one per worker batch)", misses, got, most)
+	}
+}
+
+// smallBufListener shrinks the kernel buffers of accepted connections,
+// so a client that stops reading fills them after a few replies.
+type smallBufListener struct{ net.Listener }
+
+func (l smallBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		tc := c.(*net.TCPConn)
+		_ = tc.SetReadBuffer(8 << 10)
+		_ = tc.SetWriteBuffer(8 << 10)
+	}
+	return c, err
+}
+
+// TestWireSlowReaderIsolation: connection A pipelines misses and never
+// reads a reply. Its replies back up behind its own socket, its reader
+// stops reading once the queue passes the flush threshold, and the
+// shard worker never blocks on it: connection B's misses on the same
+// shard are answered within a second.
+func TestWireSlowReaderIsolation(t *testing.T) {
+	cube := gc.New(8, 2)
+	s := mustServer(t, Config{Cube: cube, Shards: 1, CacheCapacity: -1})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWireServer(s, smallBufListener{ln})
+	go func() { _ = ws.Serve() }()
+	defer ws.Close()
+
+	a, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	_ = a.(*net.TCPConn).SetReadBuffer(8 << 10)
+	_ = a.(*net.TCPConn).SetWriteBuffer(8 << 10)
+	var burst []byte
+	for i := 0; i < 1024; i++ {
+		src := gc.NodeID(i % cube.Nodes())
+		dst := gc.NodeID((i*7 + 1) % cube.Nodes())
+		burst = wire.AppendRouteReq(burst, uint64(i), wire.RouteReq{Src: src, Dst: dst})
+	}
+	// Write until the server stops reading A: a write that makes no
+	// progress for 200ms means A's reader is parked.
+	stalled := false
+	for start := time.Now(); time.Since(start) < 20*time.Second; {
+		_ = a.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
+		if _, err := a.Write(burst); err != nil {
+			var ne net.Error
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				t.Fatal(err)
+			}
+			stalled = true
+			break
+		}
+	}
+	if !stalled {
+		t.Fatal("the server kept reading a connection that never reads its replies")
+	}
+
+	// With A's reader parked, the worker drains A's queued misses: it
+	// is not blocked behind A's socket.
+	defer a.Close() // on failure, unblock whatever is stuck on A first
+	waitFor(t, "A's queued misses to drain", func() bool { return s.Metrics().PerShard[0].Queue == 0 })
+
+	bConn := mustDial(t, ln.Addr().String())
+	b := NewWireClient(bConn)
+	defer b.Close()
+	pairs := distinctMisses(cube, 64)
+	out := make([]WireRoute, len(pairs))
+	done := make(chan error, 1)
+	go func() { done <- b.RouteBatch(pairs, out) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		// Unblock whatever is stuck on A, and B's batch, before failing.
+		a.Close()
+		bConn.Close()
+		<-done
+		t.Fatal("B's misses unanswered after 1s behind a connection that does not read")
+	}
+	for i := range out {
+		if !out[i].Delivered() {
+			t.Fatalf("B slot %d: %+v", i, out[i])
+		}
+	}
+
+	// A's unsent replies are bounded: the threshold, plus what was in
+	// flight when its reader parked.
+	ws.mu.Lock()
+	most := 0
+	for _, wc := range ws.conns {
+		most = max(most, wc.out.queuedBytes())
+	}
+	ws.mu.Unlock()
+	if most > 512<<10 {
+		t.Fatalf("%d reply bytes queued for a connection that does not read, want <= 512 KiB", most)
+	}
+}
+
+// TestWireDrainWithQueuedMisses: Server.Shutdown and WireServer.Close
+// race queued misses. Every accepted miss is answered or its
+// connection closes, accepted == served, and every goroutine the
+// server and its connections started exits.
+func TestWireDrainWithQueuedMisses(t *testing.T) {
+	base := runtime.NumGoroutine()
+	cube := gc.New(8, 2)
+	s, held, release := heldServer(t, Config{Cube: cube, Shards: 1, CacheCapacity: -1})
+	defer release()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWireServer(s, ln)
+	served := make(chan error, 1)
+	go func() { served <- ws.Serve() }()
+
+	const conns, perConn = 2, 32
+	pairs := distinctMisses(cube, conns*perConn)
+	clients := make([]*WireClient, conns)
+	outs := make([][]WireRoute, conns)
+	errs := make(chan error, conns)
+	for i := range clients {
+		c := NewWireClient(mustDial(t, ln.Addr().String()))
+		defer c.Close()
+		clients[i], outs[i] = c, make([]WireRoute, perConn)
+		go func(i int) { errs <- clients[i].RouteBatch(pairs[i*perConn:(i+1)*perConn], outs[i]) }(i)
+	}
+	<-held
+	waitFor(t, "every miss to queue", func() bool { return s.Metrics().Accepted == conns*perConn })
+
+	shut := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shut <- s.Shutdown(ctx)
+	}()
+	closed := make(chan error, 1)
+	go func() { closed <- ws.Close() }()
+	waitFor(t, "the drain to begin", s.Draining)
+	release()
+
+	for i := 0; i < conns; i++ {
+		if err := <-errs; err != nil && !errors.Is(err, ErrConnClosed) {
+			t.Fatalf("batch: %v, want answers or a closed connection", err)
+		}
+	}
+	for i, out := range outs {
+		for j := range out {
+			if out[j].ErrCode == 0 && out[j].Outcome == 0 && out[j].Path == nil && out[j].Epoch == 0 {
+				continue // unanswered: its batch failed on the closed connection
+			}
+			if !out[j].Delivered() && out[j].ErrCode != wire.CodeDraining {
+				t.Fatalf("conn %d slot %d: %+v", i, j, out[j])
+			}
+		}
+	}
+	if err := <-shut; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	if m := s.Metrics(); m.Accepted != m.Served || m.Accepted != conns*perConn {
+		t.Fatalf("accepted=%d served=%d, want %d each", m.Accepted, m.Served, conns*perConn)
+	}
+	for _, c := range clients {
+		c.Close()
+	}
+	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// TestWireCoalescedFollowerDeadline: a wire miss coalesced onto a
+// leader held in the worker is answered canceled when its own
+// DeadlineMS dies, without waiting for the leader's verdict.
+func TestWireCoalescedFollowerDeadline(t *testing.T) {
+	cube := gc.New(8, 2)
+	s, held, release := heldServer(t, Config{Cube: cube, Shards: 1, CacheCapacity: -1})
+	defer release()
+	addr := startWire(t, s)
+	lead := make(chan error, 1)
+	go func() {
+		r, err := s.SubmitTree(context.Background(), 1, 200, core.TreeAuto)
+		if err == nil && (r.Err != nil || r.Report.Outcome != core.OutcomeDelivered) {
+			err = errors.New("leader not delivered")
+		}
+		lead <- err
+	}()
+	<-held
+
+	m := NewWireMux(addr, WireDialOptions{})
+	defer m.Close()
+	var out WireRoute
+	start := time.Now()
+	if err := m.Route(context.Background(), wire.RouteReq{Src: 1, Dst: 200, DeadlineMS: 20}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if core.Outcome(out.Outcome) != core.OutcomeCanceled || out.ErrCode != 0 {
+		t.Fatalf("follower: %+v, want canceled", out)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("follower answered after %v, want about its 20ms deadline", d)
+	}
+	if got := s.Metrics().Coalesced; got != 1 {
+		t.Fatalf("coalesced=%d, want the follower to have joined the held leader", got)
+	}
+	release()
+	if err := <-lead; err != nil {
+		t.Fatal(err)
+	}
+	if mm := s.Metrics(); mm.Accepted != 2 || mm.Served != 2 {
+		t.Fatalf("accepted=%d served=%d, want 2/2", mm.Accepted, mm.Served)
+	}
+}
+
+// TestCoalescedRetryAfterCanceledLeader: a follower whose leader dies
+// of the leader's own deadline while the follower is alive requeues
+// once and is served, instead of adopting the canceled verdict.
+func TestCoalescedRetryAfterCanceledLeader(t *testing.T) {
+	cube := gc.New(8, 2)
+	s, held, release := heldServer(t, Config{Cube: cube, Shards: 1})
+	defer release()
+	lctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	lead := make(chan *Response, 1)
+	go func() {
+		r, _ := s.SubmitTree(lctx, 1, 200, core.TreeAuto)
+		lead <- r
+	}()
+	<-held
+	follow := make(chan *Response, 1)
+	go func() {
+		r, _ := s.SubmitTree(context.Background(), 1, 200, core.TreeAuto)
+		follow <- r
+	}()
+	waitFor(t, "the follower to join", func() bool { return s.Metrics().Coalesced == 1 })
+	<-lctx.Done()
+	release()
+	if r := <-lead; r == nil || r.Report.Outcome != core.OutcomeCanceled {
+		t.Fatalf("leader: %+v, want canceled", r)
+	}
+	if r := <-follow; r == nil || r.Err != nil || r.Report.Outcome != core.OutcomeDelivered {
+		t.Fatalf("follower: %+v, want delivered after its retry", r)
+	}
+	if m := s.Metrics(); m.Accepted != 2 || m.Served != 2 {
+		t.Fatalf("accepted=%d served=%d, want 2/2 (leader, follower's requeue)", m.Accepted, m.Served)
+	}
+}
+
+func mustDial(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

@@ -19,10 +19,10 @@ import (
 // of requests in flight on one connection.
 //
 //   - Write combining: a caller appends its request frame to the
-//     connection's queue under a short mutex. If no write is in
-//     progress it becomes the writer and flushes the queue; otherwise
-//     the writer in progress picks its frame up on its next pass, so a
-//     burst of calls costs one syscall.
+//     connection's writeCombiner. If no write is in progress it becomes
+//     the writer and flushes the queue; otherwise the writer in
+//     progress picks its frame up on its next pass, so a burst of calls
+//     costs one syscall.
 //   - Id demux: one reader goroutine per connection matches each reply
 //     to its call by request id and decodes it into storage the call
 //     owns.
@@ -112,7 +112,7 @@ func (m *WireMux) roundTrip(ctx context.Context, call *muxCall) error {
 	if err != nil {
 		return err
 	}
-	id, err := mc.send(call, m.opts.CallTimeout)
+	id, err := mc.send(call)
 	if err != nil {
 		return err
 	}
@@ -161,7 +161,7 @@ func (m *WireMux) conn() (*muxConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	mc := &muxConn{c: c, pending: make(map[uint64]*muxCall)}
+	mc := &muxConn{c: c, out: newWriteCombiner(c, m.opts.CallTimeout), pending: make(map[uint64]*muxCall)}
 	m.cur.Store(mc)
 	m.readers.Add(1)
 	go func() {
@@ -175,20 +175,18 @@ func (m *WireMux) conn() (*muxConn, error) {
 type muxConn struct {
 	c    net.Conn
 	dead atomic.Bool // set first thing in tear
+	out  *writeCombiner
 
 	mu      sync.Mutex
 	err     error // why the connection was torn; nil while live
 	nextID  uint64
 	pending map[uint64]*muxCall
-	queued  []byte // frames waiting for the next write
-	spare   []byte // the buffer the writer in progress hands back
-	writing bool   // a caller is flushing queued on everyone's behalf
 }
 
 // send registers call under a fresh id and gets its frame written,
 // combined with any frames queued beside it. Once registered, the call
 // is answered through call.ready even if the write fails.
-func (mc *muxConn) send(call *muxCall, timeout time.Duration) (uint64, error) {
+func (mc *muxConn) send(call *muxCall) (uint64, error) {
 	mc.mu.Lock()
 	if mc.err != nil {
 		err := mc.err
@@ -198,38 +196,17 @@ func (mc *muxConn) send(call *muxCall, timeout time.Duration) (uint64, error) {
 	id := mc.nextID
 	mc.nextID++
 	mc.pending[id] = call
-	if call.mreq != nil {
-		mc.queued = wire.AppendMulticastReq(mc.queued, id, call.mreq)
-	} else {
-		mc.queued = wire.AppendRouteReq(mc.queued, id, call.req)
-	}
-	if mc.writing {
-		mc.mu.Unlock() // the writer in progress carries our frame
-		return id, nil
-	}
-	mc.writing = true
-	for len(mc.queued) > 0 {
-		buf := mc.queued
-		mc.queued = mc.spare[:0]
-		mc.mu.Unlock()
-		var err error
-		if timeout > 0 {
-			err = mc.c.SetWriteDeadline(time.Now().Add(timeout))
-		}
-		if err == nil {
-			_, err = mc.c.Write(buf)
-		}
-		mc.mu.Lock()
-		mc.spare = buf[:0]
-		if err != nil {
-			mc.writing = false
-			mc.mu.Unlock()
-			mc.tear(fmt.Errorf("%w: %v", ErrConnClosed, err))
-			return id, nil
-		}
-	}
-	mc.writing = false
 	mc.mu.Unlock()
+	b := mc.out.lock()
+	if call.mreq != nil {
+		b = wire.AppendMulticastReq(b, id, call.mreq)
+	} else {
+		b = wire.AppendRouteReq(b, id, call.req)
+	}
+	mc.out.unlock(b)
+	if err := mc.out.flush(nil, 0); err != nil {
+		mc.tear(fmt.Errorf("%w: %v", ErrConnClosed, err))
+	}
 	return id, nil
 }
 
@@ -368,4 +345,110 @@ func (c *muxCall) decode(t wire.Type, p []byte) error {
 	default:
 		return fmt.Errorf("unexpected reply type %d", t)
 	}
+}
+
+// writeCombiner is a connection's outbound queue, shared by both ends
+// of gcwire: a WireMux's forwarding callers, and a WireServer
+// connection's reader, shard workers and writer goroutine. Any number
+// of goroutines append frames under a short mutex; whoever flushes
+// while no write is in progress becomes the writer and loops until the
+// queue is empty, so every frame appended during a write leaves in the
+// next one. The mutex is never held across a syscall, so appending
+// never waits on the socket.
+type writeCombiner struct {
+	c       net.Conn
+	timeout time.Duration // per-write deadline; 0 for none
+
+	mu      sync.Mutex
+	drained sync.Cond    // broadcast when a writer takes the queue or stops
+	queued  []byte       // frames waiting for the next write
+	spare   []byte       // the buffer the writer in progress hands back
+	writing bool         // someone is flushing queued on everyone's behalf
+	err     error        // the first write error; later frames are dropped
+	backlog atomic.Int64 // len(queued), for the reader's lock-free bound check
+}
+
+func newWriteCombiner(c net.Conn, timeout time.Duration) *writeCombiner {
+	w := &writeCombiner{c: c, timeout: timeout}
+	w.drained.L = &w.mu
+	return w
+}
+
+// lock locks the queue and returns it for the caller to append frames
+// to; unlock stores the grown queue back and unlocks.
+func (w *writeCombiner) lock() []byte {
+	w.mu.Lock()
+	return w.queued
+}
+
+func (w *writeCombiner) unlock(b []byte) {
+	if w.err != nil {
+		b = b[:0] // the connection is dead: nobody will read these
+	}
+	w.queued = b
+	w.backlog.Store(int64(len(b)))
+	w.mu.Unlock()
+}
+
+// queuedBytes reports how many bytes wait behind the write in progress.
+func (w *writeCombiner) queuedBytes() int { return int(w.backlog.Load()) }
+
+// flush writes own (which may be empty) and everything queued, unless a
+// write is already in progress: then own is copied onto the queue, and
+// the writer in progress carries it. own is the caller's again on
+// return. With limit > 0, a caller that would leave more than limit
+// bytes queued behind a write in progress first waits for that write:
+// the producer that must not outrun its socket. flush returns the
+// connection's first write error.
+func (w *writeCombiner) flush(own []byte, limit int) error {
+	w.mu.Lock()
+	for limit > 0 && w.writing && w.err == nil && len(w.queued)+len(own) > limit {
+		w.drained.Wait()
+	}
+	if w.err != nil || w.writing {
+		if w.err == nil {
+			w.queued = append(w.queued, own...)
+			w.backlog.Store(int64(len(w.queued)))
+		}
+		err := w.err
+		w.mu.Unlock()
+		return err
+	}
+	w.writing = true
+	buf, taken := own, false
+	for {
+		if len(buf) == 0 {
+			if len(w.queued) == 0 {
+				break
+			}
+			buf, taken = w.queued, true
+			w.queued = w.spare[:0]
+			w.backlog.Store(0)
+			w.drained.Broadcast()
+		}
+		w.mu.Unlock()
+		var err error
+		if w.timeout > 0 {
+			err = w.c.SetWriteDeadline(time.Now().Add(w.timeout))
+		}
+		if err == nil {
+			_, err = w.c.Write(buf)
+		}
+		w.mu.Lock()
+		if taken {
+			w.spare = buf[:0]
+		}
+		buf, taken = nil, false
+		if err != nil {
+			w.err = err
+			w.queued = w.queued[:0]
+			w.backlog.Store(0)
+			break
+		}
+	}
+	w.writing = false
+	w.drained.Broadcast()
+	err := w.err
+	w.mu.Unlock()
+	return err
 }
