@@ -283,7 +283,7 @@ func BenchmarkRouteInto(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteCache measures the simulator's sharded LRU route cache
+// BenchmarkRouteCache measures the simulator's sharded CLOCK route cache
 // on a repeating pair workload (the permutation-traffic case it serves).
 func BenchmarkRouteCache(b *testing.B) {
 	cube := gc.New(14, 2)

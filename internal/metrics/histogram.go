@@ -117,18 +117,101 @@ func NewAtomicHistogram(lo, hi float64, buckets int) *AtomicHistogram {
 	}
 }
 
-// Add records one observation. Safe for concurrent use.
-func (h *AtomicHistogram) Add(x float64) {
+// index returns x's bucket: -1 below the range, Buckets() at or above
+// it.
+func (h *AtomicHistogram) index(x float64) int {
 	switch {
 	case x < h.lo:
-		h.under.Add(1)
+		return -1
 	case x >= h.lo+h.width*float64(len(h.buckets)):
+		return len(h.buckets)
+	}
+	return int((x - h.lo) / h.width)
+}
+
+// Add records one observation. Safe for concurrent use.
+func (h *AtomicHistogram) Add(x float64) {
+	switch i := h.index(x); {
+	case i < 0:
+		h.under.Add(1)
+	case i == len(h.buckets):
 		h.over.Add(1)
 	default:
-		h.buckets[int((x-h.lo)/h.width)].Add(1)
+		h.buckets[i].Add(1)
 	}
 	h.count.Add(1)
 	h.sumMilli.Add(int64(x * 1000))
+}
+
+// BufferBuckets is the widest histogram a HistogramBuffer can stage for.
+const BufferBuckets = 64
+
+// HistogramBuffer stages observations for an AtomicHistogram on one
+// goroutine, so a burst of observations costs plain increments plus one
+// Flush instead of three atomics each. Its bucket array is fixed-size:
+// a buffer is a plain value that needs no allocation, and its zero
+// value is empty. It serves histograms of at most BufferBuckets
+// buckets; staging for a wider one panics.
+type HistogramBuffer struct {
+	buckets [BufferBuckets]int64
+	// first and end bound the staged buckets, [first, end); end is 0
+	// while none is, so a Flush passes over only the buckets in use.
+	first, end         int
+	under, over, count int64
+	sumMilli           int64
+}
+
+// Stage records x into b, bucketed by h's shape, without touching h.
+// b is h's alone until the Flush that publishes it.
+func (h *AtomicHistogram) Stage(b *HistogramBuffer, x float64) {
+	switch i := h.index(x); {
+	case i < 0:
+		b.under++
+	case i == len(h.buckets):
+		b.over++
+	default:
+		switch {
+		case b.end == 0:
+			b.first, b.end = i, i+1
+		case i < b.first:
+			b.first = i
+		case i >= b.end:
+			b.end = i + 1
+		}
+		b.buckets[i]++
+	}
+	b.count++
+	b.sumMilli += int64(x * 1000)
+}
+
+// Flush publishes everything staged in b into h in one pass, one atomic
+// add per non-empty bucket plus the count and the sum, and empties b,
+// which must hold only h's observations. Safe for concurrent use with
+// h's other writers and readers; a concurrent Snapshot may see part of
+// a flush, as with concurrent Adds.
+func (h *AtomicHistogram) Flush(b *HistogramBuffer) {
+	if b.count == 0 {
+		return
+	}
+	staged := b.buckets[b.first:b.end]
+	for i, n := range staged {
+		if n != 0 {
+			h.buckets[b.first+i].Add(n)
+		}
+	}
+	clear(staged)
+	if b.under != 0 {
+		h.under.Add(b.under)
+	}
+	if b.over != 0 {
+		h.over.Add(b.over)
+	}
+	h.count.Add(b.count)
+	if b.sumMilli != 0 {
+		h.sumMilli.Add(b.sumMilli)
+	}
+	b.first, b.end = 0, 0
+	b.under, b.over, b.count, b.sumMilli = 0, 0, 0, 0
 }
 
 // Count returns the number of observations.

@@ -131,6 +131,49 @@ func TestAtomicHistogramConcurrentAddsAreExact(t *testing.T) {
 	}
 }
 
+// TestAtomicHistogramFlushMatchesAdd: goroutines that stage into their
+// own buffers and flush every few observations leave the histogram
+// exactly as direct Adds of the same observations would, out-of-range
+// values and the sum included.
+func TestAtomicHistogramFlushMatchesAdd(t *testing.T) {
+	const goroutines = 8
+	const perG = 5000
+	direct := NewAtomicHistogram(0, 64, 16)
+	staged := NewAtomicHistogram(0, 64, 16)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g) + 1))
+			var b HistogramBuffer
+			for i := 0; i < perG; i++ {
+				x := float64(rng.Intn(80)-8) + 0.25
+				direct.Add(x)
+				staged.Stage(&b, x)
+				if i%37 == 0 {
+					staged.Flush(&b)
+				}
+			}
+			staged.Flush(&b)
+			if b != (HistogramBuffer{}) {
+				t.Error("Flush left the buffer non-empty")
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i := 0; i < direct.Buckets(); i++ {
+		if direct.Bucket(i) != staged.Bucket(i) {
+			t.Fatalf("bucket %d: staged %d, direct %d", i, staged.Bucket(i), direct.Bucket(i))
+		}
+	}
+	d, s := direct.Snapshot(), staged.Snapshot()
+	if d.Under() != s.Under() || d.Over() != s.Over() || direct.Count() != staged.Count() || direct.Sum() != staged.Sum() {
+		t.Fatalf("staged under/over/count/sum %d/%d/%d/%v, direct %d/%d/%d/%v",
+			s.Under(), s.Over(), staged.Count(), staged.Sum(), d.Under(), d.Over(), direct.Count(), direct.Sum())
+	}
+}
+
 func TestAtomicHistogramMergeAtomic(t *testing.T) {
 	a := NewAtomicHistogram(0, 10, 5)
 	b := NewAtomicHistogram(0, 10, 5)

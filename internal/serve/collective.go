@@ -144,9 +144,8 @@ func (s *Server) processCollective(sh *shard, rs *shardRouters, t *task) {
 		s.finishCollective(sh, t, CollectiveResponse{Report: s.canceledCollective(t), Epoch: rs.es.epoch})
 		return
 	}
-	n := sh.seq.Add(1)
 	r := rs.coll
-	if sh.ring != nil && s.cfg.TraceEvery > 0 && n%uint64(s.cfg.TraceEvery) == 0 {
+	if n, sampled := s.sample(sh); sampled {
 		sh.sampled.Inc()
 		sh.ring.Emit(trace.Event{Kind: trace.KindPacket, From: uint32(t.src), To: uint32(t.src), Arg: int32(n)})
 		r = rs.collTraced

@@ -265,7 +265,7 @@ type shard struct {
 	// co merges identical in-flight planner requests (see SubmitTree).
 	co coalescer
 
-	seq         atomic.Uint64 // served ordinal, drives sampling
+	seq         atomic.Uint64 // sampling ordinal; advanced only with tracing on
 	served      metrics.Counter
 	cacheHits   metrics.Counter
 	cacheMisses metrics.Counter
@@ -822,10 +822,26 @@ type CachedAnswer struct {
 // copy-on-write fault swap atomically invalidates fast-path answers: a
 // hit is guaranteed planned against exactly the fault state it is
 // served under. A hit is fully accounted (accepted, served, outcomes,
-// hops, latency, sampling) exactly like a worker-served request.
+// hops, latency, sampling) exactly like a worker-served request, and at
+// once: it is the lookup a gcwire reader makes plus the publish of a
+// one-hit tally (see hitTally), which the reader defers to its next
+// write.
 func (s *Server) FastRouteTree(src, dst gc.NodeID, tree int) (CachedAnswer, bool) {
+	sh, ans, ok := s.lookupHit(src, dst, tree)
+	if ok {
+		var one shardHits
+		one.add(sh, &ans)
+		s.publishHits(sh, &one)
+		s.countTree(ans.Tree)
+	}
+	return ans, ok
+}
+
+// lookupHit is FastRouteTree's cache lookup without the hit's
+// accounting: the caller owes it to the answer's shard, sh.
+func (s *Server) lookupHit(src, dst gc.NodeID, tree int) (*shard, CachedAnswer, bool) {
 	if s.cfg.Adaptive || s.drain.Load() {
-		return CachedAnswer{}, false
+		return nil, CachedAnswer{}, false
 	}
 	if s.jphase.Load() == jstateReplay {
 		// During the startup replay every answer must carry the degraded
@@ -833,23 +849,23 @@ func (s *Server) FastRouteTree(src, dst gc.NodeID, tree int) (CachedAnswer, bool
 		// One predictable-branch atomic load is the entire hot-path cost
 		// of journaling; with no journal (or once caught up) the phase
 		// word never changes.
-		return CachedAnswer{}, false
+		return nil, CachedAnswer{}, false
 	}
 	if s.stale.Load() != nil {
 		// Behind the cluster gossip frontier: same funneling as the
 		// replay window — every answer must carry the stale-epoch
 		// degrade marking, which only SubmitLocalTree can apply.
-		return CachedAnswer{}, false
+		return nil, CachedAnswer{}, false
 	}
 	if int(src) >= s.cube.Nodes() || int(dst) >= s.cube.Nodes() {
-		return CachedAnswer{}, false
+		return nil, CachedAnswer{}, false
 	}
 	if s.validateTree(tree) != nil {
-		return CachedAnswer{}, false
+		return nil, CachedAnswer{}, false
 	}
 	sh := s.shardFor(src)
 	if sh.cache == nil {
-		return CachedAnswer{}, false
+		return nil, CachedAnswer{}, false
 	}
 	rt := s.resolveTree(src, dst, tree)
 	rs := sh.state.Load()
@@ -860,29 +876,105 @@ func (s *Server) FastRouteTree(src, dst gc.NodeID, tree int) (CachedAnswer, bool
 		// only stores delivered (non-empty) paths, but an empty one would
 		// underflow every hops computation downstream, so it is treated
 		// as a miss rather than trusted.
-		return CachedAnswer{}, false
+		return nil, CachedAnswer{}, false
 	}
-	n := sh.seq.Add(1)
-	if sh.ring != nil && s.cfg.TraceEvery > 0 && n%uint64(s.cfg.TraceEvery) == 0 {
+	if n, sampled := s.sample(sh); sampled {
 		sh.sampled.Inc()
 		sh.ring.Emit(trace.Event{Kind: trace.KindPacket, From: uint32(src), To: uint32(dst), Arg: int32(n)})
 		sh.ring.Emit(trace.Event{Kind: trace.KindCacheHit, From: uint32(src), To: uint32(dst)})
 	}
-	sh.cacheHits.Inc()
-	sh.fastHits.Inc()
-	s.accepted.Inc()
-	sh.served.Inc()
+	return sh, CachedAnswer{Path: path, Epoch: rs.es.epoch, DetourHops: int(tag), Tree: rt}, true
+}
+
+// sample advances sh's sampling ordinal and reports it and whether the
+// request it numbers is traced. With tracing off it touches no shared
+// state.
+func (s *Server) sample(sh *shard) (uint64, bool) {
+	if sh.ring == nil || s.cfg.TraceEvery <= 0 {
+		return 0, false
+	}
+	n := sh.seq.Add(1)
+	return n, n%uint64(s.cfg.TraceEvery) == 0
+}
+
+// hitTally is one gcwire reader's accounting of the cache hits it has
+// answered but not yet written, indexed by shard. The reader counts on
+// its own goroutine and publishes the tally just before each write of
+// its replies (handleConn's flush), so a burst costs a few atomics per
+// shard rather than a dozen per hit, and no client can read a reply
+// that Served has not counted.
+type hitTally struct {
+	shards []shardHits
+	trees  []int64 // hits per multipath tree; nil on a single-tree server
+}
+
+// shardHits is one shard's share of unpublished fast-path hits.
+type shardHits struct {
+	hits, degraded int64
+	latency, hops  metrics.HistogramBuffer
+}
+
+func (s *Server) newHitTally() hitTally {
+	t := hitTally{shards: make([]shardHits, len(s.shards))}
+	if s.trees != nil {
+		t.trees = make([]int64, s.trees.K())
+	}
+	return t
+}
+
+// add counts one hit of shard sh.
+func (t *hitTally) add(sh *shard, a *CachedAnswer) {
+	t.shards[sh.id].add(sh, a)
+	if a.Tree >= 0 && a.Tree < len(t.trees) {
+		t.trees[a.Tree]++
+	}
+}
+
+// publish moves every count into the shared counters and empties t.
+func (t *hitTally) publish(s *Server) {
+	for i := range t.shards {
+		if t.shards[i].hits > 0 {
+			s.publishHits(s.shards[i], &t.shards[i])
+		}
+	}
+	for i, n := range t.trees {
+		if n > 0 {
+			s.treeServed[i].Add(n)
+			t.trees[i] = 0
+		}
+	}
+}
+
+// add stages one hit of sh.
+func (h *shardHits) add(sh *shard, a *CachedAnswer) {
+	h.hits++
+	if a.DetourHops > 0 {
+		h.degraded++
+	}
 	// Answered synchronously on the submitter: the service latency is
 	// sub-microsecond by construction, i.e. bucket zero.
-	sh.latency.Add(0)
-	out := core.OutcomeDelivered
-	if tag > 0 {
-		out = core.OutcomeDeliveredDegraded
+	sh.latency.Stage(&h.latency, 0)
+	sh.hops.Stage(&h.hops, float64(len(a.Path)-1))
+}
+
+// publishHits is the one accounting routine of fast-path hits: it adds
+// h into sh's shared counters and histograms and empties h. Accepted is
+// added before Served, so a scrape never sees more served than
+// accepted.
+func (s *Server) publishHits(sh *shard, h *shardHits) {
+	s.accepted.Add(h.hits)
+	sh.served.Add(h.hits)
+	sh.cacheHits.Add(h.hits)
+	sh.fastHits.Add(h.hits)
+	if d := h.hits - h.degraded; d > 0 {
+		sh.outcomes[int(core.OutcomeDelivered)].Add(d)
 	}
-	sh.outcomes[int(out)].Inc()
-	s.countTree(rt)
-	sh.hops.Add(float64(len(path) - 1))
-	return CachedAnswer{Path: path, Epoch: rs.es.epoch, DetourHops: int(tag), Tree: rt}, true
+	if h.degraded > 0 {
+		sh.outcomes[int(core.OutcomeDeliveredDegraded)].Add(h.degraded)
+	}
+	sh.latency.Flush(&h.latency)
+	sh.hops.Flush(&h.hops)
+	h.hits, h.degraded = 0, 0
 }
 
 // responseFromCached lifts a fast-path verdict into the Response
@@ -949,8 +1041,7 @@ func (s *Server) process(sh *shard, rs *shardRouters, t *task, rb *replyBatch) {
 		s.finish(sh, t, Response{Report: rep, Epoch: rs.es.epoch}, rb)
 		return
 	}
-	n := sh.seq.Add(1)
-	sampled := sh.ring != nil && s.cfg.TraceEvery > 0 && n%uint64(s.cfg.TraceEvery) == 0
+	n, sampled := s.sample(sh)
 
 	// rt is the tree the plan lives under — the explicit pin, or the
 	// flow stripe the auto routers resolve internally (same hash).

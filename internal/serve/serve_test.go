@@ -472,3 +472,33 @@ func runServeBatchBench(b *testing.B, cfg Config) {
 		b.Fatalf("served %d < %d submitted", m.Served, b.N)
 	}
 }
+
+// BenchmarkFastRouteTreeParallel measures FastRouteTree alone: parallel
+// callers hitting a warmed route cache on GC(10,2^3), each hit
+// published at once. A hit allocates nothing.
+func BenchmarkFastRouteTreeParallel(b *testing.B) {
+	cube := gc.New(10, 3)
+	s := mustServer(b, Config{Cube: cube, CacheCapacity: 1 << 16})
+	rng := rand.New(rand.NewSource(42))
+	pairs := make([][2]gc.NodeID, 4096)
+	for i := range pairs {
+		pairs[i] = [2]gc.NodeID{gc.NodeID(rng.Intn(cube.Nodes())), gc.NodeID(rng.Intn(cube.Nodes()))}
+		if _, err := s.SubmitTree(context.Background(), pairs[i][0], pairs[i][1], core.TreeAuto); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var seed atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(seed.Add(1)) * 977
+		for pb.Next() {
+			p := pairs[i%len(pairs)]
+			i++
+			if _, ok := s.FastRouteTree(p[0], p[1], core.TreeAuto); !ok {
+				b.Error("warmed pair missed")
+				return
+			}
+		}
+	})
+}

@@ -22,10 +22,15 @@ import (
 // The throughput design is one reader goroutine per connection that
 // answers every cache hit itself: frames are decoded straight off the
 // connection's buffered reader, each RouteReq first tries the
-// Server.FastRouteTree cache-hit fast path, and hits are encoded into a
+// Server.FastRouteTree cache lookup, and hits are encoded into a
 // per-connection write buffer that is flushed in one syscall once the
-// reader has drained what the client pipelined. A steady-state hit
-// therefore costs zero heap allocations and no goroutine switch.
+// reader has drained what the client pipelined. The reader accounts
+// its hits in a private per-shard tally and publishes it into the
+// shared counters just before each flush's write, so a burst of hits
+// writes shared state a few times per shard, not a dozen times per
+// hit, and every reply a client reads is already counted served. A
+// steady-state hit therefore costs zero heap allocations and no
+// goroutine switch.
 //
 // A miss costs no goroutine either: the reader enqueues it (coalescer,
 // shard queue) with the connection as its completion target, and the
@@ -233,7 +238,12 @@ func (ws *WireServer) handleConn(c net.Conn, wc *wireConn) {
 	// stalls its own reader, never a shard worker.
 	flushAt := 256 << 10
 
+	// hits accounts the reader's cache hits. It is published before every
+	// write of the replies they answer, so a client never reads a reply
+	// that Served has not counted.
+	hits := ws.srv.newHitTally()
 	flush := func() bool {
+		hits.publish(ws.srv)
 		err := wc.out.flush(wbuf, flushAt)
 		wbuf = wbuf[:0]
 		return err == nil
@@ -274,7 +284,8 @@ read:
 			if req.Flags&wire.RouteFlagTree != 0 {
 				tree = int(req.Tree)
 			}
-			if ans, ok := ws.srv.FastRouteTree(req.Src, req.Dst, tree); ok {
+			if sh, ans, ok := ws.srv.lookupHit(req.Src, req.Dst, tree); ok {
+				hits.add(sh, &ans)
 				res.Outcome = uint8(core.OutcomeDelivered)
 				res.Flags = wire.FlagCacheHit
 				res.Reason = res.Reason[:0]

@@ -180,6 +180,153 @@ func TestWireMalformedStream(t *testing.T) {
 	}
 }
 
+// gatedListener hands out connections whose every Write, once its bytes
+// are on the socket, announces their count on wrote and then waits for
+// release (or done): a test can read one write's replies and scrape the
+// server while the server is still inside that write.
+type gatedListener struct {
+	net.Listener
+	wrote   chan int
+	release chan struct{}
+	done    chan struct{}
+}
+
+func (l *gatedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &gatedConn{Conn: c, l: l}, nil
+}
+
+type gatedConn struct {
+	net.Conn
+	l *gatedListener
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	select {
+	case c.l.wrote <- n:
+		select {
+		case <-c.l.release:
+		case <-c.l.done:
+		}
+	case <-c.l.done:
+	}
+	return n, err
+}
+
+// TestWireHitsAccountedBeforeReply: the reader's per-burst hit
+// accounting is published before the write that carries the replies.
+// Pipelined batches of warmed hits go over one connection whose server
+// side is held inside each write until the test has read that write's
+// replies and scraped the server: Served and FastPathHits must already
+// count every route answered so far. Once quiescent, accepted == served
+// and the latency histogram counts every served request once.
+func TestWireHitsAccountedBeforeReply(t *testing.T) {
+	cube := gc.New(8, 2)
+	s := mustServer(t, Config{Cube: cube, Shards: 2, CacheCapacity: 1024})
+	rng := rand.New(rand.NewSource(3))
+	pairs := make([][2]gc.NodeID, 48)
+	for i := range pairs {
+		pairs[i] = [2]gc.NodeID{gc.NodeID(rng.Intn(cube.Nodes())), gc.NodeID(rng.Intn(cube.Nodes()))}
+		if _, err := s.SubmitTree(context.Background(), pairs[i][0], pairs[i][1], core.TreeAuto); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := s.Metrics()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl := &gatedListener{Listener: ln, wrote: make(chan int), release: make(chan struct{}), done: make(chan struct{})}
+	ws := NewWireServer(s, gl)
+	go func() { _ = ws.Serve() }()
+	var closeOnce sync.Once
+	shut := func() {
+		closeOnce.Do(func() {
+			close(gl.done)
+			_ = ws.Close()
+		})
+	}
+	t.Cleanup(shut)
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	var (
+		req, rbuf []byte
+		res       wire.RouteResult
+		answered  int64
+	)
+	for batch := 0; batch < 16; batch++ {
+		req = req[:0]
+		for i, p := range pairs {
+			req = wire.AppendRouteReq(req, uint64(batch*len(pairs)+i), wire.RouteReq{Src: p[0], Dst: p[1]})
+		}
+		if _, err := conn.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		for got := 0; got < len(pairs); {
+			var n int
+			select {
+			case n = <-gl.wrote:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("batch %d: no reply write after %d replies", batch, got)
+			}
+			if cap(rbuf) < n {
+				rbuf = make([]byte, n)
+			}
+			rbuf = rbuf[:n]
+			if _, err := io.ReadFull(conn, rbuf); err != nil {
+				t.Fatal(err)
+			}
+			for off := 0; off < n; {
+				h, err := wire.ParseHeader(rbuf[off:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				body := rbuf[off+wire.HeaderSize : off+wire.HeaderSize+int(h.Len)]
+				if h.Type != wire.TypeRouteResult {
+					t.Fatalf("reply type %v, want a route result", h.Type)
+				}
+				if err := wire.DecodeRouteResult(body, &res); err != nil {
+					t.Fatal(err)
+				}
+				if res.Flags&wire.FlagCacheHit == 0 {
+					t.Fatalf("reply %d is not a cache hit", h.ID)
+				}
+				off += wire.HeaderSize + int(h.Len)
+				got++
+				answered++
+			}
+			m := s.Metrics()
+			if served, fast := m.Served-base.Served, m.FastPathHits-base.FastPathHits; served < answered || fast < answered {
+				t.Fatalf("batch %d: client read %d replies, server counts served %d, fast-path hits %d",
+					batch, answered, served, fast)
+			}
+			gl.release <- struct{}{}
+		}
+	}
+
+	conn.Close()
+	shut()
+	m := s.Metrics()
+	if m.Accepted != m.Served {
+		t.Fatalf("quiescent: accepted %d != served %d", m.Accepted, m.Served)
+	}
+	if c := m.Latency.Stats().Count(); c != m.Served {
+		t.Fatalf("quiescent: latency count %d != served %d", c, m.Served)
+	}
+	if m.FastPathHits-base.FastPathHits != answered {
+		t.Fatalf("fast-path hits %d, want %d", m.FastPathHits-base.FastPathHits, answered)
+	}
+}
+
 // TestCoalescerSoak is the tentpole's -race battery: a small pair set
 // with the cache disabled forces heavy coalescing while a churner
 // drives copy-on-write fault epochs. Every delivered response is

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"gaussiancube/internal/gc"
@@ -60,4 +61,33 @@ func BenchmarkRunWormhole(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRouteCacheParallel measures token-checked hits over a warmed
+// route cache from parallel readers, the lookup the serving fast path
+// makes per request. A hit allocates nothing.
+func BenchmarkRouteCacheParallel(b *testing.B) {
+	const token = 7
+	c := NewRouteCache(1 << 16)
+	c.InvalidateTo(token)
+	rng := rand.New(rand.NewSource(42))
+	keys := make([][2]gc.NodeID, 4096)
+	for i := range keys {
+		keys[i] = [2]gc.NodeID{gc.NodeID(rng.Intn(1 << 10)), gc.NodeID(rng.Intn(1 << 10))}
+		c.PutTagged(keys[i][0], keys[i][1], -1, []gc.NodeID{keys[i][0], keys[i][1]}, 0, token)
+	}
+	var seed atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(seed.Add(1)) * 977
+		for pb.Next() {
+			k := keys[i%len(keys)]
+			i++
+			if _, _, ok := c.GetTagged(k[0], k[1], -1, token); !ok {
+				b.Error("warmed key missed")
+				return
+			}
+		}
+	})
 }

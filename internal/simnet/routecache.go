@@ -7,12 +7,19 @@ import (
 	"gaussiancube/internal/gc"
 )
 
-// RouteCache is a bounded, sharded LRU cache of computed routes keyed by
-// (source, destination). It replaces the unbounded per-run route map:
-// shards keep lock contention low when the cache is shared by concurrent
-// simulations (the parallel sweep workers of internal/experiments), and
-// the per-shard LRU bound keeps memory flat under long permutation
-// workloads.
+// RouteCache is a bounded, sharded cache of computed routes keyed by
+// (source, destination), evicting by CLOCK (second chance). It replaces
+// the unbounded per-run route map: shards keep lock contention low when
+// the cache is shared by concurrent simulations (the parallel sweep
+// workers of internal/experiments) or serving goroutines, and the
+// per-shard bound keeps memory flat under long permutation workloads.
+//
+// A hit takes only its shard's read lock and sets the entry's reference
+// bit (storing it only when it is clear), so concurrent readers of a
+// shard never serialize and a hot entry's cache line stays shared. A
+// Put into a full shard sweeps the shard's list from the tail under the
+// write lock: a referenced entry has its bit cleared and goes back to
+// the head, and the first unreferenced one is recycled.
 //
 // The key does not encode the topology or the fault configuration, so a
 // cache shared across runs (or across fault transitions within one run)
@@ -49,14 +56,17 @@ type routeKey struct {
 }
 
 type cacheEntry struct {
-	key        routeKey
-	path       []gc.NodeID
-	tag        uint32      // caller-defined metadata (see PutTagged)
-	prev, next *cacheEntry // LRU list; head is most recently used
+	key  routeKey
+	path []gc.NodeID
+	tag  uint32 // caller-defined metadata (see PutTagged)
+	// ref is the CLOCK reference bit: set by hits under the shard's read
+	// lock, cleared by the eviction sweep under its write lock.
+	ref        atomic.Bool
+	prev, next *cacheEntry // the CLOCK ring; the sweep starts at the tail
 }
 
 type cacheShard struct {
-	mu         sync.Mutex
+	mu         sync.RWMutex
 	capacity   int
 	table      map[routeKey]*cacheEntry
 	head, tail *cacheEntry
@@ -132,9 +142,9 @@ func (c *RouteCache) shard(k routeKey) *cacheShard {
 	return &c.shards[h%cacheShards]
 }
 
-// Get returns the single-tree cached path for (s, d) and marks it most
-// recently used. The returned slice is shared; callers must not modify
-// it. Multipath consumers use GetTree.
+// Get returns the single-tree cached path for (s, d) and marks it
+// referenced. The returned slice is shared; callers must not modify it.
+// Multipath consumers use GetTree.
 func (c *RouteCache) Get(s, d gc.NodeID) ([]gc.NodeID, bool) {
 	return c.GetTree(s, d, -1)
 }
@@ -145,22 +155,15 @@ func (c *RouteCache) Get(s, d gc.NodeID) ([]gc.NodeID, bool) {
 func (c *RouteCache) GetTree(s, d gc.NodeID, tree int) ([]gc.NodeID, bool) {
 	k := routeKey{s, d, int16(tree)}
 	sh := c.shard(k)
-	sh.mu.Lock()
-	e, ok := sh.table[k]
-	var path []gc.NodeID
-	if ok {
-		// Copy the slice header while still locked: an eviction in a
-		// concurrent Put may recycle e and overwrite its path.
-		path = e.path
-		sh.moveToFront(e)
-	}
-	sh.mu.Unlock()
+	sh.mu.RLock()
+	path, _, ok := sh.lookup(k)
+	sh.mu.RUnlock()
 	return path, ok
 }
 
-// Put stores the single-tree path for (s, d), evicting the least
-// recently used entry of the shard when it is full. The cache takes
-// ownership of path as a shared read-only slice.
+// Put stores the single-tree path for (s, d), evicting by CLOCK when
+// the shard is full. The cache takes ownership of path as a shared
+// read-only slice.
 func (c *RouteCache) Put(s, d gc.NodeID, path []gc.NodeID) {
 	c.PutTree(s, d, -1, path)
 }
@@ -171,25 +174,7 @@ func (c *RouteCache) PutTree(s, d gc.NodeID, tree int, path []gc.NodeID) {
 	k := routeKey{s, d, int16(tree)}
 	sh := c.shard(k)
 	sh.mu.Lock()
-	if e, ok := sh.table[k]; ok {
-		e.path = path
-		sh.moveToFront(e)
-		sh.mu.Unlock()
-		return
-	}
-	var e *cacheEntry
-	if len(sh.table) >= sh.capacity {
-		// Recycle the evicted tail entry instead of allocating.
-		e = sh.tail
-		sh.unlink(e)
-		delete(sh.table, e.key)
-	} else {
-		e = &cacheEntry{}
-	}
-	e.key = k
-	e.path = path
-	sh.table[k] = e
-	sh.pushFront(e)
+	sh.store(k, path, 0)
 	sh.mu.Unlock()
 }
 
@@ -197,27 +182,20 @@ func (c *RouteCache) PutTree(s, d gc.NodeID, tree int, path []gc.NodeID) {
 // path: it returns the cached path and its tag only when the cache is
 // currently stamped with token, so a hit is guaranteed to have been
 // planned against exactly the fault state the caller loaded. The token
-// comparison happens inside the shard lock, pairing with InvalidateTo's
-// stamp-before-clear ordering. tree scopes the lookup to one multipath
-// tree (-1 single-tree), exactly as in GetTree.
+// comparison happens inside the shard's read lock, pairing with
+// InvalidateTo's stamp-before-clear ordering: the clear takes the write
+// lock, so a reader either finishes before it or sees the new stamp.
+// tree scopes the lookup to one multipath tree (-1 single-tree),
+// exactly as in GetTree.
 func (c *RouteCache) GetTagged(s, d gc.NodeID, tree int, token uint64) ([]gc.NodeID, uint32, bool) {
 	k := routeKey{s, d, int16(tree)}
 	sh := c.shard(k)
-	sh.mu.Lock()
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	if c.epoch.Load() != token {
-		sh.mu.Unlock()
 		return nil, 0, false
 	}
-	e, ok := sh.table[k]
-	var path []gc.NodeID
-	var tag uint32
-	if ok {
-		path = e.path
-		tag = e.tag
-		sh.moveToFront(e)
-	}
-	sh.mu.Unlock()
-	return path, tag, ok
+	return sh.lookup(k)
 }
 
 // PutTagged stores the path with a caller-defined tag word (the serving
@@ -234,25 +212,7 @@ func (c *RouteCache) PutTagged(s, d gc.NodeID, tree int, path []gc.NodeID, tag u
 	if c.epoch.Load() != token {
 		return
 	}
-	if e, ok := sh.table[k]; ok {
-		e.path = path
-		e.tag = tag
-		sh.moveToFront(e)
-		return
-	}
-	var e *cacheEntry
-	if len(sh.table) >= sh.capacity {
-		e = sh.tail
-		sh.unlink(e)
-		delete(sh.table, e.key)
-	} else {
-		e = &cacheEntry{}
-	}
-	e.key = k
-	e.path = path
-	e.tag = tag
-	sh.table[k] = e
-	sh.pushFront(e)
+	sh.store(k, path, tag)
 }
 
 // Len returns the current number of cached routes.
@@ -260,11 +220,64 @@ func (c *RouteCache) Len() int {
 	n := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.mu.Lock()
+		sh.mu.RLock()
 		n += len(sh.table)
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 	}
 	return n
+}
+
+// lookup returns k's path and tag and sets its reference bit. The bit
+// is stored only when it is clear, so hits on a hot entry stay reads.
+// The slice header is copied under the lock: once the lock is released
+// an eviction may recycle the entry and overwrite its path. Called with
+// sh.mu held, read or write.
+func (sh *cacheShard) lookup(k routeKey) ([]gc.NodeID, uint32, bool) {
+	e, ok := sh.table[k]
+	if !ok {
+		return nil, 0, false
+	}
+	if !e.ref.Load() {
+		e.ref.Store(true)
+	}
+	return e.path, e.tag, true
+}
+
+// store inserts or overwrites k. An overwrite counts as a use; an
+// insert into a full shard recycles the CLOCK victim instead of
+// allocating. Called with sh.mu write-locked.
+func (sh *cacheShard) store(k routeKey, path []gc.NodeID, tag uint32) {
+	if e, ok := sh.table[k]; ok {
+		e.path, e.tag = path, tag
+		e.ref.Store(true)
+		return
+	}
+	var e *cacheEntry
+	if len(sh.table) >= sh.capacity {
+		e = sh.evict()
+	} else {
+		e = &cacheEntry{}
+	}
+	e.key, e.path, e.tag = k, path, tag
+	sh.table[k] = e
+	sh.pushFront(e)
+}
+
+// evict sweeps the list from the tail as a CLOCK ring and unlinks the
+// first unreferenced entry. Each referenced entry it passes has its bit
+// cleared and moves to the head, its second chance, so the sweep ends
+// within one lap. Called with sh.mu write-locked on a non-empty shard.
+func (sh *cacheShard) evict() *cacheEntry {
+	for {
+		e := sh.tail
+		sh.unlink(e)
+		if !e.ref.Load() {
+			delete(sh.table, e.key)
+			return e
+		}
+		e.ref.Store(false)
+		sh.pushFront(e)
+	}
 }
 
 func (sh *cacheShard) pushFront(e *cacheEntry) {
@@ -291,12 +304,4 @@ func (sh *cacheShard) unlink(e *cacheEntry) {
 		sh.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
-}
-
-func (sh *cacheShard) moveToFront(e *cacheEntry) {
-	if sh.head == e {
-		return
-	}
-	sh.unlink(e)
-	sh.pushFront(e)
 }

@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gaussiancube/internal/gc"
@@ -53,6 +55,144 @@ func TestRouteCacheLRU(t *testing.T) {
 	}
 	if got := c2.Len(); got != 2 {
 		t.Fatalf("Len = %d after overwrite, want 2", got)
+	}
+}
+
+// TestRouteCacheSecondChance pins the CLOCK victim order: a full
+// shard's sweep starts at the tail, gives each referenced entry a
+// second chance (bit cleared, moved to the head) and recycles the first
+// unreferenced one. The order differs from LRU's: after hits on k2 then
+// k1, LRU would next evict k2, CLOCK evicts k1.
+func TestRouteCacheSecondChance(t *testing.T) {
+	c := NewRouteCache(3 * cacheShards) // three entries per shard
+	k := func(i int) routeKey { return routeKey{s: gc.NodeID(16 * i), d: 1, tree: -1} }
+	sh := c.shard(k(1))
+	for i := 2; i <= 6; i++ {
+		if c.shard(k(i)) != sh {
+			t.Fatal("test keys do not share a shard")
+		}
+	}
+	put := func(i int) { c.Put(k(i).s, k(i).d, []gc.NodeID{k(i).s}) }
+	// ring lists the shard head to tail, one test-key index per entry,
+	// without touching any reference bit.
+	ring := func() []int {
+		var out []int
+		for e := sh.head; e != nil; e = e.next {
+			out = append(out, int(e.key.s)/16)
+		}
+		return out
+	}
+	want := func(step string, order ...int) {
+		t.Helper()
+		got := ring()
+		if len(got) != len(order) {
+			t.Fatalf("%s: ring %v, want %v", step, got, order)
+		}
+		for i := range got {
+			if got[i] != order[i] {
+				t.Fatalf("%s: ring %v, want %v", step, got, order)
+			}
+		}
+	}
+
+	put(1)
+	put(2)
+	put(3)
+	want("fill", 3, 2, 1)
+	c.Get(k(2).s, k(2).d)
+	c.Get(k(1).s, k(1).d)
+	put(4) // k1 and k2 get their second chance; k3 is the victim
+	want("first sweep", 4, 2, 1)
+	put(5) // every bit is clear again: the tail, k1, goes
+	want("second sweep", 5, 4, 2)
+	c.Get(k(2).s, k(2).d)
+	put(6) // k2 is spared once more, k4 goes
+	want("third sweep", 6, 2, 5)
+	if c.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", c.Len())
+	}
+}
+
+// TestRouteCacheEpochSoak races token-checked hits against fault swaps
+// on a cache small enough that CLOCK sweeps run throughout (run under
+// -race in CI). A writer alternates InvalidateTo and PutTagged of paths
+// specific to each token, recording them before the stamp, and
+// publishes each token only once InvalidateTo returns, as the serving
+// layer's fault swap does; readers call GetTagged with the token they
+// loaded. Every hit must return exactly the path and tag put under its
+// own token: a hit served across a swap or from a recycled entry would
+// carry another token's path.
+func TestRouteCacheEpochSoak(t *testing.T) {
+	const (
+		pairs   = 96
+		epochs  = 200
+		readers = 4
+	)
+	c := NewRouteCache(64) // four entries per shard
+	var (
+		mu      sync.RWMutex
+		want    = map[uint64][][]gc.NodeID{}
+		current atomic.Uint64
+	)
+	stop := make(chan struct{})
+	go func() {
+		defer close(stop)
+		rng := rand.New(rand.NewSource(5))
+		for token := uint64(1); token <= epochs; token++ {
+			paths := make([][]gc.NodeID, pairs)
+			for i := range paths {
+				paths[i] = []gc.NodeID{gc.NodeID(i), gc.NodeID(rng.Intn(1 << 20)), gc.NodeID(token)}
+			}
+			mu.Lock()
+			want[token] = paths
+			mu.Unlock()
+			c.InvalidateTo(token)
+			current.Store(token)
+			for round := 0; round < 3; round++ {
+				for i := range paths {
+					c.PutTagged(gc.NodeID(i), 0, -1, paths[i], uint32(token), token)
+				}
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	var hits atomic.Int64
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				token := current.Load()
+				i := rng.Intn(pairs)
+				path, tag, ok := c.GetTagged(gc.NodeID(i), 0, -1, token)
+				if !ok {
+					continue
+				}
+				hits.Add(1)
+				mu.RLock()
+				exp := want[token]
+				mu.RUnlock()
+				if tag != uint32(token) || len(path) != 3 ||
+					path[0] != exp[i][0] || path[1] != exp[i][1] || path[2] != exp[i][2] {
+					t.Errorf("token %d pair %d: hit %v tag %d, want %v tag %d", token, i, path, tag, exp[i], token)
+					return
+				}
+			}
+		}(int64(r + 1))
+	}
+	wg.Wait()
+	if hits.Load() == 0 {
+		t.Fatal("soak served no hits")
+	}
+	if c.Len() > 64 {
+		t.Fatalf("cache grew past its bound: %d", c.Len())
 	}
 }
 
