@@ -12,6 +12,7 @@ import (
 	"gaussiancube/internal/gc"
 	"gaussiancube/internal/gtree"
 	"gaussiancube/internal/serve"
+	"gaussiancube/internal/simnet"
 	"gaussiancube/internal/wire"
 )
 
@@ -466,5 +467,33 @@ func TestWireMissAllocs(t *testing.T) {
 	perRoute := perBatch / float64(len(pairs))
 	if perRoute > 3.25 {
 		t.Fatalf("wire miss: %.2f allocs/route, want <= 3 (task + report + path)", perRoute)
+	}
+}
+
+// TestRunAllocsPerPacket: a fault-free simnet.Run without a route cache
+// allocates three objects per delivered packet — Route's Result, Path
+// and TreeWalk — plus a fixed set-up (topology, router, packet slice,
+// calendar, link ledger) spread over the run's packets: 5087 allocs
+// over 1637 packets, 3.108 per packet. The event queue and the link
+// ledger add nothing per hop.
+func TestRunAllocsPerPacket(t *testing.T) {
+	cfg := simnet.Config{N: 12, Alpha: 1, Arrival: 0.01, GenCycles: 40, Seed: 1}
+	st, err := simnet.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runErr error
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := simnet.Run(cfg); err != nil && runErr == nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	perPacket := allocs / float64(st.Delivered)
+	t.Logf("%.0f allocs/run over %d delivered packets: %.3f allocs/packet", allocs, st.Delivered, perPacket)
+	if perPacket > 3.15 {
+		t.Fatalf("simnet.Run: %.3f allocs/packet, want <= 3.15", perPacket)
 	}
 }

@@ -27,11 +27,9 @@
 package simnet
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"gaussiancube/internal/bitutil"
 	"gaussiancube/internal/core"
@@ -39,7 +37,6 @@ import (
 	"gaussiancube/internal/gc"
 	"gaussiancube/internal/metrics"
 	"gaussiancube/internal/mtree"
-	"gaussiancube/internal/repair"
 	"gaussiancube/internal/trace"
 	"gaussiancube/internal/workload"
 )
@@ -265,50 +262,6 @@ func (s *Stats) Efficiency() float64 {
 	return float64(s.Delivered) / s.NodeBusy
 }
 
-// event is a packet arriving at a node.
-type event struct {
-	time   int
-	seq    int // tiebreaker for determinism
-	packet *packet
-	node   gc.NodeID
-}
-
-type packet struct {
-	path    []gc.NodeID
-	idx     int // position of the current node within path
-	created int
-	dst     gc.NodeID
-	// flight is the per-hop adaptive routing state (timeline engine
-	// with Config.Adaptive only; nil otherwise).
-	flight *core.Flight
-	// sampled marks the packet for route tracing (Config.TraceEvery);
-	// genIdx is its offered position, carried in the KindPacket marker.
-	sampled bool
-	genIdx  int32
-	// ring buffers a sampled adaptive flight's events privately so
-	// interleaved flights stay contiguous; flushed at termination.
-	ring *trace.Ring
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
-}
-
 // Run executes one simulation and returns its statistics.
 func Run(cfg Config) (*Stats, error) {
 	if cfg.GenCycles <= 0 {
@@ -325,10 +278,6 @@ func Run(cfg Config) (*Stats, error) {
 		service = 1
 	}
 	cube := gc.New(cfg.N, cfg.Alpha)
-	pattern := cfg.Pattern
-	if pattern == nil {
-		pattern = workload.Uniform{Bits: cfg.N}
-	}
 	var trees *mtree.TreeSet
 	if cfg.Trees > 1 {
 		var err error
@@ -337,211 +286,8 @@ func Run(cfg Config) (*Stats, error) {
 			return nil, err
 		}
 	}
-	if cfg.Dynamic != nil || cfg.Adaptive || (cfg.FaultAtCycle > 0 && cfg.Faults != nil) {
-		// Evolving fault state or per-hop routing: the timeline engine.
-		return runTimeline(cfg, cube, pattern, service, trees)
-	}
-	opts := []core.Option{core.WithSubstrate(cfg.Substrate)}
-	if cfg.Faults != nil {
-		opts = append(opts, core.WithFaults(cfg.Faults))
-	}
-	if cfg.Repair {
-		health := repair.NewHealth(cube)
-		health.Rebuild(cfg.Faults)
-		opts = append(opts, core.WithRepair(health))
-	}
-	if trees != nil {
-		opts = append(opts, core.WithTrees(trees))
-	}
-	router := core.NewRouter(cube, opts...)
-	// Sampled packets route through a second, tracer-attached router so
-	// the unsampled hot path stays exactly as fast as an untraced run.
-	var tracedRouter *core.Router
-	if cfg.TraceEvery > 0 {
-		tracedRouter = core.NewRouter(cube, append(opts[:len(opts):len(opts)], core.WithTracer(cfg.Tracer))...)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	stats := &Stats{}
-	initHists(stats, &cfg)
-	if trees != nil {
-		stats.TreeRoutes = make([]int, trees.K())
-	}
-	var queue eventQueue
-	seq := 0
-
-	cache := cfg.RouteCache
-	if cache == nil && cfg.CacheRoutes {
-		cache = NewRouteCache(DefaultRouteCacheCapacity)
-	}
-	if cache != nil {
-		// Stamp the cache with this run's fault state so entries left by
-		// a run over a different configuration are flushed, not replayed.
-		base := cache.Invalidations()
-		token := uint64(0)
-		if cfg.Faults != nil {
-			token = cfg.Faults.Fingerprint()
-		}
-		cache.InvalidateTo(token)
-		defer func() { stats.CacheInvalidations = int(cache.Invalidations() - base) }()
-	}
-	lookupRoute := func(src, dst gc.NodeID, sampled bool) ([]gc.NodeID, error) {
-		r := router
-		if sampled {
-			r = tracedRouter
-		}
-		// The cache key carries the flow's tree: the hash below is the
-		// same striping the router applies, so a hit always replays a
-		// path planned on the tree that would plan it now.
-		tree := -1
-		if trees != nil {
-			tree = trees.TreeForFlow(src, dst)
-			stats.TreeRoutes[tree]++
-		}
-		if cache != nil {
-			if p, ok := cache.GetTree(src, dst, tree); ok {
-				stats.RouteCacheHits++
-				if sampled {
-					narrateCached(cfg.Tracer, cube, src, dst, p)
-				}
-				return p, nil
-			}
-			if sampled {
-				cfg.Tracer.Emit(trace.Event{Kind: trace.KindCacheMiss, From: uint32(src), To: uint32(dst)})
-			}
-		}
-		res, err := r.Route(src, dst)
-		if err != nil {
-			return nil, err
-		}
-		if res.UsedFallback {
-			stats.FallbackRoutes++
-		}
-		if cache != nil {
-			cache.PutTree(src, dst, tree, res.Path)
-		}
-		return res.Path, nil
-	}
-
-	inject := func(src, dst gc.NodeID, t int) {
-		stats.Generated++
-		sampled := cfg.TraceEvery > 0 && (stats.Generated-1)%cfg.TraceEvery == 0
-		if sampled {
-			stats.Traced++
-			cfg.Tracer.Emit(trace.Event{Kind: trace.KindPacket, From: uint32(src), To: uint32(dst), Arg: int32(stats.Generated - 1)})
-		}
-		path, err := lookupRoute(src, dst, sampled)
-		if err != nil {
-			stats.Undeliverable++
-			if errors.Is(err, core.ErrPartitioned) {
-				stats.Partitioned++
-			}
-			return
-		}
-		seq++
-		heap.Push(&queue, &event{
-			time:   t,
-			seq:    seq,
-			packet: &packet{path: path, created: t, dst: dst},
-			node:   src,
-		})
-	}
-
-	faulty := func(v gc.NodeID) bool {
-		return cfg.Faults != nil && cfg.Faults.NodeFaulty(v)
-	}
-	nodes := cube.Nodes()
-	if cfg.Trace != nil {
-		for _, p := range cfg.Trace {
-			if faulty(p.Src) || faulty(p.Dst) {
-				continue
-			}
-			inject(p.Src, p.Dst, p.Time)
-		}
-	} else {
-		// Generate the offered load: a Bernoulli(Arrival) trial per node
-		// per cycle of the generation window.
-	gen:
-		for t := 0; t < cfg.GenCycles; t++ {
-			for v := 0; v < nodes; v++ {
-				if rng.Float64() >= cfg.Arrival {
-					continue
-				}
-				src := gc.NodeID(v)
-				if faulty(src) {
-					continue // assumption 1: faulty nodes generate nothing
-				}
-				dst, ok := pickDest(rng, pattern, src, faulty, nodes)
-				if !ok {
-					continue
-				}
-				inject(src, dst, t)
-				if cfg.MaxPackets > 0 && stats.Generated >= cfg.MaxPackets {
-					break gen
-				}
-			}
-		}
-	}
-
-	linkFree := make(map[linkID]int)
-	linkCount := make(map[linkID]int)
-	for queue.Len() > 0 {
-		e := heap.Pop(&queue).(*event)
-		p := e.packet
-		if p.idx == len(p.path)-1 {
-			// Delivered.
-			stats.Delivered++
-			if p.created >= cfg.Warmup {
-				stats.Measured++
-				stats.Latency.Add(float64(e.time - p.created))
-				stats.Hops.Add(float64(len(p.path) - 1))
-				if stats.LatencyHist != nil {
-					stats.LatencyHist.Add(float64(e.time - p.created))
-				}
-				if stats.HopHist != nil {
-					stats.HopHist.Add(float64(len(p.path) - 1))
-				}
-			}
-			if e.time > stats.Makespan {
-				stats.Makespan = e.time
-			}
-			continue
-		}
-		next := p.path[p.idx+1]
-		ready := e.time + service
-		stats.NodeBusy += float64(service)
-		l := linkID{from: e.node, to: next}
-		dep := ready
-		if free, okf := linkFree[l]; okf && free > dep {
-			dep = free
-		}
-		linkFree[l] = dep + 1
-		linkCount[l]++
-		p.idx++
-		seq++
-		// Recycle the popped event for the next hop instead of
-		// allocating one per traversal.
-		e.time, e.seq, e.node = dep+1, seq, next
-		heap.Push(&queue, e)
-	}
-
-	for l, n := range linkCount {
-		stats.LinkLoad.Add(float64(n))
-		stats.Hottest = append(stats.Hottest, LinkLoad{From: l.from, To: l.to, Count: n})
-	}
-	sort.Slice(stats.Hottest, func(i, j int) bool {
-		if stats.Hottest[i].Count != stats.Hottest[j].Count {
-			return stats.Hottest[i].Count > stats.Hottest[j].Count
-		}
-		if stats.Hottest[i].From != stats.Hottest[j].From {
-			return stats.Hottest[i].From < stats.Hottest[j].From
-		}
-		return stats.Hottest[i].To < stats.Hottest[j].To
-	})
-	if len(stats.Hottest) > 5 {
-		stats.Hottest = stats.Hottest[:5]
-	}
-	return stats, nil
+	e := &engine{cfg: &cfg, cube: cube, service: service, trees: trees}
+	return e.run(), nil
 }
 
 // initHists allocates the optional latency and hop histograms when
@@ -585,10 +331,6 @@ func emitPathHops(t trace.Tracer, c *gc.Cube, path []gc.NodeID) {
 	}
 }
 
-type linkID struct {
-	from, to gc.NodeID
-}
-
 // LinkLoad reports the traversal count of one directed link.
 type LinkLoad struct {
 	From, To gc.NodeID
@@ -596,16 +338,16 @@ type LinkLoad struct {
 }
 
 // pickDest samples a destination per the pattern, resampling when the
-// pick is the source or faulty per the predicate; it gives up after a
-// bounded number of attempts (possible only under adversarial
-// patterns).
-func pickDest(rng *rand.Rand, p workload.Pattern, src gc.NodeID, faulty func(gc.NodeID) bool, nodes int) (gc.NodeID, bool) {
+// pick is the source or faulty at cycle t per the predicate; it gives
+// up after a bounded number of attempts (possible only under
+// adversarial patterns).
+func pickDest(rng *rand.Rand, p workload.Pattern, src gc.NodeID, faultyAt func(gc.NodeID, int) bool, t, nodes int) (gc.NodeID, bool) {
 	for attempt := 0; attempt < 64; attempt++ {
 		d := p.Dest(rng, src)
 		if int(d) >= nodes || d == src {
 			continue
 		}
-		if faulty != nil && faulty(d) {
+		if faultyAt(d, t) {
 			continue
 		}
 		return d, true

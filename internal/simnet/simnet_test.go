@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gaussiancube/internal/fault"
@@ -49,27 +50,53 @@ func TestRunBasic(t *testing.T) {
 	}
 }
 
+// TestRunDeterministic: identical configurations must give identical
+// Stats, every field and every float bit included (LinkLoad's Welford
+// fold too), on the eager engine, the static timeline and the adaptive
+// stepper.
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run(baseConfig())
-	if err != nil {
-		t.Fatal(err)
+	cube := gc.New(10, 1)
+	faults := func() *fault.Set {
+		fs := fault.NewSet(cube)
+		for _, v := range []gc.NodeID{3, 77, 400, 901} {
+			fs.AddNode(v)
+		}
+		return fs
 	}
-	b, err := Run(baseConfig())
-	if err != nil {
-		t.Fatal(err)
+	configs := map[string]func() Config{
+		"eager": func() Config {
+			return Config{N: 10, Alpha: 1, Arrival: 0.01, GenCycles: 40, Seed: 1}
+		},
+		"timeline": func() Config {
+			return Config{N: 10, Alpha: 1, Arrival: 0.01, GenCycles: 40, Seed: 1, Faults: faults(), FaultAtCycle: 15}
+		},
+		"adaptive": func() Config {
+			return Config{N: 10, Alpha: 1, Arrival: 0.01, GenCycles: 40, Seed: 1, Faults: faults(), Adaptive: true}
+		},
 	}
-	if a.Generated != b.Generated || a.Delivered != b.Delivered ||
-		a.AvgLatency() != b.AvgLatency() || a.Makespan != b.Makespan {
-		t.Error("same seed must reproduce identical statistics")
-	}
-	c := baseConfig()
-	c.Seed = 2
-	cStats, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cStats.Generated == a.Generated && cStats.AvgLatency() == a.AvgLatency() {
-		t.Error("different seeds should give different traffic")
+	for name, mk := range configs {
+		t.Run(name, func(t *testing.T) {
+			a, err := Run(mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Run(mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("same configuration, different stats:\n %+v\n %+v", a, b)
+			}
+			c := mk()
+			c.Seed = 2
+			cStats, err := Run(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cStats.Generated == a.Generated && cStats.AvgLatency() == a.AvgLatency() {
+				t.Error("different seeds should give different traffic")
+			}
+		})
 	}
 }
 
