@@ -44,10 +44,11 @@ type routeScratch struct {
 	// state (subcubeRoute).
 	view     fault.GEECView
 	adaptive hypercube.AdaptiveScratch
-	// via, level and next are the BFS fallback's state (appendFallback),
-	// sized to the cube on the first fallback through this scratch.
-	via         []uint8
-	level, next []gc.NodeID
+	// seen, from and to are the BFS fallback's state (appendFallback):
+	// a byte per node, sized to the cube on the first fallback through
+	// this scratch, and the visit lists of the two search sides.
+	seen     []uint8
+	from, to fallbackSide
 }
 
 // planInto computes the FFGCR tree-level plan for the pair (s, d) into

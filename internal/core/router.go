@@ -273,61 +273,179 @@ func (r *Router) OptimalLength(s, d gc.NodeID) int {
 
 // appendFallback is the BFS last resort: it appends a shortest path
 // from s to d over the healthy subgraph onto dst and reports whether one
-// exists. Neighbours are visited in ascending link dimension, the order
-// of cube.LinkDims, so the path is exactly the one graph.ShortestPath
-// finds over the healthy cube. The search state lives in sc, one byte
-// per node plus two BFS levels: via[v] is the dimension of the link v
-// was reached through plus one (0 = unvisited), level is the frontier
-// being expanded and next the one being found. Expanding each level in
-// discovery order is a FIFO's order. Once these buffers have grown the
-// search allocates nothing.
+// exists. The path is exactly the one graph.ShortestPath finds over the
+// healthy cube: a FIFO BFS that visits neighbours in ascending link
+// dimension (the order of cube.LinkDims) returns the lexicographically
+// smallest dimension sequence among the shortest healthy paths.
+//
+// The search meets in the middle. One frontier grows from s and one
+// from d, the smaller of the two by a whole level at a time, until a
+// level reaches a node the other side holds (distance L = ks + kd) or
+// a frontier runs out (no path). The s-level-ks nodes the d side
+// reached are the meeting layer; walking back from it level by level
+// marks every s-side node on a shortest path. The path then starts at
+// s and takes, at each step, the lowest-dimension healthy link to a
+// marked node one s-level further, and past the meeting layer to a
+// node one d-level closer to d — the greedy form of the smallest
+// dimension sequence.
+//
+// The state lives in sc: one seen byte per node (layout below), all
+// zero between searches, plus each side's visit list with its level
+// offsets. Only the visited nodes are cleared afterwards, and once the
+// buffers have grown the search allocates nothing.
 func (r *Router) appendFallback(dst []gc.NodeID, sc *routeScratch, s, d gc.NodeID) ([]gc.NodeID, bool) {
 	if s == d {
 		return append(dst, s), true
 	}
 	n := r.cube.Nodes()
-	if len(sc.via) < n {
-		sc.via = make([]uint8, n)
+	if len(sc.seen) < n {
+		sc.seen = make([]uint8, n)
 	}
-	via := sc.via[:n]
-	clear(via)
-	via[s] = 0xff // visited; the walk back stops at s before reading it
-	level, next := append(sc.level[:0], s), sc.next[:0]
-	found := false
-search:
-	for len(level) > 0 {
-		for _, v := range level {
+	seen := sc.seen[:n]
+	from, to := &sc.from, &sc.to
+	from.reset(seen, s, fromShift)
+	to.reset(seen, d, toShift)
+	met := false
+	for !met && from.frontier() > 0 && to.frontier() > 0 {
+		if from.frontier() <= to.frontier() {
+			met = r.expand(seen, from, to)
+		} else {
+			met = r.expand(seen, to, from)
+		}
+	}
+	if met {
+		dst = r.appendMeetPath(dst, seen, from, to)
+	}
+	for _, v := range from.visit {
+		seen[v] = 0
+	}
+	for _, v := range to.visit {
+		seen[v] = 0
+	}
+	return dst, met
+}
+
+// A fallback seen byte holds, for each side of the search, the BFS
+// level at which that side reached the node as level mod 3 + 1 (0: not
+// reached), and the onPath mark. BFS neighbours differ by at most one
+// level, so mod 3 tells a neighbour's level apart from one's own.
+const (
+	fromShift = 0      // the s side's level tag, bits 0-1
+	toShift   = 2      // the d side's level tag, bits 2-3
+	tagMask   = 3      // one side's level tag, before shifting
+	onPath    = 1 << 4 // an s-side node on a shortest s-d path
+)
+
+// levelTag is the seen-byte tag of BFS level k.
+func levelTag(k int) uint8 { return uint8(k%3 + 1) }
+
+// fallbackSide is one side of appendFallback's search: every node it
+// has reached, in visit order, with level k starting at visit[start[k]].
+// The deepest level, the frontier, runs to the end of visit.
+type fallbackSide struct {
+	visit []gc.NodeID
+	start []int32
+	shift uint // the side's level-tag position in a seen byte
+}
+
+// reset starts the side at root, BFS level 0.
+func (a *fallbackSide) reset(seen []uint8, root gc.NodeID, shift uint) {
+	a.visit = append(a.visit[:0], root)
+	a.start = append(a.start[:0], 0)
+	a.shift = shift
+	seen[root] |= levelTag(0) << shift
+}
+
+// level returns the nodes of BFS level k.
+func (a *fallbackSide) level(k int) []gc.NodeID {
+	if k+1 < len(a.start) {
+		return a.visit[a.start[k]:a.start[k+1]]
+	}
+	return a.visit[a.start[k]:]
+}
+
+// depth returns the side's deepest BFS level.
+func (a *fallbackSide) depth() int { return len(a.start) - 1 }
+
+// frontier returns the size of the deepest level.
+func (a *fallbackSide) frontier() int { return len(a.visit) - int(a.start[a.depth()]) }
+
+// expand grows side a by one whole level over the healthy links and
+// reports whether the new level holds a node that side b has reached.
+func (r *Router) expand(seen []uint8, a, b *fallbackSide) bool {
+	k := a.depth()
+	front := a.level(k)
+	a.start = append(a.start, int32(len(a.visit)))
+	tag, met := levelTag(k+1)<<a.shift, false
+	for _, v := range front {
+		for _, dim := range r.cube.LinkDims(v) {
+			w := v ^ (1 << dim)
+			if seen[w]>>a.shift&tagMask != 0 || r.linkDown(v, dim) {
+				continue
+			}
+			seen[w] |= tag
+			met = met || seen[w]>>b.shift&tagMask != 0
+			a.visit = append(a.visit, w)
+		}
+	}
+	return met
+}
+
+// appendMeetPath appends the smallest shortest path once the s side
+// (from, at depth ks) and the d side (to, at depth kd) have met: it
+// marks the s half, then steps greedily from s to d.
+func (r *Router) appendMeetPath(dst []gc.NodeID, seen []uint8, from, to *fallbackSide) []gc.NodeID {
+	ks, kd := from.depth(), to.depth()
+	for _, v := range from.level(ks) {
+		if seen[v]>>toShift&tagMask != 0 {
+			seen[v] |= onPath
+		}
+	}
+	for k := ks; k > 0; k-- {
+		below := levelTag(k - 1)
+		for _, v := range from.level(k) {
+			if seen[v]&onPath == 0 {
+				continue
+			}
 			for _, dim := range r.cube.LinkDims(v) {
 				w := v ^ (1 << dim)
-				if via[w] != 0 || (r.faults != nil && r.faults.LinkFaulty(v, dim)) {
-					continue
+				if seen[w]&(tagMask<<fromShift|onPath) == below<<fromShift && !r.linkDown(v, dim) {
+					seen[w] |= onPath
 				}
-				via[w] = uint8(dim) + 1
-				if w == d {
-					found = true
-					break search
-				}
-				next = append(next, w)
 			}
 		}
-		level, next = next, level[:0]
 	}
-	sc.level, sc.next = level[:0], next[:0]
-	if !found {
-		return dst, false
+	dst = slices.Grow(dst, ks+kd+1)
+	v := from.visit[0]
+	dst = append(dst, v)
+	for k := 1; k <= ks; k++ {
+		v = r.fallbackStep(seen, v, tagMask<<fromShift|onPath, levelTag(k)<<fromShift|onPath)
+		dst = append(dst, v)
 	}
-	hops := 0
-	for v := d; v != s; v ^= 1 << (via[v] - 1) {
-		hops++
+	for k := kd - 1; k >= 0; k-- {
+		v = r.fallbackStep(seen, v, tagMask<<toShift, levelTag(k)<<toShift)
+		dst = append(dst, v)
 	}
-	dst = slices.Grow(dst, hops+1)[:len(dst)+hops+1]
-	i := len(dst) - 1
-	for v := d; v != s; v ^= 1 << (via[v] - 1) {
-		dst[i] = v
-		i--
+	return dst
+}
+
+// fallbackStep returns the neighbour w of v across v's lowest-dimension
+// healthy link with seen[w]&mask == want. One always exists while
+// appendMeetPath walks a shortest path.
+func (r *Router) fallbackStep(seen []uint8, v gc.NodeID, mask, want uint8) gc.NodeID {
+	for _, dim := range r.cube.LinkDims(v) {
+		w := v ^ (1 << dim)
+		if seen[w]&mask == want && !r.linkDown(v, dim) {
+			return w
+		}
 	}
-	dst[i] = s
-	return dst, true
+	panic("core: fallback lost its shortest path")
+}
+
+// linkDown reports whether v's dimension-dim link is unusable under the
+// router's fault set.
+func (r *Router) linkDown(v gc.NodeID, dim uint) bool {
+	return r.faults != nil && r.faults.LinkFaulty(v, dim)
 }
 
 // Tracing emission helpers. Every call site is guarded by a tracer nil
