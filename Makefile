@@ -27,15 +27,20 @@ BENCH_OUT ?= BENCH_10.json
 bench-json:
 	$(GO) test -run XXX -bench=. -benchmem -benchtime=$(BENCHTIME) ./... | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 
+# Every fuzz target, FUZZTIME each (CI's fuzz-smoke job runs this).
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -fuzz=FuzzRoute$$ -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzRouteAgainstOracle -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzMultipathAgainstOracle -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzCollectiveAgainstOracle -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzPC -fuzztime=30s ./internal/gtree/
-	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=30s ./internal/wire/
-	$(GO) test -fuzz=FuzzJournalReplayNoPanic -fuzztime=30s ./internal/journal/
-	$(GO) test -fuzz=FuzzTopologyOwner -fuzztime=30s ./internal/cluster/
+	$(GO) test -run '^FuzzRoute$$' -fuzz='^FuzzRoute$$' -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run '^FuzzRouteAgainstOracle$$' -fuzz='^FuzzRouteAgainstOracle$$' -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run '^FuzzFallbackAgainstShortestPath$$' -fuzz='^FuzzFallbackAgainstShortestPath$$' -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run '^FuzzMultipathAgainstOracle$$' -fuzz='^FuzzMultipathAgainstOracle$$' -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run '^FuzzCollectiveAgainstOracle$$' -fuzz='^FuzzCollectiveAgainstOracle$$' -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run '^FuzzPC$$' -fuzz='^FuzzPC$$' -fuzztime=$(FUZZTIME) ./internal/gtree/
+	$(GO) test -run '^FuzzCT$$' -fuzz='^FuzzCT$$' -fuzztime=$(FUZZTIME) ./internal/gtree/
+	$(GO) test -run '^FuzzFrameRoundTrip$$' -fuzz='^FuzzFrameRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^FuzzDecodeNoPanic$$' -fuzz='^FuzzDecodeNoPanic$$' -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^FuzzJournalReplayNoPanic$$' -fuzz='^FuzzJournalReplayNoPanic$$' -fuzztime=$(FUZZTIME) ./internal/journal/
+	$(GO) test -run '^FuzzTopologyOwner$$' -fuzz='^FuzzTopologyOwner$$' -fuzztime=$(FUZZTIME) ./internal/cluster/
 
 # Crash-recovery soak: kill-and-restart durability tests plus every
 # journal test, under the race detector (the CI crash-soak job).

@@ -404,8 +404,8 @@ func TestWireRouteBatchAllocs(t *testing.T) {
 }
 
 // TestWireMissAllocs: a warmed loopback RouteBatch with the route cache
-// disabled, so every route is a miss that rides the coalescer, the
-// shard queue and the planner, and its reply is queued by the shard
+// disabled, so every route is a miss that rides the shard queue and
+// the planner, and its reply is queued by the shard
 // worker on the connection's write combiner. Counted process-wide, a
 // miss allocates exactly its queued task and the planner's report and
 // path: no goroutine, context, completion channel or reply buffer of
@@ -435,7 +435,7 @@ func TestWireMissAllocs(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Distinct pairs: a repeated one would coalesce onto its twin.
+	// Distinct pairs: the batch is 64 independent misses.
 	var pairs [][2]gc.NodeID
 	seen := map[[2]gc.NodeID]bool{}
 	for _, p := range allocPairs(cube, 128, 17) {

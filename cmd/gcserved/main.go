@@ -22,8 +22,7 @@
 // -wire-addr additionally serves the gcwire binary protocol
 // (DESIGN.md §11) on a second listener: the same Server, the same
 // fault epoch, answered over length-prefixed frames with the
-// cache-hit fast path and request coalescing in front of the shard
-// queues.
+// cache-hit fast path in front of the shard queues.
 //
 // -journal-dir makes the fault state durable (DESIGN.md §12): every
 // fault mutation is appended to a checksummed, hash-chained journal

@@ -131,7 +131,6 @@ type ShardSnapshot struct {
 	CacheHits    int64              `json:"cache_hits"`
 	CacheMisses  int64              `json:"cache_misses"`
 	FastPathHits int64              `json:"fast_path_hits"`
-	Coalesced    int64              `json:"coalesced"`
 	Sampled      int64              `json:"sampled"`
 	Errors       int64              `json:"errors"`
 	Outcomes     map[string]int64   `json:"outcomes"`
@@ -165,11 +164,11 @@ type MetricsSnapshot struct {
 	Served   int64 `json:"served"`
 	Errors   int64 `json:"errors"`
 	// FastPathHits counts cache hits answered on the submitter's
-	// goroutine without ever enqueueing; Coalesced counts requests that
-	// joined an identical in-flight request's plan instead of queueing
-	// their own.
+	// goroutine without ever enqueueing.
 	FastPathHits int64 `json:"fast_path_hits"`
-	Coalesced    int64 `json:"coalesced"`
+	// Coalesced is always 0: the server merges no requests (DESIGN.md
+	// §11). The field is kept only because the bench/ module reads it.
+	Coalesced int64 `json:"coalesced"`
 
 	// Trees is the multipath tree count (0 single-tree); TreeRoutes is
 	// the per-tree verdict tally — the balance view of flow striping.
@@ -235,7 +234,6 @@ func (s *Server) Metrics() *MetricsSnapshot {
 			CacheHits:    sh.cacheHits.Value(),
 			CacheMisses:  sh.cacheMisses.Value(),
 			FastPathHits: sh.fastHits.Value(),
-			Coalesced:    sh.coalesced.Value(),
 			Sampled:      sh.sampled.Value(),
 			Errors:       sh.errored.Value(),
 			Outcomes:     make(map[string]int64),
@@ -252,7 +250,6 @@ func (s *Server) Metrics() *MetricsSnapshot {
 		m.Served += ss.Served
 		m.Errors += ss.Errors
 		m.FastPathHits += ss.FastPathHits
-		m.Coalesced += ss.Coalesced
 		if ss.Collectives > 0 {
 			if m.Collectives == nil {
 				m.Collectives = &CollectiveTotals{}

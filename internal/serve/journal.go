@@ -211,8 +211,8 @@ func (s *Server) journalCommit(b *journal.Batch) error {
 
 // degradeForReplay marks a response served during the replay window:
 // the verdict stands, but the caller is told the fault state behind
-// it is provisional. The Report is copied — it may be shared with
-// coalesced followers or the route cache.
+// it is provisional. The Report is copied, never marked in place: its
+// Path may be the route cache's shared slice, so it is read-only.
 func degradeForReplay(r *Response) *Response {
 	out, _ := degradeResponse(r, replayDegradedReason)
 	return out

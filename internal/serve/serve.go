@@ -162,9 +162,8 @@ type Response struct {
 }
 
 // request is one unicast route request from submission until its
-// verdict is delivered. It moves by value: into a queued task when it
-// leads a coalescing group (or bypasses coalescing), into a follower
-// when it joins one.
+// verdict is delivered. A miss carries it by value into its queued
+// task.
 type request struct {
 	ctx context.Context
 	// cancel releases a deadline the server set on ctx (the wire
@@ -177,25 +176,15 @@ type request struct {
 	tree int
 	enq  time.Time
 	done completion
-	// retried: the request spent its one requeue after its coalescing
-	// leader died of the leader's own deadline.
-	retried bool
 }
 
 // completion is where a unicast verdict goes: the channel a blocking
 // submitter waits on, or, for a gcwire request, the write queue of the
 // connection it arrived on under its frame id.
 type completion struct {
-	ch chan verdict
+	ch chan *Response
 	wc *wireConn
 	id uint64
-}
-
-// verdict is what a blocking submitter receives: a Response, or the
-// refusal (backpressure, drain) of the coalescing leader it joined.
-type verdict struct {
-	resp *Response
-	err  error
 }
 
 // task is one queued request. A task with cresp non-nil is a
@@ -205,24 +194,9 @@ type verdict struct {
 type task struct {
 	request
 
-	// lead marks a task registered in its shard's coalescer under key;
-	// followers are the identical requests that joined it there.
-	lead      bool
-	key       coalesceKey
-	followers []*follower
-
 	dests     []gc.NodeID
 	multicast bool
 	cresp     chan CollectiveResponse
-}
-
-// follower is a request coalesced onto an in-flight leader. Its
-// leader's verdict and its own deadline race to answer it; claimed
-// lets exactly one of them do so.
-type follower struct {
-	request
-	claimed atomic.Bool
-	stop    func() bool // detaches the deadline watch; nil without one
 }
 
 // epochState is the immutable fault state of one epoch, shared by all
@@ -262,15 +236,11 @@ type shard struct {
 	latency *metrics.AtomicHistogram // microseconds
 	hops    *metrics.AtomicHistogram
 
-	// co merges identical in-flight planner requests (see SubmitTree).
-	co coalescer
-
 	seq         atomic.Uint64 // sampling ordinal; advanced only with tracing on
 	served      metrics.Counter
 	cacheHits   metrics.Counter
 	cacheMisses metrics.Counter
 	fastHits    metrics.Counter // cache hits answered on the submitter
-	coalesced   metrics.Counter // requests that joined another's flight
 	sampled     metrics.Counter
 	errored     metrics.Counter
 	// outcomes tallies ladder rungs; index core.Outcome.
@@ -283,29 +253,6 @@ type shard struct {
 	collDelivered metrics.Counter
 	collDegraded  metrics.Counter
 	collUnreached metrics.Counter
-}
-
-// coalesceKey identifies one logical in-flight plan. The epoch
-// fingerprint — not the epoch counter — is deliberate: it is
-// content-addressed, so two epochs with identical fault sets may share
-// a plan, while any fault swap that changes the content forces
-// post-swap arrivals into a fresh group instead of piggybacking on a
-// plan computed against a network that no longer exists.
-// tree is the RESOLVED tree (the flow hash already applied), so an
-// auto-striped request and an explicit pin that land on the same tree
-// share one flight — their plans are identical — while requests pinned
-// to sibling trees never share, because their plans are not.
-type coalesceKey struct {
-	src, dst gc.NodeID
-	tree     int16
-	fp       uint64
-}
-
-// coalescer is a per-shard singleflight table: each key maps to the
-// queued task leading that plan.
-type coalescer struct {
-	mu sync.Mutex
-	m  map[coalesceKey]*task
 }
 
 // Server is the route-serving subsystem. Construct with New, submit
@@ -400,7 +347,6 @@ func New(cfg Config) (*Server, error) {
 			// when the server starts with a non-empty fault set.
 			sh.cache.InvalidateTo(es.fp)
 		}
-		sh.co.m = make(map[coalesceKey]*task)
 		if cfg.TraceEvery > 0 {
 			sh.ring = trace.NewRing(cfg.TraceRing)
 		}
@@ -429,8 +375,8 @@ func (s *Server) Trees() *mtree.TreeSet { return s.trees }
 // resolveTree maps a requested tree onto the tree the route is planned
 // for: -1 on a single-tree server, the explicit pin when valid, or the
 // per-flow stripe otherwise — exactly the resolution the shard's
-// striping router applies internally, so cache keys and coalescing
-// groups always agree with the plan.
+// striping router applies internally, so cache keys always agree with
+// the plan.
 func (s *Server) resolveTree(src, dst gc.NodeID, tree int) int {
 	if s.trees == nil {
 		return -1
@@ -553,11 +499,9 @@ func (s *Server) shardFor(src gc.NodeID) *shard {
 // routing verdicts on Response.Report.Outcome. ctx bounds the request;
 // Config.DefaultDeadline applies when ctx carries no deadline.
 //
-// Planner-mode requests take three tiers, cheapest first: a cache-hit
-// fast path answered on this goroutine (FastRouteTree), a singleflight
-// coalescer that joins an identical in-flight request's plan, and
-// finally the shard queue. Adaptive mode always queues — each flight's
-// per-hop discovery is its own.
+// A planner-mode request is answered on this goroutine when the route
+// cache holds its path (FastRouteTree); otherwise, and always in
+// adaptive mode, it queues on its shard.
 //
 // With a cluster forwarder installed (SetForwarder), a request whose
 // source ending class belongs to another instance is proxied to its
@@ -576,15 +520,14 @@ func (s *Server) SubmitTree(ctx context.Context, src, dst gc.NodeID, tree int) (
 // fallback. Responses served while the journal replays or while the
 // instance trails the gossip frontier are degrade-marked.
 func (s *Server) SubmitLocalTree(ctx context.Context, src, dst gc.NodeID, tree int) (*Response, error) {
-	ch := make(chan verdict, 1)
+	ch := make(chan *Response, 1)
 	if err := s.submitRoute(ctx, 0, src, dst, tree, completion{ch: ch}); err != nil {
 		return nil, err
 	}
 	// Every accepted request is answered exactly once — including
 	// during a drain, and with OutcomeCanceled once its deadline dies —
 	// so this receive cannot leak.
-	v := <-ch
-	return v.resp, v.err
+	return <-ch, nil
 }
 
 // submitRoute is the enqueue core of every unicast request: blocking
@@ -613,52 +556,15 @@ func (s *Server) submitRoute(ctx context.Context, timeout time.Duration, src, ds
 	}
 	r.ctx = ctx
 	r.enq = time.Now()
-	err := s.attempt(s.shardFor(src), r, nil)
+	if ans, ok := s.FastRouteTree(src, dst, tree); ok {
+		s.deliver(&r, responseFromCached(&ans), nil)
+		return nil
+	}
+	err := s.enqueue(s.shardFor(src), &task{request: r})
 	if err != nil && r.cancel != nil {
 		r.cancel()
 	}
 	return err
-}
-
-// attempt runs r through the three tiers, cheapest first: the
-// cache-hit fast path, joining an identical in-flight plan, or the
-// shard queue. Adaptive mode always queues — each flight's per-hop
-// discovery is its own. A refusal is returned, not delivered. rb is
-// the shard worker's reply batch when attempt runs there (a follower's
-// retry); nil answers wire requests at once.
-func (s *Server) attempt(sh *shard, r request, rb *replyBatch) error {
-	if ans, ok := s.FastRouteTree(r.src, r.dst, r.tree); ok {
-		s.deliver(&r, responseFromCached(&ans), nil, rb)
-		return nil
-	}
-	if s.cfg.Adaptive {
-		return s.enqueue(sh, &task{request: r})
-	}
-	key := coalesceKey{src: r.src, dst: r.dst, tree: int16(s.resolveTree(r.src, r.dst, r.tree)), fp: sh.state.Load().es.fp}
-	sh.co.mu.Lock()
-	if lead, ok := sh.co.m[key]; ok {
-		f := &follower{request: r}
-		if r.ctx.Done() != nil {
-			// The follower's own deadline answers it canceled if it dies
-			// before the leader's verdict arrives.
-			f.stop = context.AfterFunc(r.ctx, func() { s.expire(sh, f) })
-		}
-		lead.followers = append(lead.followers, f)
-		sh.co.mu.Unlock()
-		sh.coalesced.Inc()
-		return nil
-	}
-	t := &task{request: r, lead: true, key: key}
-	sh.co.m[key] = t
-	sh.co.mu.Unlock()
-	if err := s.enqueue(sh, t); err != nil {
-		// The leader was refused; so is everyone who joined it meanwhile.
-		for _, f := range sh.retire(t) {
-			s.settle(sh, f, nil, err, rb)
-		}
-		return err
-	}
-	return nil
 }
 
 // enqueue puts t on its shard queue without waiting: ErrDraining once
@@ -684,117 +590,33 @@ func (s *Server) enqueue(sh *shard, t *task) error {
 	}
 }
 
-// retire removes a leader from its shard's coalescer and returns the
-// followers it gathered; nobody can join it afterwards, so a request
-// arriving after the leader's verdict opens a fresh group.
-func (sh *shard) retire(t *task) []*follower {
-	sh.co.mu.Lock()
-	delete(sh.co.m, t.key)
-	fs := t.followers
-	t.followers = nil
-	sh.co.mu.Unlock()
-	return fs
-}
-
-// settle answers a follower with its leader's verdict, or with the
-// leader's refusal (err), unless its own deadline answered it first.
-// Every follower of a group receives the one leader verdict, so a
-// fault swap mid-flight can never hand a torn mix of old- and
-// new-epoch plans to the same group. A follower whose leader died of
-// the leader's own deadline while the follower is still alive requeues
-// once instead; out of retries, it adopts the canceled verdict.
-func (s *Server) settle(sh *shard, f *follower, resp *Response, err error, rb *replyBatch) {
-	if !f.claimed.CompareAndSwap(false, true) {
-		return
-	}
-	if f.stop != nil {
-		f.stop()
-	}
-	if err != nil {
-		s.rejected.Inc()
-		s.deliver(&f.request, nil, err, rb)
-		return
-	}
-	if !f.retried && resp.Report != nil && resp.Report.Outcome == core.OutcomeCanceled && f.ctx.Err() == nil {
-		r := f.request
-		r.retried = true
-		if err := s.attempt(sh, r, rb); err != nil {
-			s.deliver(&r, nil, err, rb)
-		}
-		return
-	}
-	cp := *resp
-	s.accepted.Inc()
-	s.accountDirect(sh, &cp, f.enq)
-	s.deliver(&f.request, &cp, nil, rb)
-}
-
-// expire answers a follower canceled when its own deadline dies before
-// its leader's verdict — counted exactly like a worker-answered
-// cancellation.
-func (s *Server) expire(sh *shard, f *follower) {
-	if !f.claimed.CompareAndSwap(false, true) {
-		return
-	}
-	rep := &core.RouteReport{Outcome: core.OutcomeCanceled, Reason: f.ctx.Err().Error(), TreeID: -1}
-	r := &Response{Report: rep, Epoch: s.state.Load().epoch}
-	s.accepted.Inc()
-	s.accountDirect(sh, r, f.enq)
-	s.deliver(&f.request, r, nil, nil)
-}
-
-// deliver hands r its verdict (resp) or refusal (err), releasing any
-// deadline the server set. Responses served while the journal replays
-// or while the instance trails the gossip frontier are degrade-marked
-// here, per delivery, so coalesced followers each get their own mark.
-func (s *Server) deliver(r *request, resp *Response, err error, rb *replyBatch) {
+// deliver hands r its verdict, releasing any deadline the server set.
+// Responses served while the journal replays or while the instance
+// trails the gossip frontier are degrade-marked here.
+func (s *Server) deliver(r *request, resp *Response, rb *replyBatch) {
 	if r.cancel != nil {
 		r.cancel()
 	}
-	if resp != nil {
-		if s.Replaying() {
-			// Served during the startup journal replay: the verdict was
-			// computed against the seed state, not yet the reconstructed
-			// history, so it is honest but provisional.
-			resp = degradeForReplay(resp)
-		} else if m := s.stale.Load(); m != nil {
-			// Served behind the cluster's gossip frontier: the verdict is
-			// honest for the epoch it was computed against, but a peer
-			// holds newer fault history — never silently wrong.
-			if d, marked := degradeResponse(resp, m.reason); marked {
-				s.degradedStale.Inc()
-				resp = d
-			}
+	if s.Replaying() {
+		// Served during the startup journal replay: the verdict was
+		// computed against the seed state, not yet the reconstructed
+		// history, so it is honest but provisional.
+		resp = degradeForReplay(resp)
+	} else if m := s.stale.Load(); m != nil {
+		// Served behind the cluster's gossip frontier: the verdict is
+		// honest for the epoch it was computed against, but a peer
+		// holds newer fault history — never silently wrong.
+		if d, marked := degradeResponse(resp, m.reason); marked {
+			s.degradedStale.Inc()
+			resp = d
 		}
 	}
 	if r.done.wc != nil {
-		r.done.wc.reply(r.done.id, resp, err, rb)
+		r.done.wc.reply(r.done.id, resp, nil, rb)
 		return
 	}
-	v := verdict{err: err}
-	if resp != nil {
-		cp := *resp
-		v.resp = &cp
-	}
-	r.done.ch <- v
-}
-
-// accountDirect records a request answered off-worker (coalesced
-// followers) with exactly the bookkeeping finish
-// gives a queued task, preserving the accepted == served conservation
-// law.
-func (s *Server) accountDirect(sh *shard, r *Response, enq time.Time) {
-	sh.served.Inc()
-	sh.latency.Add(float64(time.Since(enq).Microseconds()))
-	if r.Err != nil {
-		sh.errored.Inc()
-	} else {
-		sh.outcomes[int(r.Report.Outcome)].Inc()
-		s.countTree(r.Report.TreeID)
-		if !r.Report.Outcome.Undeliverable() && r.Report.Outcome != core.OutcomeCanceled {
-			sh.hops.Add(float64(r.Report.Hops))
-		}
-	}
+	cp := *resp
+	r.done.ch <- &cp
 }
 
 // CachedAnswer is a fast-path verdict: a cache-hit route answered on
@@ -1110,9 +932,9 @@ func cachedReport(path []gc.NodeID, tag uint32, tree int) *core.RouteReport {
 	return rep
 }
 
-// finish records one served task and answers it, then the followers
-// coalesced onto it. Every accepted task passes through here exactly
-// once — the conservation law the metrics and the drain test rely on.
+// finish records one served task and answers it. Every accepted task
+// passes through here exactly once — the conservation law the metrics
+// and the drain test rely on.
 func (s *Server) finish(sh *shard, t *task, r Response, rb *replyBatch) {
 	sh.served.Inc()
 	sh.latency.Add(float64(time.Since(t.enq).Microseconds()))
@@ -1125,14 +947,7 @@ func (s *Server) finish(sh *shard, t *task, r Response, rb *replyBatch) {
 			sh.hops.Add(float64(r.Report.Hops))
 		}
 	}
-	var followers []*follower
-	if t.lead {
-		followers = sh.retire(t)
-	}
-	s.deliver(&t.request, &r, nil, rb)
-	for _, f := range followers {
-		s.settle(sh, f, &r, nil, rb)
-	}
+	s.deliver(&t.request, &r, rb)
 }
 
 // ApplyFaults validates and applies a batch of fault mutations as one

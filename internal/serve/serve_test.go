@@ -222,8 +222,8 @@ func TestBackpressure(t *testing.T) {
 	cube := gc.New(8, 2)
 	s := mustServer(t, Config{Cube: cube, Shards: 1, QueueDepth: 2, Batch: 1})
 
-	// Distinct destinations: identical pairs would coalesce onto the
-	// held leader instead of filling the queue.
+	// Distinct destinations: each request is its own queued task, and
+	// none can be answered from another's cached plan.
 	var wg sync.WaitGroup
 	results := make(chan error, 3)
 	submit := func(dst gc.NodeID) {

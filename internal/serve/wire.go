@@ -32,8 +32,8 @@ import (
 // steady-state hit therefore costs zero heap allocations and no
 // goroutine switch.
 //
-// A miss costs no goroutine either: the reader enqueues it (coalescer,
-// shard queue) with the connection as its completion target, and the
+// A miss costs no goroutine either: the reader enqueues it on its
+// shard queue with the connection as its completion target, and the
 // shard worker that answers it encodes the reply into its batch's
 // share for the connection. At the end of the batch the worker appends
 // each share to its connection's writeCombiner and signals the
@@ -378,9 +378,9 @@ read:
 
 // routeMiss answers a RouteReq the fast path could not. A request this
 // instance serves is enqueued with the connection as its completion
-// target, so whoever answers it (the shard worker, its coalescing
-// leader, its own deadline) queues the reply. A request another member
-// owns blocks on the forward, so it alone gets a goroutine. The
+// target, so the shard worker that answers it queues the reply, with
+// OutcomeCanceled if its deadline died in the queue. A request another
+// member owns blocks on the forward, so it alone gets a goroutine. The
 // NoForward flag pins the request to this instance, the hop bound that
 // keeps ownership disagreements from looping a request between peers.
 // A refusal is appended to wbuf, the reader's own batch.

@@ -327,21 +327,20 @@ func TestWireHitsAccountedBeforeReply(t *testing.T) {
 	}
 }
 
-// TestCoalescerSoak is the tentpole's -race battery: a small pair set
-// with the cache disabled forces heavy coalescing while a churner
-// drives copy-on-write fault epochs. Every delivered response is
-// validated against the exact fault set of the epoch it is labeled
-// with — a waiter handed a plan computed against any other epoch's
-// faults (a torn group) would walk through a node that epoch considers
-// faulty or take a non-edge hop.
-func TestCoalescerSoak(t *testing.T) {
+// TestMissEpochSoak is the miss path's -race battery: a small pair set
+// with the cache disabled queues every request on its shard while a
+// churner drives copy-on-write fault epochs. Every answer to a queued
+// miss is validated against the exact fault set of the epoch on its
+// label — a plan computed against any other epoch's faults would walk
+// through a node that epoch considers faulty or take a non-edge hop.
+func TestMissEpochSoak(t *testing.T) {
 	cube := gc.New(8, 2)
 	s, err := New(Config{
 		Cube:            cube,
 		Shards:          2,
 		QueueDepth:      64,
 		Batch:           8,
-		CacheCapacity:   -1, // no cache: everything coalesces or queues
+		CacheCapacity:   -1, // no cache: every request queues
 		DefaultDeadline: 2 * time.Second,
 	})
 	if err != nil {
@@ -442,7 +441,7 @@ func TestCoalescerSoak(t *testing.T) {
 				}
 				for j, node := range path {
 					if faults[node] {
-						t.Errorf("epoch-%d plan crosses node %d, faulty in that epoch (torn coalesced group?)", r.Epoch, node)
+						t.Errorf("epoch-%d plan crosses node %d, faulty in that epoch", r.Epoch, node)
 						return
 					}
 					if j > 0 && !adjacent(path[j-1], node) {
@@ -462,9 +461,6 @@ func TestCoalescerSoak(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	m := s.Metrics()
-	if m.Coalesced == 0 {
-		t.Fatal("soak exercised no coalescing")
-	}
 	if answered.Load() != m.Accepted || m.Served != m.Accepted {
 		t.Fatalf("conservation: answered=%d accepted=%d served=%d", answered.Load(), m.Accepted, m.Served)
 	}
@@ -476,7 +472,7 @@ func TestCoalescerSoak(t *testing.T) {
 	}
 }
 
-// TestFastPathEpochSoak is the cache-enabled twin of TestCoalescerSoak
+// TestFastPathEpochSoak is the cache-enabled twin of TestMissEpochSoak
 // and the regression test for the swap-ordering race: ApplyFaults must
 // re-stamp and clear every route-cache shard BEFORE publishing the new
 // shard router state. With the orders reversed, a submitter that loads
@@ -971,80 +967,42 @@ func TestWireDrainWithQueuedMisses(t *testing.T) {
 	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine() <= base })
 }
 
-// TestWireCoalescedFollowerDeadline: a wire miss coalesced onto a
-// leader held in the worker is answered canceled when its own
-// DeadlineMS dies, without waiting for the leader's verdict.
-func TestWireCoalescedFollowerDeadline(t *testing.T) {
+// TestWireQueuedMissDeadline: a wire miss whose DeadlineMS dies while
+// it waits in the shard queue is still answered, by the worker, as a
+// canceled RouteResult rather than an error frame, and counted served.
+func TestWireQueuedMissDeadline(t *testing.T) {
 	cube := gc.New(8, 2)
 	s, held, release := heldServer(t, Config{Cube: cube, Shards: 1, CacheCapacity: -1})
 	defer release()
 	addr := startWire(t, s)
-	lead := make(chan error, 1)
+	first := make(chan error, 1)
 	go func() {
-		r, err := s.SubmitTree(context.Background(), 1, 200, core.TreeAuto)
-		if err == nil && (r.Err != nil || r.Report.Outcome != core.OutcomeDelivered) {
-			err = errors.New("leader not delivered")
-		}
-		lead <- err
+		_, err := s.SubmitTree(context.Background(), 1, 200, core.TreeAuto)
+		first <- err
 	}()
 	<-held
 
 	m := NewWireMux(addr, WireDialOptions{})
 	defer m.Close()
 	var out WireRoute
-	start := time.Now()
-	if err := m.Route(context.Background(), wire.RouteReq{Src: 1, Dst: 200, DeadlineMS: 20}, &out); err != nil {
+	routed := make(chan error, 1)
+	go func() {
+		routed <- m.Route(context.Background(), wire.RouteReq{Src: 2, Dst: 201, DeadlineMS: 20}, &out)
+	}()
+	waitFor(t, "the miss to queue", func() bool { return s.Metrics().Accepted == 2 })
+	time.Sleep(60 * time.Millisecond) // past the miss's deadline
+	release()
+	if err := <-routed; err != nil {
 		t.Fatal(err)
 	}
 	if core.Outcome(out.Outcome) != core.OutcomeCanceled || out.ErrCode != 0 {
-		t.Fatalf("follower: %+v, want canceled", out)
+		t.Fatalf("queued miss: %+v, want a canceled RouteResult", out)
 	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("follower answered after %v, want about its 20ms deadline", d)
-	}
-	if got := s.Metrics().Coalesced; got != 1 {
-		t.Fatalf("coalesced=%d, want the follower to have joined the held leader", got)
-	}
-	release()
-	if err := <-lead; err != nil {
+	if err := <-first; err != nil {
 		t.Fatal(err)
 	}
-	if mm := s.Metrics(); mm.Accepted != 2 || mm.Served != 2 {
+	if mm := s.Metrics(); mm.Accepted != mm.Served || mm.Accepted != 2 {
 		t.Fatalf("accepted=%d served=%d, want 2/2", mm.Accepted, mm.Served)
-	}
-}
-
-// TestCoalescedRetryAfterCanceledLeader: a follower whose leader dies
-// of the leader's own deadline while the follower is alive requeues
-// once and is served, instead of adopting the canceled verdict.
-func TestCoalescedRetryAfterCanceledLeader(t *testing.T) {
-	cube := gc.New(8, 2)
-	s, held, release := heldServer(t, Config{Cube: cube, Shards: 1})
-	defer release()
-	lctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	lead := make(chan *Response, 1)
-	go func() {
-		r, _ := s.SubmitTree(lctx, 1, 200, core.TreeAuto)
-		lead <- r
-	}()
-	<-held
-	follow := make(chan *Response, 1)
-	go func() {
-		r, _ := s.SubmitTree(context.Background(), 1, 200, core.TreeAuto)
-		follow <- r
-	}()
-	waitFor(t, "the follower to join", func() bool { return s.Metrics().Coalesced == 1 })
-	<-lctx.Done()
-	release()
-	if r := <-lead; r == nil || r.Report.Outcome != core.OutcomeCanceled {
-		t.Fatalf("leader: %+v, want canceled", r)
-	}
-	if r := <-follow; r == nil || r.Err != nil || r.Report.Outcome != core.OutcomeDelivered {
-		t.Fatalf("follower: %+v, want delivered after its retry", r)
-	}
-	if m := s.Metrics(); m.Accepted != 2 || m.Served != 2 {
-		t.Fatalf("accepted=%d served=%d, want 2/2 (leader, follower's requeue)", m.Accepted, m.Served)
 	}
 }
 
