@@ -44,27 +44,27 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gcsim", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		n        = fs.Uint("n", 9, "network dimension n")
-		alpha    = fs.Uint("alpha", 1, "modulus exponent: M = 2^alpha")
-		arrival  = fs.Float64("arrival", 0.01, "per-node per-cycle packet probability")
-		cycles   = fs.Int("cycles", 100, "generation window, cycles")
-		seed     = fs.Int64("seed", 1, "simulation seed")
-		faults   = fs.Int("faults", 0, "number of random faulty nodes")
-		pattern  = fs.String("pattern", "uniform", "traffic: uniform|complement|transpose|hotspot|permutation")
-		mode     = fs.String("mode", "eager", "network model: eager|stepped|wormhole")
-		flits    = fs.Int("flits", 4, "flits per packet (wormhole mode)")
-		buffers  = fs.Int("buffers", 2, "buffer capacity per link/VC (stepped: packets, wormhole: flits)")
-		vcs      = fs.Int("vcs", 2, "virtual channels per link (stepped/wormhole modes)")
-		savePath = fs.String("save", "", "write the scenario to this JSON file")
-		loadPath = fs.String("load", "", "replay a scenario from this JSON file")
-		mtbf     = fs.Float64("mtbf", 0, "churn: mean cycles between fault injections (0 = static faults; eager mode)")
-		mttr     = fs.Float64("mttr", 0, "churn: mean fault lifetime in cycles (0 = permanent; eager mode)")
-		adaptive = fs.Bool("adaptive", false, "route per hop with local fault discovery instead of source planning (eager mode)")
-		strict   = fs.Bool("strict", false, "fail when the fault count exceeds the Theorem 3 tolerable bound T(GC)")
-		repairOn = fs.Bool("repair", false, "enable the tree-repair subsystem: detour severed tree-edge crossings, prove partitions (eager mode)")
-		category = fs.String("fault-category", "node", "random fault flavor: node (A/B/C mix), tree-links (B: class-crossing links), sever (kill whole tree edges)")
-		sample   = fs.Int("trace-sample", 0, "trace every Nth packet and print the sampled route narratives (eager mode)")
-		pprofOn  = fs.String("pprof", "", "serve net/http/pprof and expvar run metrics on this address, e.g. localhost:6060 (\":0\" picks a port)")
+		n         = fs.Uint("n", 9, "network dimension n")
+		alpha     = fs.Uint("alpha", 1, "modulus exponent: M = 2^alpha")
+		arrival   = fs.Float64("arrival", 0.01, "per-node per-cycle packet probability")
+		cycles    = fs.Int("cycles", 100, "generation window, cycles")
+		seed      = fs.Int64("seed", 1, "simulation seed")
+		faults    = fs.Int("faults", 0, "number of random faulty nodes")
+		pattern   = fs.String("pattern", "uniform", "traffic: uniform|complement|transpose|hotspot|permutation")
+		mode      = fs.String("mode", "eager", "network model: eager|stepped|wormhole")
+		flits     = fs.Int("flits", 4, "flits per packet (wormhole mode)")
+		buffers   = fs.Int("buffers", 2, "buffer capacity per link/VC (stepped: packets, wormhole: flits)")
+		vcs       = fs.Int("vcs", 2, "virtual channels per link (stepped/wormhole modes)")
+		savePath  = fs.String("save", "", "write the scenario to this JSON file")
+		loadPath  = fs.String("load", "", "replay a scenario from this JSON file")
+		mtbf      = fs.Float64("mtbf", 0, "churn: mean cycles between fault injections (0 = static faults; eager mode)")
+		mttr      = fs.Float64("mttr", 0, "churn: mean fault lifetime in cycles (0 = permanent; eager mode)")
+		adaptive  = fs.Bool("adaptive", false, "route per hop with local fault discovery instead of source planning (eager mode)")
+		strict    = fs.Bool("strict", false, "fail when the fault count exceeds the Theorem 3 tolerable bound T(GC)")
+		repairOn  = fs.Bool("repair", false, "enable the tree-repair subsystem: detour severed tree-edge crossings, prove partitions (eager mode)")
+		category  = fs.String("fault-category", "node", "random fault flavor: node (A/B/C mix), tree-links (B: class-crossing links), sever (kill whole tree edges)")
+		sample    = fs.Int("trace-sample", 0, "trace every Nth packet and print the sampled route narratives (eager mode)")
+		pprofOn   = fs.String("pprof", "", "serve net/http/pprof and expvar run metrics on this address, e.g. localhost:6060 (\":0\" picks a port)")
 		multipath = fs.Int("multipath", 0, "stripe traffic over this many multipath trees (power of two; eager mode)")
 	)
 	if err := fs.Parse(args); err != nil {

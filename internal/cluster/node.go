@@ -66,7 +66,7 @@ type peer struct {
 	idx  int
 	addr string
 	sync *serve.WireClient // gossip + epoch pulls
-	fwd  *serve.WireMux    // route and collective-subset forwarding
+	fwd  *serve.WireMux    // route forwarding
 
 	mu           sync.Mutex
 	epoch, fp    uint64
@@ -89,9 +89,11 @@ func (p *peer) markMissed() {
 }
 
 // Node runs the cluster duties of one instance: it installs itself as
-// the Server's Forwarder, gossips the fault frontier with every peer,
-// pulls and applies what it is missing, and keeps the staleness mark
-// honest. Create with Start, stop with Close.
+// the Server's Forwarder for route requests, gossips the fault frontier
+// with every peer, pulls and applies what it is missing, and keeps the
+// staleness mark honest. Collectives are not forwarded: the Server
+// plans each on the member that receives it, under that mark. Create
+// with Start, stop with Close.
 type Node struct {
 	cfg  Config
 	topo *Topology
@@ -101,11 +103,10 @@ type Node struct {
 	// index; peers[self] is nil.
 	peers []*peer
 
-	forwarded            metrics.Counter
-	forwardRetries       metrics.Counter
-	forwardFallbacks     metrics.Counter
-	collectivesForwarded metrics.Counter
-	epochSyncs           metrics.Counter
+	forwarded        metrics.Counter
+	forwardRetries   metrics.Counter
+	forwardFallbacks metrics.Counter
+	epochSyncs       metrics.Counter
 
 	stop chan struct{}
 	done chan struct{}
@@ -146,7 +147,6 @@ func Start(cfg Config) (*Node, error) {
 		}
 	}
 	n.srv.SetForwarder(n)
-	n.srv.SetCollectiveForwarder(n)
 	n.srv.SetClusterInfo(n.snapshot)
 	go n.loop()
 	return n, nil
@@ -158,7 +158,6 @@ func (n *Node) Close() {
 	close(n.stop)
 	<-n.done
 	n.srv.SetForwarder(nil)
-	n.srv.SetCollectiveForwarder(nil)
 	n.srv.SetClusterInfo(nil)
 	n.srv.SetEpochStale("")
 	for _, p := range n.peers {
@@ -385,13 +384,12 @@ func (n *Node) updateStale() {
 func (n *Node) snapshot() *serve.ClusterSnapshot {
 	epoch, _ := n.srv.Frontier()
 	cs := &serve.ClusterSnapshot{
-		Self:                 n.cfg.Self,
-		Peers:                len(n.topo.Members()),
-		Forwarded:            n.forwarded.Value(),
-		ForwardRetries:       n.forwardRetries.Value(),
-		ForwardFallbacks:     n.forwardFallbacks.Value(),
-		CollectivesForwarded: n.collectivesForwarded.Value(),
-		EpochSyncs:           n.epochSyncs.Value(),
+		Self:             n.cfg.Self,
+		Peers:            len(n.topo.Members()),
+		Forwarded:        n.forwarded.Value(),
+		ForwardRetries:   n.forwardRetries.Value(),
+		ForwardFallbacks: n.forwardFallbacks.Value(),
+		EpochSyncs:       n.epochSyncs.Value(),
 	}
 	for _, p := range n.peers {
 		if p == nil {

@@ -2,8 +2,9 @@
 // Gaussian-cube router (DESIGN.md §13). Ownership follows the paper's
 // own decomposition: the Gaussian Tree partitions GC(n, 2^alpha) into
 // 2^alpha ending classes, and a topology assigns each instance a
-// contiguous class range. Requests whose source class lives elsewhere
-// are proxied to the owner over the binary wire protocol; fault
+// contiguous class range. Route requests whose source class lives
+// elsewhere are proxied to the owner over the binary wire protocol
+// (broadcasts and multicasts are planned where they land); fault
 // mutations propagate between instances by pull-based anti-entropy
 // gossip on the (epoch, fingerprint) frontier, with the durable
 // journal serving exact history suffixes and a snapshot fallback.

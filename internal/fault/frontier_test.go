@@ -6,9 +6,9 @@ import "testing"
 // as the deterministic tie-break, zero only on identical stamps.
 func TestCompareFrontier(t *testing.T) {
 	cases := []struct {
-		name                   string
-		ea, fa, eb, fb         uint64
-		want                   int
+		name           string
+		ea, fa, eb, fb uint64
+		want           int
 	}{
 		{"behind by epoch", 3, 99, 5, 1, -1},
 		{"ahead by epoch", 7, 0, 5, 0xffff, +1},

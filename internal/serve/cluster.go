@@ -333,20 +333,17 @@ type ClusterPeer struct {
 // degrade tally. Filled by the cluster node's snapshot hook
 // (SetClusterInfo); the Server stamps in the fields it owns.
 type ClusterSnapshot struct {
-	Self      string `json:"self"`
-	Peers     int    `json:"cluster_peers"`
-	EpochLag  int64  `json:"cluster_epoch_lag"`
-	Forwarded int64  `json:"forwarded"`
-	// CollectivesForwarded counts broadcast/multicast requests fanned
-	// out across the class-range owners.
-	CollectivesForwarded int64         `json:"collectives_forwarded,omitempty"`
-	ForwardRetries       int64         `json:"forward_retries"`
-	ForwardFallbacks     int64         `json:"forward_fallbacks"`
-	EpochSyncs           int64         `json:"epoch_syncs"`
-	DegradedStaleEpoch   int64         `json:"degraded_stale_epoch"`
-	Stale                bool          `json:"stale,omitempty"`
-	StaleReason          string        `json:"stale_reason,omitempty"`
-	PerPeer              []ClusterPeer `json:"per_peer,omitempty"`
+	Self               string        `json:"self"`
+	Peers              int           `json:"cluster_peers"`
+	EpochLag           int64         `json:"cluster_epoch_lag"`
+	Forwarded          int64         `json:"forwarded"`
+	ForwardRetries     int64         `json:"forward_retries"`
+	ForwardFallbacks   int64         `json:"forward_fallbacks"`
+	EpochSyncs         int64         `json:"epoch_syncs"`
+	DegradedStaleEpoch int64         `json:"degraded_stale_epoch"`
+	Stale              bool          `json:"stale,omitempty"`
+	StaleReason        string        `json:"stale_reason,omitempty"`
+	PerPeer            []ClusterPeer `json:"per_peer,omitempty"`
 }
 
 // SetClusterInfo installs (or, with nil, removes) the cluster snapshot

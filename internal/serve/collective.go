@@ -30,85 +30,33 @@ type CollectiveResponse struct {
 	// Epoch is the fault epoch the plan was computed against.
 	Epoch uint64
 	// Degraded marks a verdict served under a known-behind fault view
-	// (journal replay window, stale gossip frontier, cluster
-	// fallback); Reason says why. Delivered destinations are demoted
-	// to DeliveredDegraded when set.
+	// (journal replay window, stale gossip frontier); Reason says why.
+	// Delivered destinations are demoted to DeliveredDegraded when set.
 	Degraded bool
 	// Reason carries the degrade reason when Degraded is set.
 	Reason string
 }
 
-// CollectiveForwarder is the cluster hook SubmitBroadcast and
-// SubmitMulticast consult: when installed, the cluster node fans the
-// request out to the owners of the destination ending-class ranges and
-// merges the per-destination results. Installed by cluster.Node via
-// SetCollectiveForwarder.
-type CollectiveForwarder interface {
-	// ForwardCollective serves the collective cluster-wide. dests is
-	// nil for a broadcast; multicast distinguishes an explicit empty
-	// list. The returned response accounts every destination exactly
-	// once across the cluster.
-	ForwardCollective(ctx context.Context, origin gc.NodeID, dests []gc.NodeID, multicast bool) (*CollectiveResponse, error)
-}
-
-// collectiveForwarderBox wraps the interface for atomic storage.
-type collectiveForwarderBox struct{ f CollectiveForwarder }
-
-// SetCollectiveForwarder installs (or, with nil, removes) the cluster
-// collective fan-out hook. Safe to call while serving.
-func (s *Server) SetCollectiveForwarder(f CollectiveForwarder) {
-	if f == nil {
-		s.cfwd.Store(nil)
-		return
-	}
-	s.cfwd.Store(&collectiveForwarderBox{f: f})
-}
-
 // SubmitBroadcast serves one broadcast: a delivery plan reaching every
-// node of the cube from root, re-rooted when root is faulted. With a
-// cluster forwarder installed the request fans out to the owners of
-// the destination class ranges; SubmitCollectiveLocal pins it here.
+// node of the cube from root, re-rooted when root is faulted.
 func (s *Server) SubmitBroadcast(ctx context.Context, root gc.NodeID) (*CollectiveResponse, error) {
-	if box := s.cfwd.Load(); box != nil && int(root) < s.cube.Nodes() {
-		return box.f.ForwardCollective(ctx, root, nil, false)
-	}
-	return s.SubmitCollectiveLocal(ctx, root, nil, false)
+	return s.submitCollective(ctx, root, nil, false)
 }
 
 // SubmitMulticast serves one multicast to an explicit destination
 // list, answered in request order (duplicates answered consistently).
 func (s *Server) SubmitMulticast(ctx context.Context, root gc.NodeID, dests []gc.NodeID) (*CollectiveResponse, error) {
-	if box := s.cfwd.Load(); box != nil && int(root) < s.cube.Nodes() {
-		return box.f.ForwardCollective(ctx, root, dests, true)
-	}
-	return s.SubmitCollectiveLocal(ctx, root, dests, true)
-}
-
-// SubmitCollectiveLocal serves a collective on this instance regardless
-// of cluster ownership — the landing path for fanned-out subsets
-// (wire.RouteFlagNoForward). As for ForwardCollective, dests is nil
-// for a broadcast and multicast distinguishes an explicit empty list; a
-// multicast answers dests in request order. It applies the same
-// replay-window and stale-frontier degrade marking SubmitLocalTree
-// gives unicast responses.
-func (s *Server) SubmitCollectiveLocal(ctx context.Context, root gc.NodeID, dests []gc.NodeID, multicast bool) (*CollectiveResponse, error) {
-	resp, err := s.submitCollective(ctx, root, dests, multicast)
-	if resp != nil {
-		if s.Replaying() {
-			resp = degradeCollective(resp, "journal replay in progress; verdict from seed fault state")
-		} else if m := s.stale.Load(); m != nil {
-			if d, marked := degradeCollectiveIf(resp, m.reason); marked {
-				s.degradedStale.Inc()
-				resp = d
-			}
-		}
-	}
-	return resp, err
+	return s.submitCollective(ctx, root, dests, true)
 }
 
 // submitCollective validates, queues, and waits. Out-of-range nodes
 // are submission errors (the HTTP 400 class), checked before anything
-// is enqueued so a bad request never costs a queue slot.
+// is enqueued so a bad request never costs a queue slot. dests is nil
+// for a broadcast; multicast distinguishes an explicit empty list. A
+// collective is always planned here, on the member that receives it:
+// its verdict depends on the origin and the fault set only, and every
+// member holds the fault set. The answer gets the same replay-window
+// and stale-frontier marking deliver gives unicast responses.
 func (s *Server) submitCollective(ctx context.Context, root gc.NodeID, dests []gc.NodeID, multicast bool) (*CollectiveResponse, error) {
 	if int(root) >= s.cube.Nodes() {
 		return nil, fmt.Errorf("serve: node out of range for GC(%d,2^%d)", s.cube.N(), s.cube.Alpha())
@@ -135,7 +83,16 @@ func (s *Server) submitCollective(ctx context.Context, root gc.NodeID, dests []g
 		return nil, err
 	}
 	r := <-t.cresp
-	return &r, nil
+	resp := &r
+	if s.Replaying() {
+		resp = degradeCollective(resp, "journal replay in progress; verdict from seed fault state")
+	} else if m := s.stale.Load(); m != nil {
+		if d, marked := degradeCollectiveIf(resp, m.reason); marked {
+			s.degradedStale.Inc()
+			resp = d
+		}
+	}
+	return resp, nil
 }
 
 // processCollective serves one queued collective on its shard worker.
@@ -219,14 +176,6 @@ func collectiveSummaryOutcome(rep *core.CollectiveReport) core.Outcome {
 	default:
 		return core.OutcomeDelivered
 	}
-}
-
-// DegradeCollective marks a collective verdict served under a weaker
-// guarantee (cluster fallback, epoch skew): delivered destinations are
-// demoted to DeliveredDegraded and the response carries reason. The
-// exported twin of the stale-epoch marking, for cluster.Node.
-func DegradeCollective(r *CollectiveResponse, reason string) *CollectiveResponse {
-	return degradeCollective(r, reason)
 }
 
 // degradeCollective returns r with every delivered destination demoted

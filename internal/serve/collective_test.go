@@ -273,16 +273,16 @@ func TestWireCollective(t *testing.T) {
 		t.Fatalf("wire broadcast partition broken: %+v", reply)
 	}
 
-	var raw wire.CollectiveResult
 	dests := []gc.NodeID{1, 40, 1}
-	if err := c.MulticastRaw(9, dests, 0, wire.RouteFlagNoForward, &raw); err != nil {
+	mreply, err := c.Multicast(9, dests)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw.Dests) != 3 || raw.Dests[0].Dest != 1 || raw.Dests[1].Dest != 40 || raw.Dests[2].Dest != 1 {
-		t.Fatalf("wire multicast records: %+v", raw.Dests)
+	if len(mreply.Dests) != 3 || mreply.Dests[0].Dest != 1 || mreply.Dests[1].Dest != 40 || mreply.Dests[2].Dest != 1 {
+		t.Fatalf("wire multicast records: %+v", mreply.Dests)
 	}
-	if int(raw.Delivered+raw.Degraded+raw.Unreached) != len(raw.Dests) {
-		t.Fatalf("wire multicast partition broken: %+v", raw)
+	if mreply.Delivered+mreply.DegradedN+mreply.Unreached != len(mreply.Dests) {
+		t.Fatalf("wire multicast partition broken: %+v", mreply)
 	}
 
 	var wse *WireStatusError

@@ -303,7 +303,6 @@ type Server struct {
 	// frontier; clusterFn provides the /metrics cluster section;
 	// degradedStale tallies responses stale-marked.
 	fwd           atomic.Pointer[forwarderBox]
-	cfwd          atomic.Pointer[collectiveForwarderBox]
 	stale         atomic.Pointer[staleMark]
 	clusterFn     atomic.Pointer[func() *ClusterSnapshot]
 	degradedStale metrics.Counter

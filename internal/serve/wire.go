@@ -40,9 +40,9 @@ import (
 // connection's writer goroutine once, which sends the batch's replies
 // in one write. The worker never touches a socket, so a client that
 // stops reading stalls only its own connection. Out-of-order replies are the protocol's contract,
-// correlated by request id. Only requests that block on a peer — a
-// forward to another cluster member, a collective — ride a goroutine,
-// and their replies go through the same combiner.
+// correlated by request id. Only a forward to another cluster member
+// and a collective (a whole-plan computation the reader must not wait
+// on) ride a goroutine, and their replies go through the same combiner.
 type WireServer struct {
 	srv *Server
 	ln  net.Listener
@@ -314,7 +314,7 @@ read:
 				wbuf = wire.AppendError(wbuf, h.ID, wire.CodeBadRequest, err.Error())
 				break
 			}
-			ws.collectiveMiss(wc, h.ID, breq.Root, nil, false, breq.DeadlineMS, breq.Flags)
+			ws.collectiveMiss(wc, h.ID, breq.Root, nil, false, breq.DeadlineMS)
 		case wire.TypeMulticastReq:
 			var mreq wire.MulticastReq
 			if err := wire.DecodeMulticastReq(payload, &mreq); err != nil {
@@ -324,7 +324,7 @@ read:
 			// The decoded list aliases the reused payload buffer; the miss
 			// goroutine outlives this read loop iteration, so copy.
 			dests := append([]gc.NodeID(nil), mreq.Dests...)
-			ws.collectiveMiss(wc, h.ID, mreq.Root, dests, true, mreq.DeadlineMS, mreq.Flags)
+			ws.collectiveMiss(wc, h.ID, mreq.Root, dests, true, mreq.DeadlineMS)
 		case wire.TypeFaultsReq:
 			if err := wire.DecodeFaultsReq(payload, &ops); err != nil {
 				wbuf = wire.AppendError(wbuf, h.ID, wire.CodeBadRequest, err.Error())
@@ -470,10 +470,11 @@ func appendRefusal(dst []byte, id uint64, err error) []byte {
 
 // collectiveMiss serves a broadcast/multicast request off the reader
 // goroutine — a collective is always a whole-plan computation, never a
-// cache hit, and may fan out to peers — and queues its CollectiveResult
-// frame on the connection's combiner. NoForward pins the request to
-// this instance, exactly as for unicast misses.
-func (ws *WireServer) collectiveMiss(wc *wireConn, id uint64, root gc.NodeID, dests []gc.NodeID, multicast bool, deadlineMS uint32, flags uint8) {
+// cache hit — and queues its CollectiveResult frame on the
+// connection's combiner. The frame's Flags byte is not read: a
+// collective is planned on the member that receives it, so NoForward
+// changes nothing.
+func (ws *WireServer) collectiveMiss(wc *wireConn, id uint64, root gc.NodeID, dests []gc.NodeID, multicast bool, deadlineMS uint32) {
 	wc.inflight.Add(1)
 	go func() {
 		defer wc.inflight.Done()
@@ -483,16 +484,7 @@ func (ws *WireServer) collectiveMiss(wc *wireConn, id uint64, root gc.NodeID, de
 			ctx, cancel = context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
 			defer cancel()
 		}
-		var resp *CollectiveResponse
-		var err error
-		switch {
-		case flags&wire.RouteFlagNoForward != 0:
-			resp, err = ws.srv.SubmitCollectiveLocal(ctx, root, dests, multicast)
-		case multicast:
-			resp, err = ws.srv.SubmitMulticast(ctx, root, dests)
-		default:
-			resp, err = ws.srv.SubmitBroadcast(ctx, root)
-		}
+		resp, err := ws.srv.submitCollective(ctx, root, dests, multicast)
 		b := wc.out.lock()
 		switch {
 		case err != nil:

@@ -472,83 +472,60 @@ func (w *WireClient) RouteBatch(pairs [][2]gc.NodeID, out []WireRoute) error {
 	return nil
 }
 
-// BroadcastRaw serves one broadcast into a caller-reused result (its
-// Dests capacity is recycled). flags carries wire.RouteFlagNoForward to
-// pin the request to the receiving instance — the cluster fan-out's hop
-// primitive. A server error frame surfaces as *WireStatusError.
-func (w *WireClient) BroadcastRaw(root gc.NodeID, deadlineMS uint32, flags uint8, into *wire.CollectiveResult) error {
+// Broadcast serves one broadcast and returns the JSON-shaped verdict,
+// exactly like the HTTP client's Broadcast.
+func (w *WireClient) Broadcast(root gc.NodeID) (*CollectiveReply, error) {
+	return w.collective(root, nil, false)
+}
+
+// Multicast serves one multicast and returns the JSON-shaped verdict;
+// its destinations answer dests in request order.
+func (w *WireClient) Multicast(root gc.NodeID, dests []gc.NodeID) (*CollectiveReply, error) {
+	return w.collective(root, dests, true)
+}
+
+// collective sends one broadcast (or, with multicast, one multicast to
+// dests) and decodes the correlated CollectiveResult reply. A server
+// error frame surfaces as *WireStatusError.
+func (w *WireClient) collective(root gc.NodeID, dests []gc.NodeID, multicast bool) (*CollectiveReply, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.begin(); err != nil {
-		return err
+		return nil, err
 	}
 	id := w.nextID
 	w.nextID++
-	w.wbuf = wire.AppendBroadcastReq(w.wbuf[:0], id, wire.BroadcastReq{Root: root, DeadlineMS: deadlineMS, Flags: flags})
-	return w.readCollective(id, into)
-}
-
-// MulticastRaw serves one multicast into a caller-reused result; the
-// reply's records answer dests in request order.
-func (w *WireClient) MulticastRaw(root gc.NodeID, dests []gc.NodeID, deadlineMS uint32, flags uint8, into *wire.CollectiveResult) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.begin(); err != nil {
-		return err
+	if multicast {
+		w.wbuf = wire.AppendMulticastReq(w.wbuf[:0], id, &wire.MulticastReq{Root: root, Dests: dests})
+	} else {
+		w.wbuf = wire.AppendBroadcastReq(w.wbuf[:0], id, wire.BroadcastReq{Root: root})
 	}
-	id := w.nextID
-	w.nextID++
-	w.wbuf = wire.AppendMulticastReq(w.wbuf[:0], id, &wire.MulticastReq{Root: root, DeadlineMS: deadlineMS, Flags: flags, Dests: dests})
-	return w.readCollective(id, into)
-}
-
-// readCollective writes the prepared frame and decodes the correlated
-// CollectiveResult reply. Caller holds mu with w.wbuf loaded.
-func (w *WireClient) readCollective(id uint64, into *wire.CollectiveResult) error {
 	if _, err := w.c.Write(w.wbuf); err != nil {
-		return w.fail(err)
+		return nil, w.fail(err)
 	}
 	h, p, err := w.readFrame()
 	if err != nil {
-		return w.fail(err)
+		return nil, w.fail(err)
 	}
 	if h.ID != id {
-		return w.fail(fmt.Errorf("response id %d for request %d", h.ID, id))
+		return nil, w.fail(fmt.Errorf("response id %d for request %d", h.ID, id))
 	}
 	switch h.Type {
 	case wire.TypeError:
 		var ef wire.ErrorFrame
 		if err := wire.DecodeError(p, &ef); err != nil {
-			return w.fail(err)
+			return nil, w.fail(err)
 		}
-		return &WireStatusError{Code: ef.Code, Msg: string(ef.Msg)}
+		return nil, &WireStatusError{Code: ef.Code, Msg: string(ef.Msg)}
 	case wire.TypeCollectiveResult:
-		if err := wire.DecodeCollectiveResult(p, into); err != nil {
-			return w.fail(err)
+		var res wire.CollectiveResult
+		if err := wire.DecodeCollectiveResult(p, &res); err != nil {
+			return nil, w.fail(err)
 		}
-		return nil
+		return collectiveReplyFromWire(&res), nil
 	default:
-		return w.fail(fmt.Errorf("unexpected reply type %d", h.Type))
+		return nil, w.fail(fmt.Errorf("unexpected reply type %d", h.Type))
 	}
-}
-
-// Broadcast serves one broadcast and returns the JSON-shaped verdict,
-// exactly like the HTTP client's Broadcast.
-func (w *WireClient) Broadcast(root gc.NodeID) (*CollectiveReply, error) {
-	var res wire.CollectiveResult
-	if err := w.BroadcastRaw(root, 0, 0, &res); err != nil {
-		return nil, err
-	}
-	return collectiveReplyFromWire(&res), nil
-}
-
-// Multicast serves one multicast and returns the JSON-shaped verdict.
-func (w *WireClient) Multicast(root gc.NodeID, dests []gc.NodeID) (*CollectiveReply, error) {
-	var res wire.CollectiveResult
-	if err := w.MulticastRaw(root, dests, 0, 0, &res); err != nil {
-		return nil, err
-	}
-	return collectiveReplyFromWire(&res), nil
 }
 
 // collectiveReplyFromWire lifts a binary result into the JSON document

@@ -34,8 +34,9 @@ import (
 //     reply) fails every pending call with ErrConnClosed, and the next
 //     call redials through opts (Dial override, retry budget, backoff).
 //
-// It carries RouteReq and MulticastReq frames, the two that forwarding
-// sends. The zero value is not usable; build one with NewWireMux.
+// It carries RouteReq frames only: forwarding is unicast, and a
+// collective is planned on the member that receives it. The zero value
+// is not usable; build one with NewWireMux.
 type WireMux struct {
 	addr string
 	opts WireDialOptions
@@ -81,23 +82,6 @@ func (m *WireMux) Route(ctx context.Context, req wire.RouteReq, out *WireRoute) 
 		*out = call.route
 	}
 	call.route = WireRoute{}
-	putMuxCall(call)
-	return err
-}
-
-// Multicast sends one multicast request and fills out with the
-// reply's collective result, which the caller then owns outright. A
-// server error frame surfaces as *WireStatusError; other errors are as
-// for Route.
-func (m *WireMux) Multicast(ctx context.Context, req *wire.MulticastReq, out *wire.CollectiveResult) error {
-	call := getMuxCall()
-	call.mreq = req
-	err := m.roundTrip(ctx, call)
-	if err == nil {
-		*out = call.coll
-	}
-	call.mreq = nil
-	call.coll = wire.CollectiveResult{}
 	putMuxCall(call)
 	return err
 }
@@ -198,11 +182,7 @@ func (mc *muxConn) send(call *muxCall) (uint64, error) {
 	mc.pending[id] = call
 	mc.mu.Unlock()
 	b := mc.out.lock()
-	if call.mreq != nil {
-		b = wire.AppendMulticastReq(b, id, call.mreq)
-	} else {
-		b = wire.AppendRouteReq(b, id, call.req)
-	}
+	b = wire.AppendRouteReq(b, id, call.req)
 	mc.out.unlock(b)
 	if err := mc.out.flush(nil, 0); err != nil {
 		mc.tear(fmt.Errorf("%w: %v", ErrConnClosed, err))
@@ -279,7 +259,7 @@ func (mc *muxConn) read() {
 		if call == nil {
 			continue // a late reply for a call whose caller gave up
 		}
-		if err := call.decode(h.Type, p); err != nil {
+		if err := decodeRouteReply(h.Type, p, &call.route); err != nil {
 			err = fmt.Errorf("%w: %v", ErrConnClosed, err)
 			call.err = err
 			call.ready <- struct{}{}
@@ -299,11 +279,8 @@ type muxCall struct {
 	ready chan struct{} // capacity 1
 	timer *time.Timer   // the CallTimeout timer, reused across calls
 
-	req  wire.RouteReq
-	mreq *wire.MulticastReq // non-nil for a multicast call
-
+	req   wire.RouteReq
 	route WireRoute
-	coll  wire.CollectiveResult
 	err   error
 }
 
@@ -324,26 +301,6 @@ func (c *muxCall) stopTimer() {
 		case <-c.timer.C:
 		default:
 		}
-	}
-}
-
-// decode reads the reply payload into the call's own storage.
-func (c *muxCall) decode(t wire.Type, p []byte) error {
-	if c.mreq == nil {
-		return decodeRouteReply(t, p, &c.route)
-	}
-	switch t {
-	case wire.TypeError:
-		var ef wire.ErrorFrame
-		if err := wire.DecodeError(p, &ef); err != nil {
-			return err
-		}
-		c.err = &WireStatusError{Code: ef.Code, Msg: string(ef.Msg)}
-		return nil
-	case wire.TypeCollectiveResult:
-		return wire.DecodeCollectiveResult(p, &c.coll)
-	default:
-		return fmt.Errorf("unexpected reply type %d", t)
 	}
 }
 

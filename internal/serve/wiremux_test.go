@@ -341,9 +341,8 @@ func TestWireMuxTornConnection(t *testing.T) {
 }
 
 // TestWireMuxErrorFrames: an error frame answering a route request
-// lands in the slot's ErrCode and ErrMsg; one answering a multicast
-// surfaces as *WireStatusError. A reply of the wrong type tears the
-// connection.
+// lands in the slot's ErrCode and ErrMsg. A reply of the wrong type
+// tears the connection.
 func TestWireMuxErrorFrames(t *testing.T) {
 	peer := &muxPeer{script: func(c net.Conn) {
 		defer c.Close()
@@ -353,32 +352,17 @@ func TestWireMuxErrorFrames(t *testing.T) {
 				return
 			}
 			var out []byte
-			switch h.Type {
-			case wire.TypeRouteReq:
-				var req wire.RouteReq
-				_ = wire.DecodeRouteReq(p, &req)
-				switch req.Src {
-				case 1:
-					out = wire.AppendError(nil, h.ID, wire.CodeBackpressure, "queue full")
-				case 2:
-					out = wire.AppendError(nil, h.ID, wire.CodeFaultyNode, "faulty endpoint")
-				case 3:
-					out = wire.AppendError(nil, h.ID, wire.CodeDraining, "draining")
-				default:
-					out = wire.AppendPong(nil, h.ID, 0) // not a route reply
-				}
-			case wire.TypeMulticastReq:
-				var req wire.MulticastReq
-				_ = wire.DecodeMulticastReq(p, &req)
-				if req.Root == 0 {
-					out = wire.AppendError(nil, h.ID, wire.CodeDraining, "draining")
-				} else {
-					res := wire.CollectiveResult{Root: req.Root, Origin: req.Root, Delivered: uint32(len(req.Dests)), Epoch: 4}
-					for _, d := range req.Dests {
-						res.Dests = append(res.Dests, wire.DestRecord{Dest: d, Outcome: 1, Hops: 2})
-					}
-					out = wire.AppendCollectiveResult(nil, h.ID, &res)
-				}
+			var req wire.RouteReq
+			_ = wire.DecodeRouteReq(p, &req)
+			switch req.Src {
+			case 1:
+				out = wire.AppendError(nil, h.ID, wire.CodeBackpressure, "queue full")
+			case 2:
+				out = wire.AppendError(nil, h.ID, wire.CodeFaultyNode, "faulty endpoint")
+			case 3:
+				out = wire.AppendError(nil, h.ID, wire.CodeDraining, "draining")
+			default:
+				out = wire.AppendPong(nil, h.ID, 0) // not a route reply
 			}
 			if _, err := c.Write(out); err != nil {
 				return
@@ -397,19 +381,6 @@ func TestWireMuxErrorFrames(t *testing.T) {
 		if out.ErrCode != code || len(out.ErrMsg) == 0 || out.Delivered() {
 			t.Fatalf("src %d: ErrCode %d (%q), want %d", src, out.ErrCode, out.ErrMsg, code)
 		}
-	}
-
-	var res wire.CollectiveResult
-	mreq := wire.MulticastReq{Root: 5, Dests: []gc.NodeID{6, 7, 8}}
-	if err := m.Multicast(ctx, &mreq, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Epoch != 4 || len(res.Dests) != 3 || res.Dests[2].Dest != 8 {
-		t.Fatalf("multicast reply: %+v", res)
-	}
-	var se *WireStatusError
-	if err := m.Multicast(ctx, &wire.MulticastReq{Root: 0, Dests: []gc.NodeID{1}}, &res); !errors.As(err, &se) || se.Code != wire.CodeDraining {
-		t.Fatalf("multicast error frame: err = %v, want a 503 *WireStatusError", err)
 	}
 
 	var out WireRoute
@@ -455,8 +426,8 @@ func TestWireMuxClose(t *testing.T) {
 }
 
 // TestWireMuxServer drives the multiplexed connection against the real
-// wire server: concurrent route and multicast calls, each answered
-// with its own verdict.
+// wire server: concurrent route calls, each answered with its own
+// verdict.
 func TestWireMuxServer(t *testing.T) {
 	cube := gc.New(6, 2)
 	s := mustServer(t, Config{Cube: cube, Shards: 2})
@@ -481,19 +452,6 @@ func TestWireMuxServer(t *testing.T) {
 			}
 		}(i)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var res wire.CollectiveResult
-		req := wire.MulticastReq{Root: 0, Dests: []gc.NodeID{5, 9, 40}}
-		if err := m.Multicast(context.Background(), &req, &res); err != nil {
-			errs <- err
-			return
-		}
-		if len(res.Dests) != 3 || res.Dests[1].Dest != 9 || res.Delivered != 3 {
-			errs <- errors.New("wrong multicast verdict")
-		}
-	}()
 	wg.Wait()
 	close(errs)
 	for err := range errs {

@@ -24,8 +24,9 @@ type BroadcastReq struct {
 	// DeadlineMS optionally bounds the request server-side, in
 	// milliseconds (0 means the server default).
 	DeadlineMS uint32
-	// Flags carries RouteFlag bits (RouteFlagNoForward pins the
-	// request to the receiving cluster member).
+	// Flags carries RouteFlag bits. The server reads none of them: a
+	// collective is always planned on the member that receives it, so
+	// RouteFlagNoForward is accepted and ignored.
 	Flags uint8
 }
 
@@ -62,7 +63,7 @@ func DecodeBroadcastReq(p []byte, into *BroadcastReq) error {
 type MulticastReq struct {
 	Root       gc.NodeID
 	DeadlineMS uint32
-	Flags      uint8
+	Flags      uint8       // as BroadcastReq.Flags: accepted and ignored
 	Dests      []gc.NodeID // reused by Decode; copy to keep past the next call
 }
 

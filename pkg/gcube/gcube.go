@@ -293,10 +293,11 @@ func NewWireDialer(addr string, opts WireDialOptions) *WireClient {
 
 // Cluster: several gcserved instances serving one cube (DESIGN.md
 // §13). A topology assigns each member a contiguous range of ending
-// classes; cross-range requests are forwarded to the owner over
-// gcwire, and fault mutations converge by anti-entropy gossip on the
-// (epoch, fingerprint) frontier. Instances cut off from their peers
-// keep serving but stamp answers delivered-degraded.
+// classes; cross-range route requests are forwarded to the owner over
+// gcwire, broadcasts and multicasts are planned on the member that
+// receives them, and fault mutations converge by anti-entropy gossip
+// on the (epoch, fingerprint) frontier. Instances cut off from their
+// peers keep serving but stamp answers delivered-degraded.
 type (
 	// ClusterMember is one instance: a wire address owning the
 	// inclusive ending-class range [Lo, Hi].
