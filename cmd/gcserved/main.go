@@ -96,7 +96,6 @@ func run(args []string, out io.Writer) error {
 		classRanges = fs.String("class-ranges", "", "cluster mode: explicit ownership map \"0-1@host:port,2@host:port,...\" (mutually exclusive with -peers)")
 		advertise   = fs.String("advertise", "", "cluster mode: this instance's wire address as peers dial it; must appear in -peers or -class-ranges")
 		gossipInt   = fs.Duration("gossip-interval", 500*time.Millisecond, "cluster mode: anti-entropy gossip period")
-		fwdTimeout  = fs.Duration("forward-timeout", 2*time.Second, "cluster mode: per-hop deadline when forwarding to a class owner")
 		faults      = fs.Int("faults", 0, "random initial faulty nodes")
 		seed        = fs.Int64("seed", 1, "seed for initial faults and selftest traffic")
 		selftest    = fs.Bool("selftest", false, "boot on loopback, drive a load test through the HTTP client, verify conservation, exit")
@@ -127,13 +126,13 @@ func run(args []string, out io.Writer) error {
 	case clusterMode && *advertise == "":
 		return fmt.Errorf("cluster mode requires -advertise: the wire address peers dial this instance at")
 	case clusterMode && *wireAddr == "":
-		return fmt.Errorf("cluster mode requires -wire-addr: forwarding and gossip run over the gcwire protocol")
+		return fmt.Errorf("cluster mode requires -wire-addr: gossip runs over the gcwire protocol")
 	case clusterMode && *selftest:
 		return fmt.Errorf("-selftest drives a single instance and cannot run in cluster mode")
 	case !clusterMode && *advertise != "":
 		return fmt.Errorf("-advertise without -peers or -class-ranges: no cluster to advertise to")
-	case !clusterMode && (explicit["gossip-interval"] || explicit["forward-timeout"]):
-		return fmt.Errorf("-gossip-interval and -forward-timeout only apply in cluster mode (-peers or -class-ranges)")
+	case !clusterMode && explicit["gossip-interval"]:
+		return fmt.Errorf("-gossip-interval only applies in cluster mode (-peers or -class-ranges)")
 	}
 
 	cube := gcube.NewCube(*n, *alpha)
@@ -232,7 +231,6 @@ func run(args []string, out io.Writer) error {
 			Topology:       topo,
 			Self:           *advertise,
 			GossipInterval: *gossipInt,
-			ForwardTimeout: *fwdTimeout,
 		})
 		if err != nil {
 			return err
@@ -269,8 +267,8 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if clusterNode != nil {
-		// Both listeners are down, so no request can need forwarding;
-		// stop gossip and drop the peer connections before the drain.
+		// Both listeners are down: stop gossip and drop the peer
+		// connections before the drain.
 		clusterNode.Close()
 	}
 	if err := srv.Shutdown(dctx); err != nil {

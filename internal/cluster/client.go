@@ -10,10 +10,10 @@ import (
 
 // Client is a cluster-aware wire client: it holds one reconnecting
 // connection per member and sends each request straight to the owner
-// of its source ending class, so the cluster never has to proxy on the
-// caller's behalf. When the owner is unreachable it retries once on
-// the ring successor — whose answer may be degraded-marked, which is
-// the cluster telling the caller the truth about who computed it.
+// of its source ending class, where that class's paths are cached.
+// When the owner is unreachable it retries once on the ring successor,
+// which answers the request itself — degraded-marked once it has lost
+// a peer long enough to be stale.
 type Client struct {
 	topo *Topology
 	opts serve.WireDialOptions

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +17,7 @@ import (
 	"gaussiancube/internal/fault"
 	"gaussiancube/internal/gc"
 	"gaussiancube/internal/serve"
+	"gaussiancube/internal/wire"
 )
 
 // ---------------------------------------------------------------------
@@ -147,7 +151,6 @@ func startCluster(t testing.TB, cube *gc.Cube, ranges [][2]int, gossip time.Dura
 			Topology:       topo,
 			Self:           addrs[i],
 			GossipInterval: gossip,
-			ForwardTimeout: 500 * time.Millisecond,
 			StaleAfter:     3,
 			Dial:           g.dialFrom(i),
 		})
@@ -272,47 +275,182 @@ func assertIdenticalFaults(t testing.TB, insts []*instance) {
 // ---------------------------------------------------------------------
 // Tests.
 
-// TestClusterForwarding: a request submitted at a non-owner is proxied
-// to the owner and accounted exactly once, at the instance that
-// computed it.
-func TestClusterForwarding(t *testing.T) {
-	cube := gc.New(6, 2) // 64 nodes, 4 ending classes
-	insts, _ := startCluster(t, cube, [][2]int{{0, 1}, {2, 2}, {3, 3}}, 50*time.Millisecond)
-
-	// Node 3 has ending class 3 — owned by instance 2. SubmitTree at 0.
-	src, dst := gc.NodeID(3), gc.NodeID(20)
-	if own := insts[0].node.Owns(src); own {
-		t.Fatalf("instance 0 should not own node %d", src)
-	}
-	resp, err := insts[0].srv.SubmitTree(context.Background(), src, dst, core.TreeAuto)
+// wireRoute sends req to the member at addr on a connection of its
+// own and returns the RouteResult that answers it.
+func wireRoute(t *testing.T, addr string, req wire.RouteReq) wire.RouteResult {
+	t.Helper()
+	c, err := net.DialTimeout("tcp", addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Err != nil || resp.Report == nil {
-		t.Fatalf("forwarded route failed: %+v", resp)
+	defer c.Close()
+	if _, err := c.Write(wire.AppendRouteReq(nil, 1, req)); err != nil {
+		t.Fatal(err)
 	}
-	if resp.Report.Outcome != core.OutcomeDelivered &&
-		resp.Report.Outcome != core.OutcomeDeliveredDegraded {
-		t.Fatalf("forwarded route outcome %v", resp.Report.Outcome)
+	var hdr [wire.HeaderSize]byte
+	if _, err := io.ReadFull(c, hdr[:]); err != nil {
+		t.Fatal(err)
 	}
-	m0 := insts[0].srv.Metrics()
-	m2 := insts[2].srv.Metrics()
-	if m0.Cluster == nil || m0.Cluster.Forwarded != 1 {
-		t.Fatalf("instance 0 forwarded counter: %+v", m0.Cluster)
+	h, err := wire.ParseHeader(hdr[:])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m0.Accepted != 0 {
-		t.Fatalf("forwarding instance accepted %d requests, want 0", m0.Accepted)
+	p := make([]byte, h.Len)
+	if _, err := io.ReadFull(c, p); err != nil {
+		t.Fatal(err)
 	}
-	if m2.Accepted != 1 || m2.Served != 1 {
-		t.Fatalf("owner accepted=%d served=%d, want 1/1", m2.Accepted, m2.Served)
+	if h.Type != wire.TypeRouteResult {
+		t.Fatalf("reply type %d to %+v, want a RouteResult", h.Type, req)
 	}
-	// A locally-owned request never touches the forwarder.
-	resp, err = insts[0].srv.SubmitTree(context.Background(), gc.NodeID(4), gc.NodeID(33), core.TreeAuto)
-	if err != nil || resp.Err != nil {
-		t.Fatalf("local route: %v %+v", err, resp)
+	var res wire.RouteResult
+	if err := wire.DecodeRouteResult(p, &res); err != nil {
+		t.Fatal(err)
 	}
-	if got := insts[0].srv.Metrics().Cluster.Forwarded; got != 1 {
-		t.Fatalf("local route bumped forwarded to %d", got)
+	return res
+}
+
+// TestClusterAnswersLocally: a route whose source class another member
+// owns is answered by the member that receives it. On a converged
+// cluster with seeded node faults, it is accepted and served there
+// alone, undegraded, on the single-router path over the same fault
+// set; repeated over the wire, with or without RouteFlagNoForward, it
+// is the same path from that member's cache.
+func TestClusterAnswersLocally(t *testing.T) {
+	cube := gc.New(8, 2) // 256 nodes, 4 ending classes
+	insts, _ := startCluster(t, cube, [][2]int{{0, 1}, {2, 2}, {3, 3}}, 20*time.Millisecond)
+
+	// Sources of classes 2 and 3: owned by members 1 and 2.
+	pairs := [][2]gc.NodeID{{3, 200}, {6, 201}, {102, 17}, {255, 64}}
+	endpoint := make(map[gc.NodeID]bool)
+	for _, p := range pairs {
+		endpoint[p[0]], endpoint[p[1]] = true, true
+	}
+	var ops []serve.FaultOp
+	faulty := make(map[gc.NodeID]bool)
+	inject := func(v gc.NodeID) bool {
+		if faulty[v] || endpoint[v] {
+			return false
+		}
+		faulty[v] = true
+		ops = append(ops, serve.FaultOp{Op: serve.OpInject, Kind: serve.KindNode, Node: v})
+		return true
+	}
+	// One fault on an interior node of each pair's fault-free path, so
+	// every answer must route around the fault set; the rest at random.
+	free := make([][]gc.NodeID, len(pairs))
+	for i, p := range pairs {
+		res, err := core.NewRouter(cube).Route(p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		free[i] = res.Path
+		for _, v := range res.Path[1 : len(res.Path)-1] {
+			if inject(v) {
+				break
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(22))
+	for len(ops) < 13 {
+		inject(gc.NodeID(rng.Intn(cube.Nodes())))
+	}
+	if _, _, err := insts[1].srv.ApplyFaults(ops); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "gossip convergence", func() bool { return stableConverged(insts, 60*time.Millisecond) })
+	waitFor(t, 5*time.Second, "no member stale", func() bool {
+		for _, in := range insts {
+			if stale, _ := in.srv.EpochStale(); stale {
+				return false
+			}
+		}
+		return true
+	})
+	oracle := core.NewRouter(cube, core.WithFaults(insts[0].srv.FaultSet()))
+
+	ctx := context.Background()
+	for pi, p := range pairs {
+		src, dst := p[0], p[1]
+		if insts[0].srv.OwnsLocally(src) {
+			t.Fatalf("member 0 should not own node %d", src)
+		}
+		want, err := oracle.Route(src, dst)
+		if err != nil || want.UsedFallback || fmt.Sprint(want.Path) == fmt.Sprint(free[pi]) {
+			t.Fatalf("oracle route %d->%d: %v, fallback %v, path %v (fault-free %v)",
+				src, dst, err, want != nil && want.UsedFallback, want, free[pi])
+		}
+		before := make([]*serve.MetricsSnapshot, len(insts))
+		for i, in := range insts {
+			before[i] = in.srv.Metrics()
+		}
+		resp, err := insts[0].srv.SubmitTree(ctx, src, dst, core.TreeAuto)
+		if err != nil || resp.Err != nil || resp.Report == nil {
+			t.Fatalf("route %d->%d at member 0: %v %+v", src, dst, err, resp)
+		}
+		if resp.Report.Outcome != core.OutcomeDelivered {
+			t.Fatalf("route %d->%d: outcome %v (%s), want delivered", src, dst, resp.Report.Outcome, resp.Report.Reason)
+		}
+		if fmt.Sprint(resp.Report.Path) != fmt.Sprint(want.Path) {
+			t.Fatalf("route %d->%d: path %v, single router %v", src, dst, resp.Report.Path, want.Path)
+		}
+		for i, in := range insts {
+			m := in.srv.Metrics()
+			grew := int64(0)
+			if i == 0 {
+				grew = 1
+			}
+			if m.Accepted-before[i].Accepted != grew || m.Served-before[i].Served != grew {
+				t.Fatalf("route %d->%d at member 0: member %d accepted %d and served %d, want %d each",
+					src, dst, i, m.Accepted-before[i].Accepted, m.Served-before[i].Served, grew)
+			}
+		}
+		for _, flags := range []uint8{0, wire.RouteFlagNoForward} {
+			res := wireRoute(t, insts[0].addr, wire.RouteReq{Src: src, Dst: dst, Flags: flags})
+			if res.Flags&wire.FlagCacheHit == 0 || fmt.Sprint(res.Path) != fmt.Sprint(want.Path) {
+				t.Fatalf("wire route %d->%d flags %#x: cache hit %v path %v, want a hit on %v",
+					src, dst, flags, res.Flags&wire.FlagCacheHit != 0, res.Path, want.Path)
+			}
+		}
+	}
+}
+
+// TestClusterStaleReasonStable: a member cut off from its peers keeps
+// one stale mark, so answers a gossip round apart carry the same
+// reason.
+func TestClusterStaleReasonStable(t *testing.T) {
+	cube := gc.New(6, 2)
+	insts, g := startCluster(t, cube, [][2]int{{0, 1}, {2, 2}, {3, 3}}, 20*time.Millisecond)
+	g.cut(2, 0)
+	g.cut(2, 1)
+	missed := func(p *peer) int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.missed
+	}
+	// Two more missed rounds than seen so far guarantee a complete
+	// pass, staleness recompute included, after this call.
+	peers := insts[2].node.peers
+	nextPass := func() {
+		m := missed(peers[0])
+		waitFor(t, 10*time.Second, "two more gossip rounds", func() bool { return missed(peers[0]) >= m+2 })
+	}
+	// The reason names the first peer past the threshold. Wait a pass
+	// after both are, so the cut has settled which peer that is.
+	waitFor(t, 10*time.Second, "both peers past StaleAfter", func() bool {
+		return missed(peers[0]) > 3 && missed(peers[1]) > 3
+	})
+	nextPass()
+	stale, first := insts[2].srv.EpochStale()
+	if !stale {
+		t.Fatal("the cut member is not stale")
+	}
+	nextPass()
+	stale, second := insts[2].srv.EpochStale()
+	if !stale || second != first {
+		t.Fatalf("stale reason changed between gossip rounds: %q, then %q (stale %v)", first, second, stale)
+	}
+	if !strings.Contains(first, insts[0].addr) || !strings.Contains(first, "3 gossip rounds") {
+		t.Fatalf("stale reason %q should name peer %s and the StaleAfter threshold 3", first, insts[0].addr)
 	}
 }
 
@@ -355,11 +493,17 @@ func TestClusterPartitionSoak(t *testing.T) {
 	ctx := context.Background()
 
 	// Background route traffic into every instance, sources spread
-	// across all classes so forwarding stays hot. Degraded verdicts are
+	// across all classes, every member answering all of them. Degraded
+	// verdicts and the source classes each instance answered are
 	// tallied per instance.
 	var trafficWG sync.WaitGroup
 	stopTraffic := make(chan struct{})
 	degraded := make([]int64, len(insts))
+	classes := 1 << cube.Alpha()
+	answered := make([][]bool, len(insts))
+	for i := range answered {
+		answered[i] = make([]bool, classes)
+	}
 	var degradedMu sync.Mutex
 	for i, in := range insts {
 		trafficWG.Add(1)
@@ -384,11 +528,14 @@ func TestClusterPartitionSoak(t *testing.T) {
 				if err != nil {
 					continue // backpressure/drain races are fine
 				}
+				degradedMu.Lock()
 				if resp.Report != nil && resp.Report.Outcome == core.OutcomeDeliveredDegraded {
-					degradedMu.Lock()
 					degraded[i]++
-					degradedMu.Unlock()
 				}
+				if resp.Err == nil && resp.Report != nil {
+					answered[i][cube.EndingClass(src)] = true
+				}
+				degradedMu.Unlock()
 				time.Sleep(time.Millisecond)
 			}
 		}(i, in)
@@ -444,8 +591,8 @@ func TestClusterPartitionSoak(t *testing.T) {
 		}
 		return resp.Report.Outcome == core.OutcomeDeliveredDegraded
 	})
-	// Forwarding from the isolated instance to the unreachable owner
-	// falls back to a degraded local computation.
+	// A source the unreachable member 0 owns is answered by the
+	// isolated instance itself, degraded.
 	resp, err := insts[2].srv.SubmitTree(ctx, gc.NodeID(4), gc.NodeID(9), core.TreeAuto) // class 0: owned by 0
 	if err != nil {
 		t.Fatal(err)
@@ -483,7 +630,7 @@ func TestClusterPartitionSoak(t *testing.T) {
 	// verdicts.
 	close(stopTraffic)
 	trafficWG.Wait()
-	var accepted, served, rejected, forwarded, staleDegrades int64
+	var accepted, served, rejected, staleDegrades int64
 	for i, in := range insts {
 		m := in.srv.Metrics()
 		accepted += m.Accepted
@@ -492,15 +639,21 @@ func TestClusterPartitionSoak(t *testing.T) {
 		if m.Cluster == nil {
 			t.Fatalf("instance %d has no cluster scrape", i)
 		}
-		forwarded += m.Cluster.Forwarded
 		staleDegrades += m.Cluster.DegradedStaleEpoch
 	}
 	if accepted != served {
 		t.Fatalf("conservation violated: accepted %d != served %d (rejected %d)", accepted, served, rejected)
 	}
-	if forwarded == 0 {
-		t.Fatal("soak never exercised forwarding")
+	degradedMu.Lock()
+	for i := range insts {
+		for c, ok := range answered[i] {
+			if !ok {
+				degradedMu.Unlock()
+				t.Fatalf("instance %d answered no source of class %d", i, c)
+			}
+		}
 	}
+	degradedMu.Unlock()
 	if staleDegrades == 0 {
 		t.Fatal("no response was degraded for a stale epoch during the partition")
 	}
@@ -513,8 +666,8 @@ func TestClusterPartitionSoak(t *testing.T) {
 	// Final frontier sanity: every instance reports the same thing the
 	// fault sets already proved.
 	e0, f0 := insts[0].srv.Frontier()
-	t.Logf("converged at epoch %d fp %#x; forwarded=%d staleDegrades=%d isolatedDegraded=%d",
-		e0, f0, forwarded, staleDegrades, isolatedDegraded)
+	t.Logf("converged at epoch %d fp %#x; staleDegrades=%d isolatedDegraded=%d",
+		e0, f0, staleDegrades, isolatedDegraded)
 	if fault.CompareFrontier(e0, f0, e0, f0) != 0 {
 		t.Fatal("CompareFrontier is not reflexive") // exercises the helper end to end
 	}
@@ -566,20 +719,20 @@ func TestClusterClient(t *testing.T) {
 	}
 }
 
-// BenchmarkClusterForward prices the proxy hop: a locally-owned route
-// against the same submit when the source class lives on the other
-// instance (computed at the owner, relayed back over gcwire).
-func BenchmarkClusterForward(b *testing.B) {
+// BenchmarkClusterSubmit prices a route at member 0 whose source class
+// it owns against one whose class member 1 owns: both are answered
+// where they are submitted, so the two should cost the same.
+func BenchmarkClusterSubmit(b *testing.B) {
 	cube := gc.New(8, 2)
 	insts, _ := startCluster(b, cube, [][2]int{{0, 1}, {2, 3}}, 100*time.Millisecond)
 	ctx := context.Background()
-	run := func(name string, src, dst gc.NodeID, wantLocal bool) {
+	run := func(name string, src, dst gc.NodeID, wantOwned bool) {
 		b.Run(name, func(b *testing.B) {
-			if insts[0].node.Owns(src) != wantLocal {
-				b.Fatalf("source %d local ownership = %v, want %v", src, !wantLocal, wantLocal)
+			if insts[0].node.Owns(src) != wantOwned {
+				b.Fatalf("source %d owned by member 0 = %v, want %v", src, !wantOwned, wantOwned)
 			}
-			// Warm the owner's route cache so the benchmark isolates the
-			// submit path, not the first plan.
+			// Warm the route cache so the benchmark isolates the submit
+			// path, not the first plan.
 			if _, err := insts[0].srv.SubmitTree(ctx, src, dst, core.TreeAuto); err != nil {
 				b.Fatal(err)
 			}
@@ -596,6 +749,6 @@ func BenchmarkClusterForward(b *testing.B) {
 			}
 		})
 	}
-	run("local", 1, 128, true)      // class 1: owned by instance 0
-	run("forwarded", 2, 129, false) // class 2: owned by instance 1
+	run("owned", 1, 128, true)      // class 1: owned by member 0
+	run("non-owned", 2, 129, false) // class 2: owned by member 1
 }

@@ -1,14 +1,12 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"gaussiancube/internal/core"
 	"gaussiancube/internal/fault"
 	"gaussiancube/internal/gc"
 	"gaussiancube/internal/metrics"
@@ -27,9 +25,6 @@ type Config struct {
 	Self string
 	// GossipInterval paces the anti-entropy loop (default 500ms).
 	GossipInterval time.Duration
-	// ForwardTimeout bounds each forwarding hop (default 2s). The
-	// failover retry gets its own fresh timeout.
-	ForwardTimeout time.Duration
 	// StaleAfter is how many consecutive missed gossip rounds make a
 	// peer count as partitioned (default 3). A partitioned or ahead
 	// peer marks this instance's answers delivered-degraded.
@@ -49,24 +44,20 @@ func (c *Config) fill() error {
 	if c.GossipInterval <= 0 {
 		c.GossipInterval = 500 * time.Millisecond
 	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 2 * time.Second
-	}
 	if c.StaleAfter <= 0 {
 		c.StaleAfter = 3
 	}
 	return nil
 }
 
-// peer is one remote member: a multiplexed connection that carries
-// every concurrent forward at once, a wire client of its own for gossip
-// (forwarding must not queue behind a long journal pull), and the
-// frontier book-keeping the gossip loop keeps.
+// gossipTimeout bounds each dial and each epoch-sync call to a peer.
+const gossipTimeout = 2 * time.Second
+
+// peer is one remote member: the wire client the gossip loop pulls its
+// frontier over, and the book-keeping that loop keeps.
 type peer struct {
-	idx  int
 	addr string
 	sync *serve.WireClient // gossip + epoch pulls
-	fwd  *serve.WireMux    // route forwarding
 
 	mu           sync.Mutex
 	epoch, fp    uint64
@@ -88,12 +79,13 @@ func (p *peer) markMissed() {
 	p.mu.Unlock()
 }
 
-// Node runs the cluster duties of one instance: it installs itself as
-// the Server's Forwarder for route requests, gossips the fault frontier
-// with every peer, pulls and applies what it is missing, and keeps the
-// staleness mark honest. Collectives are not forwarded: the Server
-// plans each on the member that receives it, under that mark. Create
-// with Start, stop with Close.
+// Node runs the cluster duties of one instance: it gossips the fault
+// frontier with every peer, pulls and applies what it is missing, and
+// keeps the staleness mark honest. Nothing is forwarded: the Server
+// answers every route and plans every collective it receives, under
+// that mark. The topology's class ownership only tells clients where a
+// request's cache is warm (OwnsLocally). Create with Start, stop with
+// Close.
 type Node struct {
 	cfg  Config
 	topo *Topology
@@ -103,16 +95,13 @@ type Node struct {
 	// index; peers[self] is nil.
 	peers []*peer
 
-	forwarded        metrics.Counter
-	forwardRetries   metrics.Counter
-	forwardFallbacks metrics.Counter
-	epochSyncs       metrics.Counter
+	epochSyncs metrics.Counter
 
 	stop chan struct{}
 	done chan struct{}
 }
 
-// Start validates the config, installs the forwarding and
+// Start validates the config, installs the ownership and
 // observability hooks on the server, and launches the gossip loop.
 func Start(cfg Config) (*Node, error) {
 	if err := cfg.fill(); err != nil {
@@ -131,8 +120,8 @@ func Start(cfg Config) (*Node, error) {
 		RetryBudget: 2,
 		BackoffBase: 10 * time.Millisecond,
 		BackoffMax:  100 * time.Millisecond,
-		DialTimeout: cfg.ForwardTimeout,
-		CallTimeout: cfg.ForwardTimeout,
+		DialTimeout: gossipTimeout,
+		CallTimeout: gossipTimeout,
 		Dial:        cfg.Dial,
 	}
 	for i, m := range n.topo.Members() {
@@ -140,13 +129,11 @@ func Start(cfg Config) (*Node, error) {
 			continue
 		}
 		n.peers[i] = &peer{
-			idx:  i,
 			addr: m.Addr,
 			sync: serve.NewWireDialer(m.Addr, opts),
-			fwd:  serve.NewWireMux(m.Addr, opts),
 		}
 	}
-	n.srv.SetForwarder(n)
+	n.srv.SetOwnership(n.Owns)
 	n.srv.SetClusterInfo(n.snapshot)
 	go n.loop()
 	return n, nil
@@ -157,104 +144,19 @@ func Start(cfg Config) (*Node, error) {
 func (n *Node) Close() {
 	close(n.stop)
 	<-n.done
-	n.srv.SetForwarder(nil)
+	n.srv.SetOwnership(nil)
 	n.srv.SetClusterInfo(nil)
 	n.srv.SetEpochStale("")
 	for _, p := range n.peers {
 		if p != nil {
 			_ = p.sync.Close()
-			_ = p.fwd.Close()
 		}
 	}
 }
 
-// ---------------------------------------------------------------------
-// Forwarding (serve.Forwarder).
-
-// Owns reports whether this instance owns src's ending class.
+// Owns reports whether the topology assigns src's ending class to this
+// instance.
 func (n *Node) Owns(src gc.NodeID) bool { return n.topo.OwnerOf(src) == n.self }
-
-// Forward proxies (src, dst) to the owner of src's ending class, with
-// one failover retry on the ring successor and a degraded local
-// fallback when no replica answers. The request carries NoForward so
-// the receiver computes instead of proxying on — one hop, no loops. A
-// multipath tree pin (tree >= 0) rides along on the wire.
-func (n *Node) Forward(ctx context.Context, src, dst gc.NodeID, tree int) (*serve.Response, error) {
-	n.forwarded.Inc()
-	req := wire.RouteReq{
-		Src:        src,
-		Dst:        dst,
-		DeadlineMS: uint32(n.cfg.ForwardTimeout / time.Millisecond),
-		Flags:      wire.RouteFlagNoForward,
-	}
-	if tree >= 0 && tree <= 255 {
-		req.Flags |= wire.RouteFlagTree
-		req.Tree = uint8(tree)
-	}
-	target := n.topo.OwnerOf(src)
-	for attempt := 0; attempt < 2; attempt++ {
-		if target == n.self {
-			break // ring wrapped back home: compute locally, undegraded
-		}
-		if attempt > 0 {
-			n.forwardRetries.Inc()
-		}
-		var out serve.WireRoute
-		if err := n.peers[target].fwd.Route(ctx, req, &out); err == nil {
-			return wireResponse(n.srv, &out)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		target = n.topo.Successor(target)
-	}
-	if target == n.self {
-		// The successor chain reached us: we are the legitimate
-		// replica, nothing degraded about serving it.
-		return n.srv.SubmitLocalTree(ctx, src, dst, tree)
-	}
-	n.forwardFallbacks.Inc()
-	resp, err := n.srv.SubmitLocalTree(ctx, src, dst, tree)
-	if err != nil || resp == nil {
-		return resp, err
-	}
-	return serve.DegradeResponse(resp,
-		fmt.Sprintf("class owner %s unreachable; served by non-owner %s",
-			n.topo.Members()[n.topo.OwnerOf(src)].Addr, n.cfg.Self)), nil
-}
-
-// wireResponse maps a proxied wire verdict back onto the Server's
-// Response shape, so the front end that accepted the request renders
-// it exactly as if computed locally. The verdict is the caller's own
-// (WireMux.Route hands its reply over), so its path is taken, not
-// copied.
-func wireResponse(s *serve.Server, w *serve.WireRoute) (*serve.Response, error) {
-	if w.ErrCode != 0 {
-		switch w.ErrCode {
-		case wire.CodeBackpressure:
-			return nil, serve.ErrBackpressure
-		case wire.CodeDraining:
-			return nil, serve.ErrDraining
-		case wire.CodeFaultyNode:
-			return &serve.Response{Err: core.ErrFaultyEndpoint, Epoch: s.Epoch()}, nil
-		default:
-			return &serve.Response{Err: errors.New(string(w.ErrMsg)), Epoch: s.Epoch()}, nil
-		}
-	}
-	rep := &core.RouteReport{
-		Outcome:      core.Outcome(w.Outcome),
-		Reason:       string(w.Reason),
-		Hops:         w.Hops,
-		Retries:      int(w.Retries),
-		Replans:      int(w.Replans),
-		WaitCycles:   int(w.WaitCycles),
-		DetourHops:   w.Detour,
-		UsedFallback: w.Flags&wire.FlagUsedFallback != 0,
-		TreeID:       w.Tree, // -1 when the reply carried no tree byte
-		Path:         w.Path,
-	}
-	return &serve.Response{Report: rep, Epoch: w.Epoch, CacheHit: w.CacheHit()}, nil
-}
 
 // ---------------------------------------------------------------------
 // Gossip.
@@ -351,7 +253,9 @@ func (n *Node) applyBatches(resp *wire.EpochSyncResp) error {
 // stale while any reachable peer's frontier is ahead of ours (we could
 // not catch up this round), or while any peer has been unreachable
 // long enough that we cannot rule out missed mutations behind the
-// partition.
+// partition. The reason names the peer and the threshold, not the
+// running count of missed rounds, so a cut member keeps one mark and
+// answers a round apart carry the same reason.
 func (n *Node) updateStale() {
 	epoch, fp := n.srv.Frontier()
 	for _, p := range n.peers {
@@ -361,7 +265,7 @@ func (n *Node) updateStale() {
 		p.mu.Lock()
 		ahead := p.reachable && fault.CompareFrontier(epoch, fp, p.epoch, p.fp) < 0
 		cut := !p.reachable && p.missed > n.cfg.StaleAfter
-		pe, addr, missed := p.epoch, p.addr, p.missed
+		pe, addr := p.epoch, p.addr
 		p.mu.Unlock()
 		if ahead {
 			n.srv.SetEpochStale(fmt.Sprintf(
@@ -370,7 +274,7 @@ func (n *Node) updateStale() {
 		}
 		if cut {
 			n.srv.SetEpochStale(fmt.Sprintf(
-				"peer %s unreachable for %d gossip rounds; fault state may be behind", addr, missed))
+				"peer %s unreachable for more than %d gossip rounds; fault state may be behind", addr, n.cfg.StaleAfter))
 			return
 		}
 	}
@@ -384,12 +288,9 @@ func (n *Node) updateStale() {
 func (n *Node) snapshot() *serve.ClusterSnapshot {
 	epoch, _ := n.srv.Frontier()
 	cs := &serve.ClusterSnapshot{
-		Self:             n.cfg.Self,
-		Peers:            len(n.topo.Members()),
-		Forwarded:        n.forwarded.Value(),
-		ForwardRetries:   n.forwardRetries.Value(),
-		ForwardFallbacks: n.forwardFallbacks.Value(),
-		EpochSyncs:       n.epochSyncs.Value(),
+		Self:       n.cfg.Self,
+		Peers:      len(n.topo.Members()),
+		EpochSyncs: n.epochSyncs.Value(),
 	}
 	for _, p := range n.peers {
 		if p == nil {

@@ -2,14 +2,14 @@
 // Gaussian-cube router (DESIGN.md §13). Ownership follows the paper's
 // own decomposition: the Gaussian Tree partitions GC(n, 2^alpha) into
 // 2^alpha ending classes, and a topology assigns each instance a
-// contiguous class range. Route requests whose source class lives
-// elsewhere are proxied to the owner over the binary wire protocol
-// (broadcasts and multicasts are planned where they land); fault
-// mutations propagate between instances by pull-based anti-entropy
-// gossip on the (epoch, fingerprint) frontier, with the durable
-// journal serving exact history suffixes and a snapshot fallback.
-// Instances keep serving through partitions and stamp what they cannot
-// vouch for as delivered-degraded.
+// contiguous class range, which clients follow so each class's route
+// cache stays on one instance. Every instance answers every route,
+// broadcast and multicast it receives, whoever owns the source class;
+// fault mutations propagate between instances by pull-based
+// anti-entropy gossip on the (epoch, fingerprint) frontier, with the
+// durable journal serving exact history suffixes and a snapshot
+// fallback. Instances keep serving through partitions and stamp what
+// they cannot vouch for as delivered-degraded.
 package cluster
 
 import (
@@ -50,7 +50,7 @@ type Topology struct {
 // New validates a member list against the cube: every range in bounds
 // and non-inverted, no class owned twice, no class unowned, no
 // duplicate address. Member order is preserved — the ring used for
-// forward failover is the declaration order.
+// client failover is the declaration order.
 func New(cube *gc.Cube, members []Member) (*Topology, error) {
 	classes := 1 << cube.Alpha()
 	if len(members) == 0 {

@@ -192,8 +192,8 @@ type MetricsSnapshot struct {
 	Journal *JournalSnapshot `json:"journal,omitempty"`
 
 	// Cluster is the gccluster slice of the scrape (nil when this
-	// instance is not clustered): peer frontiers and lag, forwarding
-	// counters, and the stale-epoch degrade tally.
+	// instance is not clustered): peer frontiers and lag, epoch syncs,
+	// and the stale-epoch degrade tally.
 	Cluster *ClusterSnapshot `json:"cluster,omitempty"`
 
 	PerShard []ShardSnapshot `json:"per_shard"`

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -13,13 +12,13 @@ import (
 	"gaussiancube/internal/wire"
 )
 
-// This file is the Server's cluster surface: the forwarding hook a
+// This file is the Server's cluster surface: the ownership predicate a
 // gccluster node installs, the stale-epoch degrade marking, and the
 // epoch-sync apply/serve paths the anti-entropy gossip rides on
-// (DESIGN.md §13). The Server itself stays cluster-agnostic — it knows
-// how to forward through an interface, mark staleness it is told
-// about, and exchange journal suffixes; who owns what and when to
-// gossip live in internal/cluster.
+// (DESIGN.md §13). The Server itself stays cluster-agnostic — it
+// answers every request it receives, marks staleness it is told about,
+// and exchanges journal suffixes; who owns what and when to gossip live
+// in internal/cluster.
 
 // ErrSyncDiverged reports that an epoch-sync batch, applied to this
 // instance's state, produced a fingerprint different from the one the
@@ -28,44 +27,34 @@ import (
 // pull on this error.
 var ErrSyncDiverged = errors.New("serve: epoch sync diverged")
 
-// Forwarder is the cluster hook SubmitTree consults: a request whose
-// source ending class this instance does not own is handed to Forward,
-// which proxies it to the owner (with failover and a degraded local
-// fallback). Installed by cluster.Node via SetForwarder.
-type Forwarder interface {
-	// Owns reports whether this instance owns src's ending class.
-	Owns(src gc.NodeID) bool
-	// Forward serves (src, dst) at the owning instance, carrying the
-	// request's multipath tree pin (core.TreeAuto when unpinned). The
-	// returned Response is fully accounted wherever it was computed.
-	Forward(ctx context.Context, src, dst gc.NodeID, tree int) (*Response, error)
-}
-
-// forwarderBox wraps the interface for atomic.Pointer storage.
-type forwarderBox struct{ f Forwarder }
-
 // staleMark is the published stale-epoch state: non-nil means every
 // delivered response is stamped DeliveredDegraded with this reason.
 type staleMark struct{ reason string }
 
-// SetForwarder installs (or, with nil, removes) the cluster forwarding
-// hook. Safe to call while serving.
-func (s *Server) SetForwarder(f Forwarder) {
-	if f == nil {
-		s.fwd.Store(nil)
+// SetOwnership installs (or, with nil, removes) the cluster's
+// class-ownership predicate that OwnsLocally reports. No serving path
+// reads it: the topology only tells clients where a request's cache
+// is warm. Safe to call while serving.
+func (s *Server) SetOwnership(owns func(src gc.NodeID) bool) {
+	if owns == nil {
+		s.owns.Store(nil)
 		return
 	}
-	s.fwd.Store(&forwarderBox{f: f})
+	s.owns.Store(&owns)
 }
 
 // SetEpochStale marks (reason != "") or clears (reason == "") the
 // stale-epoch condition. While stale, delivered responses are degraded
 // to DeliveredDegraded carrying the reason — typically the stale
 // fingerprint and the peer frontier that outran it — and the fast path
-// is disabled so every answer funnels through the marking.
+// is disabled so every answer funnels through the marking. Setting the
+// reason already in force keeps the current mark.
 func (s *Server) SetEpochStale(reason string) {
 	if reason == "" {
 		s.stale.Store(nil)
+		return
+	}
+	if m := s.stale.Load(); m != nil && m.reason == reason {
 		return
 	}
 	s.stale.Store(&staleMark{reason: reason})
@@ -80,15 +69,16 @@ func (s *Server) EpochStale() (bool, string) {
 	return true, m.reason
 }
 
-// OwnsLocally reports whether this instance serves src itself: no
-// forwarder installed, the forwarder claims the class, or src is out
-// of range (the local error path owns the rejection).
+// OwnsLocally reports whether the cluster topology assigns src's
+// ending class to this instance: true with no cluster attached, or
+// when src is out of range (the local error path owns the rejection).
+// The instance answers every request either way.
 func (s *Server) OwnsLocally(src gc.NodeID) bool {
-	box := s.fwd.Load()
-	if box == nil || int(src) >= s.cube.Nodes() {
+	owns := s.owns.Load()
+	if owns == nil || int(src) >= s.cube.Nodes() {
 		return true
 	}
-	return box.f.Owns(src)
+	return (*owns)(src)
 }
 
 // Frontier returns the current (epoch, fingerprint) gossip stamp in
@@ -98,19 +88,11 @@ func (s *Server) Frontier() (epoch, fp uint64) {
 	return es.epoch, es.fp
 }
 
-// DegradeResponse returns r with its delivered outcome demoted to
+// degradeResponse returns r with its delivered outcome demoted to
 // DeliveredDegraded for the given reason (already-set reasons are
-// kept). Non-delivered verdicts pass through unchanged. The cluster
-// layer uses it to mark local-fallback answers served while the owner
-// was unreachable.
-func DegradeResponse(r *Response, reason string) *Response {
-	out, _ := degradeResponse(r, reason)
-	return out
-}
-
-// degradeResponse is the shared degrade-marking core (replay window,
-// stale epoch, forward fallback). marked reports whether a copy was
-// made.
+// kept); non-delivered verdicts pass through unchanged. It is the
+// shared degrade-marking core (replay window, stale epoch). marked
+// reports whether a copy was made.
 func degradeResponse(r *Response, reason string) (*Response, bool) {
 	if r.Err != nil || r.Report == nil {
 		return r, false
@@ -329,15 +311,16 @@ type ClusterPeer struct {
 }
 
 // ClusterSnapshot is the cluster section of /metrics and /healthz:
-// peer count and lag, the forwarding counters, and the stale-epoch
-// degrade tally. Filled by the cluster node's snapshot hook
-// (SetClusterInfo); the Server stamps in the fields it owns.
+// peer count and lag, epoch syncs, and the stale-epoch degrade tally.
+// Filled by the cluster node's snapshot hook (SetClusterInfo); the
+// Server stamps in the fields it owns.
 type ClusterSnapshot struct {
-	Self               string        `json:"self"`
-	Peers              int           `json:"cluster_peers"`
-	EpochLag           int64         `json:"cluster_epoch_lag"`
+	Self     string `json:"self"`
+	Peers    int    `json:"cluster_peers"`
+	EpochLag int64  `json:"cluster_epoch_lag"`
+	// Forwarded and ForwardFallbacks are always 0: every member
+	// answers every request it receives, so none is forwarded.
 	Forwarded          int64         `json:"forwarded"`
-	ForwardRetries     int64         `json:"forward_retries"`
 	ForwardFallbacks   int64         `json:"forward_fallbacks"`
 	EpochSyncs         int64         `json:"epoch_syncs"`
 	DegradedStaleEpoch int64         `json:"degraded_stale_epoch"`

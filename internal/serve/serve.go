@@ -298,11 +298,12 @@ type Server struct {
 	jerr   error
 
 	// Cluster hooks (nil unless a cluster.Node is attached — see
-	// cluster.go). fwd routes non-owned requests to their owner; stale
-	// forces degrade marking while this instance trails the gossip
-	// frontier; clusterFn provides the /metrics cluster section;
-	// degradedStale tallies responses stale-marked.
-	fwd           atomic.Pointer[forwarderBox]
+	// cluster.go). owns is the topology's class-ownership predicate
+	// OwnsLocally reports; stale forces degrade marking while this
+	// instance trails the gossip frontier; clusterFn provides the
+	// /metrics cluster section; degradedStale tallies responses
+	// stale-marked.
+	owns          atomic.Pointer[func(gc.NodeID) bool]
 	stale         atomic.Pointer[staleMark]
 	clusterFn     atomic.Pointer[func() *ClusterSnapshot]
 	degradedStale metrics.Counter
@@ -502,23 +503,11 @@ func (s *Server) shardFor(src gc.NodeID) *shard {
 // cache holds its path (FastRouteTree); otherwise, and always in
 // adaptive mode, it queues on its shard.
 //
-// With a cluster forwarder installed (SetForwarder), a request whose
-// source ending class belongs to another instance is proxied to its
-// owner instead; SubmitLocalTree pins a request to this instance.
+// In a cluster the request is answered here whoever owns src's ending
+// class: every member holds the global fault set. Responses served
+// while the journal replays or while the instance trails the gossip
+// frontier are degrade-marked.
 func (s *Server) SubmitTree(ctx context.Context, src, dst gc.NodeID, tree int) (*Response, error) {
-	if box := s.fwd.Load(); box != nil &&
-		int(src) < s.cube.Nodes() && int(dst) < s.cube.Nodes() && !box.f.Owns(src) {
-		return box.f.Forward(ctx, src, dst, tree)
-	}
-	return s.SubmitLocalTree(ctx, src, dst, tree)
-}
-
-// SubmitLocalTree serves one request on this instance regardless of
-// cluster ownership — the landing path for requests a peer forwarded
-// here (wire.RouteFlagNoForward) and for the cluster's local-compute
-// fallback. Responses served while the journal replays or while the
-// instance trails the gossip frontier are degrade-marked.
-func (s *Server) SubmitLocalTree(ctx context.Context, src, dst gc.NodeID, tree int) (*Response, error) {
 	ch := make(chan *Response, 1)
 	if err := s.submitRoute(ctx, 0, src, dst, tree, completion{ch: ch}); err != nil {
 		return nil, err
@@ -611,7 +600,7 @@ func (s *Server) deliver(r *request, resp *Response, rb *replyBatch) {
 		}
 	}
 	if r.done.wc != nil {
-		r.done.wc.reply(r.done.id, resp, nil, rb)
+		r.done.wc.reply(r.done.id, resp, rb)
 		return
 	}
 	cp := *resp
@@ -675,7 +664,7 @@ func (s *Server) lookupHit(src, dst gc.NodeID, tree int) (*shard, CachedAnswer, 
 	if s.stale.Load() != nil {
 		// Behind the cluster gossip frontier: same funneling as the
 		// replay window — every answer must carry the stale-epoch
-		// degrade marking, which only SubmitLocalTree can apply.
+		// degrade marking, which only deliver can apply.
 		return nil, CachedAnswer{}, false
 	}
 	if int(src) >= s.cube.Nodes() || int(dst) >= s.cube.Nodes() {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gaussiancube/internal/core"
@@ -39,10 +40,10 @@ import (
 // each share to its connection's writeCombiner and signals the
 // connection's writer goroutine once, which sends the batch's replies
 // in one write. The worker never touches a socket, so a client that
-// stops reading stalls only its own connection. Out-of-order replies are the protocol's contract,
-// correlated by request id. Only a forward to another cluster member
-// and a collective (a whole-plan computation the reader must not wait
-// on) ride a goroutine, and their replies go through the same combiner.
+// stops reading stalls only its own connection. Out-of-order replies
+// are the protocol's contract, correlated by request id. Only a
+// collective (a whole-plan computation the reader must not wait on)
+// rides a goroutine, and its reply goes through the same combiner.
 type WireServer struct {
 	srv *Server
 	ln  net.Listener
@@ -82,7 +83,7 @@ func (ws *WireServer) Serve() error {
 			c.Close()
 			return nil
 		}
-		wc := &wireConn{out: newWriteCombiner(c, 0), kick: make(chan struct{}, 1)}
+		wc := &wireConn{out: newWriteCombiner(c), kick: make(chan struct{}, 1)}
 		ws.conns[c] = wc
 		ws.wg.Add(1)
 		ws.mu.Unlock()
@@ -113,7 +114,7 @@ func (ws *WireServer) Close() error {
 // wireConn is one connection's reply side: the combiner every reply
 // frame goes through, the wakeup of the writer goroutine that flushes
 // it for the shard workers, and the requests answered off the reader
-// (queued misses, forwards, collectives) that still owe a reply.
+// (queued misses, collectives) that still owe a reply.
 type wireConn struct {
 	out      *writeCombiner
 	kick     chan struct{} // capacity 1: a pending wakeup covers later ones
@@ -145,20 +146,20 @@ func (wc *wireConn) write(stop <-chan struct{}) {
 	}
 }
 
-// reply answers one unicast request with its verdict (or refusal). On
-// a shard worker the reply joins the worker's batch (rb), published
-// when the batch ends; elsewhere (rb nil) it is queued and the writer
-// signalled at once. Either way the inflight count settles only once
-// the reply is queued.
-func (wc *wireConn) reply(id uint64, resp *Response, err error, rb *replyBatch) {
+// reply answers one unicast request with its verdict. On a shard
+// worker the reply joins the worker's batch (rb), published when the
+// batch ends; elsewhere (rb nil) it is queued and the writer signalled
+// at once. Either way the inflight count settles only once the reply is
+// queued.
+func (wc *wireConn) reply(id uint64, resp *Response, rb *replyBatch) {
 	if rb != nil {
 		st := rb.stage(wc)
-		st.buf = appendRouteReply(st.buf, id, resp, err)
+		st.buf = appendRouteReply(st.buf, id, resp, nil)
 		st.n++
 		return
 	}
 	b := wc.out.lock()
-	b = appendRouteReply(b, id, resp, err)
+	b = appendRouteReply(b, id, resp, nil)
 	wc.out.unlock(b)
 	wc.signal()
 	wc.inflight.Done()
@@ -274,12 +275,6 @@ read:
 				wbuf = wire.AppendError(wbuf, h.ID, wire.CodeBadRequest, err.Error())
 				break
 			}
-			if req.Flags&wire.RouteFlagNoForward == 0 && !ws.srv.OwnsLocally(req.Src) {
-				// Another instance owns this ending class: the request must
-				// ride SubmitTree's forwarding path, not the local cache.
-				wbuf = ws.routeMiss(wbuf, wc, h.ID, req)
-				break
-			}
 			tree := core.TreeAuto
 			if req.Flags&wire.RouteFlagTree != 0 {
 				tree = int(req.Tree)
@@ -376,14 +371,13 @@ read:
 	c.Close()
 }
 
-// routeMiss answers a RouteReq the fast path could not. A request this
-// instance serves is enqueued with the connection as its completion
-// target, so the shard worker that answers it queues the reply, with
-// OutcomeCanceled if its deadline died in the queue. A request another
-// member owns blocks on the forward, so it alone gets a goroutine. The
-// NoForward flag pins the request to this instance, the hop bound that
-// keeps ownership disagreements from looping a request between peers.
-// A refusal is appended to wbuf, the reader's own batch.
+// routeMiss answers a RouteReq the fast path could not. It is enqueued
+// with the connection as its completion target, so the shard worker
+// that answers it queues the reply, with OutcomeCanceled if its
+// deadline died in the queue. Every member answers every request it
+// receives, whoever owns the source class, so the NoForward flag
+// changes nothing. A refusal is appended to wbuf, the reader's own
+// batch.
 func (ws *WireServer) routeMiss(wbuf []byte, wc *wireConn, id uint64, req wire.RouteReq) []byte {
 	tree := core.TreeAuto
 	if req.Flags&wire.RouteFlagTree != 0 {
@@ -391,19 +385,6 @@ func (ws *WireServer) routeMiss(wbuf []byte, wc *wireConn, id uint64, req wire.R
 	}
 	timeout := time.Duration(req.DeadlineMS) * time.Millisecond
 	wc.inflight.Add(1)
-	if req.Flags&wire.RouteFlagNoForward == 0 && !ws.srv.OwnsLocally(req.Src) {
-		go func() {
-			ctx := context.Background()
-			if timeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, timeout)
-				defer cancel()
-			}
-			resp, err := ws.srv.SubmitTree(ctx, req.Src, req.Dst, tree)
-			wc.reply(id, resp, err, nil)
-		}()
-		return wbuf
-	}
 	if err := ws.srv.submitRoute(context.Background(), timeout, req.Src, req.Dst, tree, completion{wc: wc, id: id}); err != nil {
 		wc.inflight.Done()
 		return appendRouteReply(wbuf, id, nil, err)
@@ -615,4 +596,102 @@ func (ws *WireServer) epochSync(wbuf []byte, id uint64, req wire.EpochSyncReq) [
 	resp.Flags |= wire.SyncFlagSnapshot
 	resp.Batches = []wire.SyncBatch{{Epoch: sepoch, FP: sfp, Events: WireSyncEvents(events)}}
 	return wire.AppendEpochSyncResp(wbuf, id, &resp)
+}
+
+// writeCombiner is a WireServer connection's outbound queue, shared by
+// its reader, the shard workers, the collective goroutines and its
+// writer goroutine. Any number of goroutines append frames under a
+// short mutex; whoever flushes while no write is in progress becomes
+// the writer and loops until the queue is empty, so every frame
+// appended during a write leaves in the next one. The mutex is never
+// held across a syscall, so appending never waits on the socket.
+type writeCombiner struct {
+	c net.Conn
+
+	mu      sync.Mutex
+	drained sync.Cond    // broadcast when a writer takes the queue or stops
+	queued  []byte       // frames waiting for the next write
+	spare   []byte       // the buffer the writer in progress hands back
+	writing bool         // someone is flushing queued on everyone's behalf
+	err     error        // the first write error; later frames are dropped
+	backlog atomic.Int64 // len(queued), for the reader's lock-free bound check
+}
+
+func newWriteCombiner(c net.Conn) *writeCombiner {
+	w := &writeCombiner{c: c}
+	w.drained.L = &w.mu
+	return w
+}
+
+// lock locks the queue and returns it for the caller to append frames
+// to; unlock stores the grown queue back and unlocks.
+func (w *writeCombiner) lock() []byte {
+	w.mu.Lock()
+	return w.queued
+}
+
+func (w *writeCombiner) unlock(b []byte) {
+	if w.err != nil {
+		b = b[:0] // the connection is dead: nobody will read these
+	}
+	w.queued = b
+	w.backlog.Store(int64(len(b)))
+	w.mu.Unlock()
+}
+
+// queuedBytes reports how many bytes wait behind the write in progress.
+func (w *writeCombiner) queuedBytes() int { return int(w.backlog.Load()) }
+
+// flush writes own (which may be empty) and everything queued, unless a
+// write is already in progress: then own is copied onto the queue, and
+// the writer in progress carries it. own is the caller's again on
+// return. With limit > 0, a caller that would leave more than limit
+// bytes queued behind a write in progress first waits for that write:
+// the producer that must not outrun its socket. flush returns the
+// connection's first write error.
+func (w *writeCombiner) flush(own []byte, limit int) error {
+	w.mu.Lock()
+	for limit > 0 && w.writing && w.err == nil && len(w.queued)+len(own) > limit {
+		w.drained.Wait()
+	}
+	if w.err != nil || w.writing {
+		if w.err == nil {
+			w.queued = append(w.queued, own...)
+			w.backlog.Store(int64(len(w.queued)))
+		}
+		err := w.err
+		w.mu.Unlock()
+		return err
+	}
+	w.writing = true
+	buf, taken := own, false
+	for {
+		if len(buf) == 0 {
+			if len(w.queued) == 0 {
+				break
+			}
+			buf, taken = w.queued, true
+			w.queued = w.spare[:0]
+			w.backlog.Store(0)
+			w.drained.Broadcast()
+		}
+		w.mu.Unlock()
+		_, err := w.c.Write(buf)
+		w.mu.Lock()
+		if taken {
+			w.spare = buf[:0]
+		}
+		buf, taken = nil, false
+		if err != nil {
+			w.err = err
+			w.queued = w.queued[:0]
+			w.backlog.Store(0)
+			break
+		}
+	}
+	w.writing = false
+	w.drained.Broadcast()
+	err := w.err
+	w.mu.Unlock()
+	return err
 }

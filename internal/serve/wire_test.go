@@ -720,6 +720,17 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// countingConn counts its Write calls.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int32
+}
+
+func (c countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
 // countingListener hands out accepted connections that count their
 // Write calls.
 type countingListener struct {
@@ -982,18 +993,29 @@ func TestWireQueuedMissDeadline(t *testing.T) {
 	}()
 	<-held
 
-	m := NewWireMux(addr, WireDialOptions{})
-	defer m.Close()
-	var out WireRoute
-	routed := make(chan error, 1)
-	go func() {
-		routed <- m.Route(context.Background(), wire.RouteReq{Src: 2, Dst: 201, DeadlineMS: 20}, &out)
-	}()
+	c := mustDial(t, addr)
+	defer c.Close()
+	if _, err := c.Write(wire.AppendRouteReq(nil, 7, wire.RouteReq{Src: 2, Dst: 201, DeadlineMS: 20})); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, "the miss to queue", func() bool { return s.Metrics().Accepted == 2 })
 	time.Sleep(60 * time.Millisecond) // past the miss's deadline
 	release()
-	if err := <-routed; err != nil {
+	var hdr [wire.HeaderSize]byte
+	if _, err := io.ReadFull(c, hdr[:]); err != nil {
 		t.Fatal(err)
+	}
+	h, err := wire.ParseHeader(hdr[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, h.Len)
+	if _, err := io.ReadFull(c, p); err != nil {
+		t.Fatal(err)
+	}
+	var out WireRoute
+	if err := decodeRouteReply(h.Type, p, &out); err != nil || h.ID != 7 {
+		t.Fatalf("reply id %d: %v", h.ID, err)
 	}
 	if core.Outcome(out.Outcome) != core.OutcomeCanceled || out.ErrCode != 0 {
 		t.Fatalf("queued miss: %+v, want a canceled RouteResult", out)

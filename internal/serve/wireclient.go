@@ -37,10 +37,8 @@ type WireDialOptions struct {
 	BackoffMax  time.Duration
 	// DialTimeout bounds each dial attempt (default 2s).
 	DialTimeout time.Duration
-	// CallTimeout, when positive, bounds every call: a WireClient sets
-	// it as a connection deadline per round trip, a WireMux as each
-	// call's reply wait and each write's deadline — the cluster
-	// forwarder's per-hop deadline.
+	// CallTimeout, when positive, bounds every call: the client sets it
+	// as a connection deadline per round trip.
 	CallTimeout time.Duration
 	// Dial overrides the transport — cluster tests plant partition
 	// gates here. nil dials TCP.
@@ -69,8 +67,7 @@ func (o *WireDialOptions) fill() {
 //
 // A client is safe for concurrent use but serializes requests on one
 // connection; open one client per submitting goroutine for parallel
-// load, or share a WireMux for single route and multicast calls.
-// Route and the cold-path calls allocate their responses;
+// load. Route and the cold-path calls allocate their responses;
 // RouteBatch is the steady-state-zero-allocation path — it pipelines a
 // whole batch in one write and decodes every reply into caller-reused
 // WireRoute slots.
@@ -306,9 +303,8 @@ func (w *WireClient) RouteTree(src, dst gc.NodeID, tree int) (*RouteResponse, er
 	return out, nil
 }
 
-// WireRoute is one RouteBatch slot, or one WireMux.Route reply. A
-// RouteBatch slot's slices are reused across calls; copy anything that
-// must outlive the next batch.
+// WireRoute is one RouteBatch slot. Its slices are reused across
+// calls; copy anything that must outlive the next batch.
 type WireRoute struct {
 	// Outcome is the core.Outcome ladder value; meaningless when
 	// ErrCode is set.

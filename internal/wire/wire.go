@@ -156,10 +156,10 @@ func ParseHeader(b []byte) (Header, error) {
 
 // RouteReq flags.
 const (
-	// RouteFlagNoForward pins the request to the receiving instance: a
-	// cluster member must compute it locally instead of proxying again,
-	// which is what bounds a forwarded route to one proxy hop even when
-	// two instances hold momentarily different ownership views.
+	// RouteFlagNoForward asked a cluster member to answer the request
+	// itself instead of forwarding it to the source class's owner. Every
+	// member now answers every request it receives, so the bit is
+	// accepted and ignored; it stays so frames that set it still decode.
 	RouteFlagNoForward uint8 = 1 << 0
 	// RouteFlagTree marks the Tree byte as meaningful: the request pins
 	// routing to one multipath spanning tree instead of the server's

@@ -293,10 +293,11 @@ func NewWireDialer(addr string, opts WireDialOptions) *WireClient {
 
 // Cluster: several gcserved instances serving one cube (DESIGN.md
 // §13). A topology assigns each member a contiguous range of ending
-// classes; cross-range route requests are forwarded to the owner over
-// gcwire, broadcasts and multicasts are planned on the member that
-// receives them, and fault mutations converge by anti-entropy gossip
-// on the (epoch, fingerprint) frontier. Instances cut off from their
+// classes, which clients follow so a request lands where its cache is
+// warm. Every member answers every route, broadcast and multicast it
+// receives, whoever owns the source class, and fault mutations
+// converge by anti-entropy gossip on the (epoch, fingerprint)
+// frontier. Instances that trail a peer or are cut off from their
 // peers keep serving but stamp answers delivered-degraded.
 type (
 	// ClusterMember is one instance: a wire address owning the
@@ -307,8 +308,9 @@ type (
 	ClusterTopology = cluster.Topology
 	// ClusterConfig wires a local Server into a topology.
 	ClusterConfig = cluster.Config
-	// ClusterNode runs one instance's cluster duties (forwarding,
-	// gossip, staleness marking); create with StartCluster.
+	// ClusterNode runs one instance's cluster duties (gossip,
+	// staleness marking, the ownership predicate behind
+	// Server.OwnsLocally); create with StartCluster.
 	ClusterNode = cluster.Node
 	// ClusterClient routes each request directly at the owner of its
 	// source ending class, with one ring-successor failover.
@@ -332,7 +334,7 @@ func NewClusterTopology(c *Cube, members []ClusterMember) (*ClusterTopology, err
 	return cluster.New(c, members)
 }
 
-// StartCluster installs the forwarding and observability hooks on
+// StartCluster installs the ownership and observability hooks on
 // cfg.Server and launches the gossip loop. Stop with ClusterNode.Close.
 func StartCluster(cfg ClusterConfig) (*ClusterNode, error) { return cluster.Start(cfg) }
 
