@@ -707,7 +707,8 @@ func TestClusterClient(t *testing.T) {
 	}
 
 	// Kill the path to instance 2: the client fails over to the ring
-	// successor (instance 0), which forwards or serves locally.
+	// successor (instance 0), which answers the route itself, as every
+	// member answers every route it receives.
 	g.cut(len(insts), 2)
 	resp, err = c.Route(gc.NodeID(7), gc.NodeID(22))
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"gaussiancube/internal/exchanged"
 	"gaussiancube/internal/fault"
 	"gaussiancube/internal/gc"
+	"gaussiancube/internal/graph"
 	"gaussiancube/internal/gtree"
 	"gaussiancube/internal/hypercube"
 	"gaussiancube/internal/trace"
@@ -34,16 +35,22 @@ type routePlan struct {
 // to each in-flight Route call, which keeps a single Router safe for
 // concurrent use while making the fault-free hot path allocation-free.
 type routeScratch struct {
-	plan   routePlan
-	path   []gc.NodeID
-	hcWalk []hypercube.Node
+	plan routePlan
+	path []gc.NodeID
 	// tree is the multipath tree this route is planned for (-1 when
 	// single-tree), resolved once per route by the entry points.
 	tree int
-	// view and adaptive are the GEEC substrate's fault oracle and working
-	// state (subcubeRoute).
+	// walk is the search state of the adaptive GEEC substrate
+	// (fixClassDims) and of FREH on a blocked tree-edge crossing
+	// (crossTreeEdge); view is the subcube fault oracle of the
+	// safety-level ablation substrates (geecRoute). pair, pairView and
+	// ehWalk are FREH's pair subgraph, its fault oracle and its walk in
+	// EH labels.
+	walk     graph.WalkScratch
 	view     fault.GEECView
-	adaptive hypercube.AdaptiveScratch
+	pair     gc.Pair
+	pairView fault.PairView
+	ehWalk   []exchanged.Node
 	// seen, from and to are the BFS fallback's state (appendFallback):
 	// a byte per node, sized to the cube on the first fallback through
 	// this scratch, and the visit lists of the two search sides.
@@ -128,7 +135,7 @@ func (r *Router) execute(ctx context.Context, sc *routeScratch, path []gc.NodeID
 		if i+1 < len(p.walk) {
 			var err error
 			var done bool
-			path, cur, done, err = r.crossTreeEdge(ctx, path, cur, k, p.walk[i+1], d, depth, sc.tree)
+			path, cur, done, err = r.crossTreeEdge(ctx, sc, path, cur, k, p.walk[i+1], d, depth)
 			if err != nil {
 				return path, err
 			}
@@ -146,63 +153,53 @@ func (r *Router) execute(ctx context.Context, sc *routeScratch, path []gc.NodeID
 }
 
 // fixClassDims flips the given mask of high dimensions (all owned by
-// cur's ending class) by routing inside the GEEC slice of cur,
-// appending the hops after cur onto path. Returns the extended path and
-// the new current node.
+// cur's ending class k) by routing inside the GEEC slice of cur,
+// appending the hops after cur onto path (whose last element is cur).
+// Returns the extended path and the new current node. Theorem 3 makes
+// the slice a hypercube whose subcube bit i is GC dimension Dim(k)[i];
+// Dim(k) is ascending, so routing on GC labels restricted to Dim(k)
+// visits dimensions in the subcube order and gives the same walk.
 func (r *Router) fixClassDims(sc *routeScratch, path []gc.NodeID, cur gc.NodeID, mask uint32) ([]gc.NodeID, gc.NodeID, error) {
-	g := r.cube.GEECOf(cur)
-	from := g.FromGC(cur)
-	to := from
-	for i, dim := range g.Dims() {
-		if mask&(1<<dim) != 0 {
-			to ^= 1 << uint(i)
+	to := cur ^ gc.NodeID(mask)
+	start := len(path) - 1 // the walk starts at cur
+	var err error
+	switch {
+	case r.faults == nil:
+		// Fault-free: dimension-ordered (e-cube) routing in the slice.
+		for m := uint64(mask); m != 0; m &= m - 1 {
+			path = append(path, path[len(path)-1]^1<<bitutil.LowestBit(m))
 		}
-	}
-	if to == from {
-		return path, cur, nil
-	}
-	if r.faults == nil {
-		// Fault-free: dimension-ordered routing inside the slice,
-		// translated hop by hop through the embedding.
-		sc.hcWalk = hypercube.AppendECubeRoute(sc.hcWalk[:0], from, to)
-		for _, x := range sc.hcWalk[1:] {
-			nxt := g.ToGC(x)
-			if r.tracer != nil {
-				r.emitHop(cur, nxt, uint(bitutil.LowestBit(uint64(cur^nxt))))
-			}
-			cur = nxt
-			path = append(path, cur)
-		}
-		return path, cur, nil
-	}
-	if r.faults.NodeFaulty(g.ToGC(to)) {
+	case r.faults.NodeFaulty(to):
 		// The forced class-exit node is faulty: beyond the strategy
 		// (see package comment); the caller may fall back.
 		return path, cur, ErrUnreachable
+	case r.substrate == SubstrateAdaptive:
+		dims := r.cube.DimMask(r.cube.EndingClass(cur))
+		path, _, err = hypercube.AppendRouteAdaptiveDims(path[:start], &sc.walk, r.cube.Nodes(), dims, r.faults, cur, to)
+		if err != nil {
+			path = path[:start+1] // a failed walk leaves cur in place
+		}
+	default:
+		path, err = r.geecRoute(sc, path, cur, to)
 	}
-	walk, err := r.subcubeRoute(sc, g, from, to)
 	if err != nil {
 		return path, cur, ErrUnreachable
 	}
-	// A substrate walk longer than the pending-dimension count means an
-	// A-category fault forced an alternate preferred dimension: narrate
-	// it as a detour around the GEEC slice's faults.
-	detoured := r.tracer != nil && len(walk)-1 > bitutil.OnesCount(uint64(mask))
-	if detoured {
-		r.tracer.Emit(trace.Event{Kind: trace.KindDetourEnter, Cat: trace.CatA, Note: "geec-substrate"})
-	}
-	for _, x := range walk[1:] {
-		nxt := g.ToGC(x)
-		if r.tracer != nil {
-			r.emitHop(cur, nxt, uint(bitutil.LowestBit(uint64(cur^nxt))))
+	if r.tracer != nil {
+		// A walk longer than the pending-dimension count means an
+		// A-category fault forced an alternate preferred dimension:
+		// narrate it as a detour around the GEEC slice's faults.
+		walk := path[start:]
+		detoured := len(walk)-1 > bitutil.OnesCount(uint64(mask))
+		if detoured {
+			r.tracer.Emit(trace.Event{Kind: trace.KindDetourEnter, Cat: trace.CatA, Note: "geec-substrate"})
 		}
-		cur = nxt
-		path = append(path, cur)
+		r.emitPathHops(walk)
+		if detoured {
+			r.tracer.Emit(trace.Event{Kind: trace.KindDetourExit})
+		}
 	}
-	if detoured {
-		r.tracer.Emit(trace.Event{Kind: trace.KindDetourExit})
-	}
-	return path, cur, nil
+	return path, to, nil
 }
 
 // crossTreeEdge moves cur from class "from" to the neighboring class
@@ -217,9 +214,10 @@ func (r *Router) fixClassDims(sc *routeScratch, path []gc.NodeID, cur gc.NodeID,
 // frame stripe first tries to steer into the stripe (multipath.go),
 // which likewise completes the route; steering failures fall through
 // to this single-tree ladder.
-func (r *Router) crossTreeEdge(ctx context.Context, path []gc.NodeID, cur gc.NodeID, from, to gtree.Node, d gc.NodeID, depth, tree int) ([]gc.NodeID, gc.NodeID, bool, error) {
+func (r *Router) crossTreeEdge(ctx context.Context, sc *routeScratch, path []gc.NodeID, cur gc.NodeID, from, to gtree.Node, d gc.NodeID, depth int) ([]gc.NodeID, gc.NodeID, bool, error) {
 	c := r.cube
 	dim := c.Tree().EdgeDim(from, to)
+	tree := sc.tree
 	if tree >= 0 && depth == 0 && !r.trees.OwnsFrame(tree, r.trees.FrameOf(cur)) {
 		if full, done := r.steerCrossing(ctx, path, cur, dim, d, depth, tree); done {
 			return full, cur, true, nil
@@ -233,27 +231,27 @@ func (r *Router) crossTreeEdge(ctx context.Context, path []gc.NodeID, cur gc.Nod
 		return append(path, tgt), tgt, false, nil
 	}
 	if !r.faults.NodeFaulty(tgt) {
-		if pair, err := c.PairOf(from, to, cur); err == nil {
-			walk, err := exchanged.Route(pair.EH(), r.faults.PairView(pair), pair.FromGC(cur), pair.FromGC(tgt))
+		var err error
+		if sc.pair, err = c.PairOf(from, to, cur); err == nil {
+			pair := &sc.pair
+			// The view lives in the scratch so that handing it to FREH
+			// as an interface does not allocate.
+			sc.pairView = r.faults.PairView(pair)
+			sc.ehWalk, err = exchanged.AppendRoute(sc.ehWalk[:0], &sc.walk, pair.EH(), &sc.pairView, pair.FromGC(cur), pair.FromGC(tgt))
 			if err == nil {
 				// The direct crossing is a B-category blockage (the
 				// landing node is alive, so the link itself is broken):
 				// FREH routes around it inside the pair subgraph.
+				start := len(path) - 1
+				for _, x := range sc.ehWalk[1:] {
+					path = append(path, pair.ToGC(x))
+				}
 				if r.tracer != nil {
 					r.tracer.Emit(trace.Event{Kind: trace.KindDetourEnter, Cat: trace.CatB, Dim: uint8(dim), Note: "freh-pair"})
-				}
-				for _, x := range walk[1:] {
-					nxt := pair.ToGC(x)
-					if r.tracer != nil {
-						r.emitHop(cur, nxt, uint(bitutil.LowestBit(uint64(cur^nxt))))
-					}
-					cur = nxt
-					path = append(path, cur)
-				}
-				if r.tracer != nil {
+					r.emitPathHops(path[start:])
 					r.tracer.Emit(trace.Event{Kind: trace.KindDetourExit})
 				}
-				return path, cur, false, nil
+				return path, path[len(path)-1], false, nil
 			}
 		}
 	}

@@ -165,14 +165,23 @@ func (r *Router) Route(s, d gc.NodeID) (*Result, error) {
 
 // RouteInto computes a route from s to d and appends its hop-by-hop
 // path (endpoints included) onto dst, returning the extended slice. It
-// is Route without the Result envelope. When the strategy fails against
-// the fault pattern and the fallback is enabled, the BFS fallback path
-// is appended instead. When dst has capacity, a warmed-up fault-free
-// call performs zero heap allocations, and so do the adaptive GEEC
-// substrate and the BFS fallback.
+// is AppendRoute without the fallback report.
 func (r *Router) RouteInto(dst []gc.NodeID, s, d gc.NodeID) ([]gc.NodeID, error) {
-	dst, _, err := r.route(context.Background(), dst, nil, s, d)
+	dst, _, err := r.AppendRoute(dst, s, d)
 	return dst, err
+}
+
+// AppendRoute computes a route from s to d and appends its hop-by-hop
+// path (endpoints included) onto dst, returning the extended slice and
+// whether the BFS fallback produced it: Route without the Result
+// envelope. When the strategy fails against the fault pattern and the
+// fallback is enabled, the BFS fallback path is appended instead. When
+// dst has capacity, a warmed-up call performs zero heap allocations,
+// fault-free or through the adaptive GEEC substrate, FREH and the BFS
+// fallback.
+func (r *Router) AppendRoute(dst []gc.NodeID, s, d gc.NodeID) ([]gc.NodeID, bool, error) {
+	dst, m, err := r.route(context.Background(), dst, nil, s, d)
+	return dst, m.fallback, err
 }
 
 // routeMeta is what the route core reports beside the path.
@@ -182,7 +191,7 @@ type routeMeta struct {
 	fallback bool // the BFS last resort produced the path
 }
 
-// route is the one planning ladder behind Route, RouteInto and
+// route is the one planning ladder behind Route, AppendRoute and
 // RouteContext: range check, faulty endpoint, plan, repair partition
 // check, execute, BFS fallback, traced outcome. It appends the path
 // (endpoints included) onto dst and returns dst unextended on error.
@@ -490,22 +499,26 @@ func (r *Router) traceOutcome(arg int32, note string) {
 	r.tracer.Emit(trace.Event{Kind: trace.KindOutcome, Arg: arg, Note: note})
 }
 
-// subcubeRoute runs the selected fault-tolerant substrate inside a GEEC
-// slice. The adaptive substrate routes in sc's buffers without
-// allocating; the returned walk is valid until the next call on sc.
-func (r *Router) subcubeRoute(sc *routeScratch, g *gc.GEEC, from, to hypercube.Node) ([]hypercube.Node, error) {
-	q := g.Cube()
+// geecRoute runs a safety-level ablation substrate (levels or
+// vectors), which works in subcube coordinates, inside cur's GEEC
+// slice: it maps cur and to through the embedding, routes over the
+// slice's fault view, and appends the hops after cur onto path. On
+// error path comes back unextended.
+func (r *Router) geecRoute(sc *routeScratch, path []gc.NodeID, cur, to gc.NodeID) ([]gc.NodeID, error) {
+	g := r.cube.GEECOf(cur)
 	// The view lives in the pooled scratch so that handing it to the
 	// substrate as an interface does not allocate.
 	sc.view = r.faults.GEECView(g)
-	var err error
-	switch r.substrate {
-	case SubstrateSafety:
-		sc.hcWalk, _, err = hypercube.RouteSafety(q, &sc.view, from, to)
-	case SubstrateVector:
-		sc.hcWalk, _, err = hypercube.RouteSafetyVector(q, &sc.view, from, to)
-	default:
-		sc.hcWalk, _, err = hypercube.AppendRouteAdaptive(sc.hcWalk[:0], &sc.adaptive, q, &sc.view, from, to)
+	route := hypercube.RouteSafety
+	if r.substrate == SubstrateVector {
+		route = hypercube.RouteSafetyVector
 	}
-	return sc.hcWalk, err
+	walk, _, err := route(g.Cube(), &sc.view, g.FromGC(cur), g.FromGC(to))
+	if err != nil {
+		return path, err
+	}
+	for _, x := range walk[1:] {
+		path = append(path, g.ToGC(x))
+	}
+	return path, nil
 }

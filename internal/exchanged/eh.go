@@ -35,8 +35,21 @@ type EH struct {
 	s, t uint
 }
 
-// New constructs EH(s, t); s and t must be at least 1 and s+t+1 at most
-// 26.
+// shared holds the canonical EH value for every admissible (s, t). EH
+// is immutable, so New hands out one pointer per shape instead of
+// allocating, and the pair subgraphs of the Gaussian Cube, built per
+// blocked crossing, cost nothing for it.
+var shared = func() (es [25][25]EH) {
+	for s := range es {
+		for t := range es[s] {
+			es[s][t] = EH{s: uint(s), t: uint(t)}
+		}
+	}
+	return es
+}()
+
+// New returns EH(s, t); s and t must be at least 1 and s+t+1 at most
+// 26. The returned value is a shared immutable instance.
 func New(s, t uint) *EH {
 	if s < 1 || t < 1 {
 		panic(fmt.Sprintf("exchanged: EH(%d,%d) requires s,t >= 1", s, t))
@@ -44,7 +57,7 @@ func New(s, t uint) *EH {
 	if s+t+1 > 26 {
 		panic(fmt.Sprintf("exchanged: EH(%d,%d) too large", s, t))
 	}
-	return &EH{s: s, t: t}
+	return &shared[s][t]
 }
 
 // S returns the s parameter (dimension of the 0-side cubes).

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"gaussiancube/internal/bitutil"
+	"gaussiancube/internal/graph"
 )
 
 // Routing errors.
@@ -18,7 +19,7 @@ var (
 	ErrUnreachable = errors.New("exchanged: destination unreachable through non-faulty components")
 )
 
-// Route is the FREH fault-tolerant router for EH(s, t) (Algorithm 4,
+// AppendRoute is the FREH fault-tolerant router for EH(s, t) (Algorithm 4,
 // Theorem 4). At every node it takes the usable link whose far end is
 // closest to the destination under the closed-form EH distance —
 // preferring the subcube dimension that fixes a coordinate of the
@@ -37,50 +38,34 @@ var (
 // fro that repairs the perturbed coordinate), matching the shape of the
 // paper's H(r,d) + 2(Fs+Ft) + 2 bound; the exact constants are measured
 // in the benchmark harness.
-func Route(e *EH, f Faults, r, d Node) ([]Node, error) {
+//
+// The walk, backtracking steps included, is appended onto dst; on error
+// dst comes back unextended. The visited set and backtrack stack live in
+// sc, so once dst and sc have grown a route allocates nothing.
+func AppendRoute(dst []Node, sc *graph.WalkScratch, e *EH, f Faults, r, d Node) ([]Node, error) {
 	if f.NodeFaulty(r) || f.NodeFaulty(d) {
-		return nil, ErrFaultyEndpoint
+		return dst, ErrFaultyEndpoint
 	}
-	walk := []Node{r}
-	if r == d {
-		return walk, nil
-	}
-
-	visited := map[Node]bool{r: true}
-	var stack []uint // dimension used to enter each stacked position
-	cur := r
-
-	for cur != d {
+	dst, ok := sc.Walk(dst, e.Nodes(), r, d, func(cur Node) (uint, bool) {
 		bestDim, bestDist := uint(0), math.MaxInt
 		for dim := uint(0); dim <= e.s+e.t; dim++ {
 			if !e.HasLinkDim(cur, dim) || f.LinkFaulty(cur, dim) {
 				continue
 			}
 			nb := cur ^ (1 << dim)
-			if visited[nb] || f.NodeFaulty(nb) {
+			if sc.Visited(nb) || f.NodeFaulty(nb) {
 				continue
 			}
 			if dist := e.Distance(nb, d); dist < bestDist {
 				bestDim, bestDist = dim, dist
 			}
 		}
-		if bestDist < math.MaxInt {
-			cur ^= 1 << bestDim
-			visited[cur] = true
-			walk = append(walk, cur)
-			stack = append(stack, bestDim)
-			continue
-		}
-		// Dead end: backtrack one hop.
-		if len(stack) == 0 {
-			return walk, ErrUnreachable
-		}
-		dim := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		cur ^= 1 << dim
-		walk = append(walk, cur)
+		return bestDim, bestDist < math.MaxInt
+	})
+	if !ok {
+		return dst, ErrUnreachable
 	}
-	return walk, nil
+	return dst, nil
 }
 
 // ValidatePath checks that path is a hop-by-hop walk in EH(s, t) from r

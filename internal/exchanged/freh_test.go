@@ -2,6 +2,7 @@ package exchanged
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gaussiancube/internal/graph"
@@ -13,7 +14,7 @@ func TestRouteFaultFreeIsMinimal(t *testing.T) {
 		n := Node(e.Nodes())
 		for r := Node(0); r < n; r++ {
 			for d := Node(0); d < n; d++ {
-				walk, err := Route(e, NoFaults{}, r, d)
+				walk, err := route(e, NoFaults{}, r, d)
 				if err != nil {
 					t.Fatalf("EH(%d,%d) %d->%d: %v", cfg.s, cfg.t, r, d, err)
 				}
@@ -88,7 +89,7 @@ func TestTheorem4Delivery(t *testing.T) {
 		if !e.PreconditionHolds(census) {
 			t.Fatal("fault generator violated precondition")
 		}
-		walk, err := Route(e, f, r, d)
+		walk, err := route(e, f, r, d)
 		if err != nil {
 			t.Fatalf("trial %d EH(%d,%d) %d->%d with %+v: %v",
 				trial, s, tt, r, d, census, err)
@@ -108,17 +109,17 @@ func TestRouteFaultyEndpoint(t *testing.T) {
 	e := New(2, 2)
 	f := NewFaultSet()
 	f.AddNode(3)
-	if _, err := Route(e, f, 3, 0); err != ErrFaultyEndpoint {
+	if _, err := route(e, f, 3, 0); err != ErrFaultyEndpoint {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := Route(e, f, 0, 3); err != ErrFaultyEndpoint {
+	if _, err := route(e, f, 0, 3); err != ErrFaultyEndpoint {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestRouteSelf(t *testing.T) {
 	e := New(2, 2)
-	walk, err := Route(e, NoFaults{}, 5, 5)
+	walk, err := route(e, NoFaults{}, 5, 5)
 	if err != nil || len(walk) != 1 {
 		t.Errorf("self route = %v, %v", walk, err)
 	}
@@ -164,7 +165,7 @@ func TestRouteBlockedCrossingDetour(t *testing.T) {
 	d := e.Compose(0, 0b111, 1)
 	f := NewFaultSet()
 	f.AddLink(e.Compose(0, 0, 0), 0) // block the direct crossing at r
-	walk, err := Route(e, f, r, d)
+	walk, err := route(e, f, r, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestRouteAllCases(t *testing.T) {
 		{e.Compose(0b001, 0b000, 1), e.Compose(0b110, 0b011, 1)}, // IV: 1 -> 1
 	}
 	for i, c := range cases {
-		walk, err := Route(e, f, c.r, c.d)
+		walk, err := route(e, f, c.r, c.d)
 		if err != nil {
 			t.Fatalf("case %d: %v", i+1, err)
 		}
@@ -217,3 +218,101 @@ func TestValidatePathRejectsNonLink(t *testing.T) {
 }
 
 var _ = graph.Connected // keep graph import for future structural checks
+
+// refRoute is FREH as it ran before AppendRoute, with its search state
+// in a map and a fresh stack per route: the reference AppendRoute's
+// walks must match.
+func refRoute(e *EH, f Faults, r, d Node) ([]Node, error) {
+	if f.NodeFaulty(r) || f.NodeFaulty(d) {
+		return nil, ErrFaultyEndpoint
+	}
+	walk := []Node{r}
+	visited := map[Node]bool{r: true}
+	var stack []uint
+	for cur := r; cur != d; {
+		bestDim, bestDist := uint(0), -1
+		for dim := uint(0); dim <= e.S()+e.T(); dim++ {
+			nb := cur ^ (1 << dim)
+			if !e.HasLinkDim(cur, dim) || f.LinkFaulty(cur, dim) || visited[nb] || f.NodeFaulty(nb) {
+				continue
+			}
+			if dist := e.Distance(nb, d); bestDist < 0 || dist < bestDist {
+				bestDim, bestDist = dim, dist
+			}
+		}
+		if bestDist >= 0 {
+			cur ^= 1 << bestDim
+			visited[cur] = true
+			walk = append(walk, cur)
+			stack = append(stack, bestDim)
+			continue
+		}
+		if len(stack) == 0 {
+			return nil, ErrUnreachable
+		}
+		cur ^= 1 << stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		walk = append(walk, cur)
+	}
+	return walk, nil
+}
+
+// TestAppendRouteMatchesReference: AppendRoute, through one scratch
+// reused across every case (so leftover visited bits would show), walks
+// exactly the reference's path on random EH shapes and fault sets dense
+// enough to force spare hops, backtracking and unreachable pairs.
+func TestAppendRouteMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var sc graph.WalkScratch
+	var buf []Node
+	backtracks, unreachable := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		e := New(uint(1+rng.Intn(4)), uint(1+rng.Intn(4)))
+		f := NewFaultSet()
+		for i := rng.Intn(e.Nodes() / 2); i > 0; i-- {
+			v := Node(rng.Intn(e.Nodes()))
+			if rng.Intn(3) == 0 {
+				f.AddNode(v)
+			} else {
+				f.AddLink(v, uint(rng.Intn(int(e.Bits()))))
+			}
+		}
+		for i := 0; i < 20; i++ {
+			r, d := Node(rng.Intn(e.Nodes())), Node(rng.Intn(e.Nodes()))
+			want, wantErr := refRoute(e, f, r, d)
+			var err error
+			buf, err = AppendRoute(buf[:0], &sc, e, f, r, d)
+			if err != wantErr || (err == nil && !slices.Equal(buf, want)) {
+				t.Fatalf("EH(%d,%d) %d->%d: walk %v err %v, reference %v err %v",
+					e.S(), e.T(), r, d, buf, err, want, wantErr)
+			}
+			if err == nil && revisits(want) {
+				backtracks++
+			}
+			if err == ErrUnreachable {
+				unreachable++
+			}
+		}
+	}
+	if backtracks == 0 || unreachable == 0 {
+		t.Fatalf("fault sets never forced a backtrack (%d) or an unreachable pair (%d)", backtracks, unreachable)
+	}
+}
+
+// revisits reports whether walk steps onto some node twice, as a
+// backtrack does.
+func revisits(walk []Node) bool {
+	seen := map[Node]bool{}
+	for _, v := range walk {
+		if seen[v] {
+			return true
+		}
+		seen[v] = true
+	}
+	return false
+}
+
+// route runs AppendRoute on a fresh scratch into a new walk.
+func route(e *EH, f Faults, r, d Node) ([]Node, error) {
+	return AppendRoute(nil, new(graph.WalkScratch), e, f, r, d)
+}

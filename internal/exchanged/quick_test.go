@@ -62,7 +62,7 @@ func TestQuickFaultFreeRouteMinimal(t *testing.T) {
 		e := New(s, tt)
 		r := Node(uint(rRaw) % uint(e.Nodes()))
 		d := Node(uint(dRaw) % uint(e.Nodes()))
-		walk, err := Route(e, NoFaults{}, r, d)
+		walk, err := route(e, NoFaults{}, r, d)
 		if err != nil {
 			return false
 		}

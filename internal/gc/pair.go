@@ -24,7 +24,7 @@ type Pair struct {
 	edgeDim uint       // the GC dimension of the tree edge (below alpha)
 	dimsP   []uint     // Dim(p): the EH a-part dimensions
 	dimsQ   []uint     // Dim(q): the EH b-part dimensions
-	frame   []uint     // dimensions fixed by k, ascending
+	frame   uint64     // mask of the dimensions fixed by k
 	k       uint64     // frame value
 	base    NodeID     // class-p node with all dimsP/dimsQ bits zero
 	eh      *exchanged.EH
@@ -34,39 +34,36 @@ type Pair struct {
 // Tree, both |Dim(p)| and |Dim(q)| must be at least 1 (so the exchanged
 // hypercube is well formed), and k must fit in the frame width.
 func (c *Cube) Pair(p, q gtree.Node, k uint64) (*Pair, error) {
+	g, err := c.pair(p, q, k)
+	if err != nil {
+		return nil, err
+	}
+	return &g, nil
+}
+
+// pair is Pair by value. Bit i of k is the i-th lowest frame dimension.
+func (c *Cube) pair(p, q gtree.Node, k uint64) (Pair, error) {
 	tr := c.Tree()
 	x := uint64(p ^ q)
 	if bitutil.OnesCount(x) != 1 || !tr.HasEdgeDim(p, uint(bitutil.LowestBit(x))) {
-		return nil, fmt.Errorf("gc: classes %d and %d are not Gaussian Tree neighbors", p, q)
+		return Pair{}, fmt.Errorf("gc: classes %d and %d are not Gaussian Tree neighbors", p, q)
 	}
 	dimsP, dimsQ := c.Dim(p), c.Dim(q)
 	if len(dimsP) == 0 || len(dimsQ) == 0 {
-		return nil, fmt.Errorf("gc: pair (%d,%d) has an empty Dim set (|Dim(p)|=%d, |Dim(q)|=%d)",
+		return Pair{}, fmt.Errorf("gc: pair (%d,%d) has an empty Dim set (|Dim(p)|=%d, |Dim(q)|=%d)",
 			p, q, len(dimsP), len(dimsQ))
 	}
-	inPQ := make(map[uint]bool, len(dimsP)+len(dimsQ))
-	for _, d := range dimsP {
-		inPQ[d] = true
-	}
-	for _, d := range dimsQ {
-		inPQ[d] = true
-	}
-	var frame []uint
-	for d := c.alpha; d < c.n; d++ {
-		if !inPQ[d] {
-			frame = append(frame, d)
-		}
-	}
-	if k >= 1<<uint(len(frame)) {
-		return nil, fmt.Errorf("gc: frame value %d out of range for %d frame dims", k, len(frame))
+	frame := bitutil.Mask(c.n) &^ bitutil.Mask(c.alpha) &^ c.DimMask(p) &^ c.DimMask(q)
+	if width := bitutil.OnesCount(frame); k >= 1<<uint(width) {
+		return Pair{}, fmt.Errorf("gc: frame value %d out of range for %d frame dims", k, width)
 	}
 	base := uint64(p)
-	for i, d := range frame {
-		if bitutil.HasBit(k, uint(i)) {
-			base = bitutil.Set(base, d)
+	for i, m := uint(0), frame; m != 0; i, m = i+1, m&(m-1) {
+		if bitutil.HasBit(k, i) {
+			base |= m & -m
 		}
 	}
-	return &Pair{
+	return Pair{
 		cube:    c,
 		p:       p,
 		q:       q,
@@ -80,31 +77,23 @@ func (c *Cube) Pair(p, q gtree.Node, k uint64) (*Pair, error) {
 	}, nil
 }
 
-// PairOf constructs the pair subgraph G(p, q, k) whose frame value k is
+// PairOf returns the pair subgraph G(p, q, k) whose frame value k is
 // read off the given member node (which must belong to class p or q).
-func (c *Cube) PairOf(p, q gtree.Node, member NodeID) (*Pair, error) {
-	g, err := c.Pair(p, q, 0)
+// It returns the subgraph by value, so a caller that keeps it in reused
+// state builds it without allocating.
+func (c *Cube) PairOf(p, q gtree.Node, member NodeID) (Pair, error) {
+	g, err := c.pair(p, q, 0)
 	if err != nil {
-		return nil, err
+		return Pair{}, err
 	}
-	var k uint64
-	for i, d := range g.frame {
-		if bitutil.HasBit(uint64(member), d) {
-			k = bitutil.Set(k, uint(i))
+	for i, m := uint(0), g.frame; m != 0; i, m = i+1, m&(m-1) {
+		if uint64(member)&m&-m != 0 {
+			g.k = bitutil.Set(g.k, i)
 		}
 	}
-	if k == 0 {
-		if !g.Contains(member) {
-			return nil, fmt.Errorf("gc: node %d not in any G(%d,%d,.)", member, p, q)
-		}
-		return g, nil
-	}
-	g, err = c.Pair(p, q, k)
-	if err != nil {
-		return nil, err
-	}
+	g.base |= member & NodeID(g.frame)
 	if !g.Contains(member) {
-		return nil, fmt.Errorf("gc: node %d not in any G(%d,%d,.)", member, p, q)
+		return Pair{}, fmt.Errorf("gc: node %d not in any G(%d,%d,.)", member, p, q)
 	}
 	return g, nil
 }
@@ -186,12 +175,7 @@ func (g *Pair) Contains(n NodeID) bool {
 	if cls != g.p && cls != g.q {
 		return false
 	}
-	for i, d := range g.frame {
-		if bitutil.HasBit(uint64(n), d) != bitutil.HasBit(g.k, uint(i)) {
-			return false
-		}
-	}
-	return true
+	return uint64(n^g.base)&g.frame == 0
 }
 
 // Members enumerates the GC labels of the subgraph, in EH label order.

@@ -11,11 +11,15 @@
 // provides:
 //
 //   - ECubeRoute: the classic dimension-ordered baseline (fault-free);
-//   - RouteAdaptive: an adaptive router in the style of Lan [6] with
-//     spare-dimension masking and backtracking, which delivers whenever
-//     the non-faulty subgraph connects source and destination (always
-//     true when the number of faults is below the dimension, because Q_n
-//     is n-connected);
+//   - AppendRouteAdaptive: an adaptive router in the style of Lan [6]
+//     with spare-dimension masking and backtracking, which delivers
+//     whenever the non-faulty subgraph connects source and destination
+//     (always true when the number of faults is below the dimension,
+//     because Q_n is n-connected). AppendRouteAdaptiveDims is its
+//     dims-mask form: it routes inside the subcube spanned by a mask of
+//     dimensions of a wider label space, so a Gaussian Cube slice
+//     GEEC(k, t) routes on GC labels restricted to Dim(k), with no
+//     coordinate translation;
 //   - SafetyLevels and RouteSafety: Wu's safety-level scheme [5], with
 //     the distributed n-round status-exchange computation.
 package hypercube

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"gaussiancube/internal/bitutil"
+	"gaussiancube/internal/graph"
 )
 
 // ErrUnreachable is returned when no fault-free route exists between the
@@ -20,137 +21,91 @@ var ErrFaultyEndpoint = errors.New("hypercube: source or destination node is fau
 // path has exactly Hamming(s, d) hops and is the deadlock-free baseline
 // the fault-tolerant routers are measured against.
 func ECubeRoute(c *Cube, s, d Node) []Node {
-	return AppendECubeRoute(make([]Node, 0, bitutil.Hamming(uint64(s), uint64(d))+1), s, d)
-}
-
-// AppendECubeRoute appends the e-cube path from s to d (both endpoints
-// included) onto dst and returns the extended slice. It allocates only
-// when dst lacks capacity, which makes it the building block of the
-// zero-allocation routing hot path.
-func AppendECubeRoute(dst []Node, s, d Node) []Node {
-	dst = append(dst, s)
-	cur := s
-	for r := cur ^ d; r != 0; r = cur ^ d {
-		dim := uint(bitutil.LowestBit(uint64(r)))
-		cur ^= 1 << dim
-		dst = append(dst, cur)
+	path := make([]Node, 1, bitutil.Hamming(uint64(s), uint64(d))+1)
+	path[0] = s
+	for r := uint64(s ^ d); r != 0; r &= r - 1 {
+		path = append(path, path[len(path)-1]^1<<bitutil.LowestBit(r))
 	}
-	return dst
+	return path
 }
 
-// RouteAdaptive routes from s to d around faults in the style of Lan's
-// adaptive fault-tolerant routing [6]: at every node prefer a preferred
-// dimension (a set bit of cur XOR d) whose link and far node are healthy
-// and whose far node is unvisited; otherwise take a healthy spare
-// dimension and mask it so it is never used as a spare again (this is
-// the paper's livelock-freedom mechanism: "use the spare dimension and
-// mask it so that it will not be used again"); as a last resort
-// backtrack. The visited set makes the search a depth-first traversal of
-// the healthy subgraph, so the algorithm delivers whenever s and d are
-// connected; since Q_n is n-connected, fewer than n faults always leaves
-// them connected (Theorem 3's precondition).
+// AppendRouteAdaptive routes from s to d around faults in the style of
+// Lan's adaptive fault-tolerant routing [6]: at every node prefer a
+// preferred dimension (a set bit of cur XOR d) whose link and far node
+// are healthy and whose far node is unvisited; otherwise take a healthy
+// spare dimension and mask it so it is never used as a spare again
+// (this is the paper's livelock-freedom mechanism: "use the spare
+// dimension and mask it so that it will not be used again"); as a last
+// resort backtrack. The visited set makes the search a depth-first
+// traversal of the healthy subgraph, so the algorithm delivers whenever
+// s and d are connected; since Q_n is n-connected, fewer than n faults
+// always leaves them connected (Theorem 3's precondition).
 //
-// The returned walk includes any backtracking steps, matching what a
-// real message would traverse. The second result is the number of spare
-// (non-preferred, non-backtrack) hops taken.
-func RouteAdaptive(c *Cube, f Faults, s, d Node) ([]Node, int, error) {
-	walk, spares, err := AppendRouteAdaptive(nil, new(AdaptiveScratch), c, f, s, d)
-	if err != nil {
-		return nil, spares, err
-	}
-	return walk, spares, nil
+// The walk, appended onto dst, includes any backtracking steps,
+// matching what a real message would traverse; on error dst comes back
+// unextended. The second result is the number of spare (non-preferred,
+// non-backtrack) hops taken. The visited set and backtrack stack live in
+// sc, so once dst and sc have grown a route allocates nothing.
+func AppendRouteAdaptive(dst []Node, sc *graph.WalkScratch, c *Cube, f Faults, s, d Node) ([]Node, int, error) {
+	return AppendRouteAdaptiveDims(dst, sc, c.Nodes(), 1<<c.Dim()-1, f, s, d)
 }
 
-// AdaptiveScratch is the reusable working state of AppendRouteAdaptive.
-// The zero value is ready to use; a scratch serves one route at a time.
-type AdaptiveScratch struct {
-	// seen is the visited set, a bitmap over the cube's nodes. It is all
-	// zero between routes: every node it marks is on the walk, which
-	// clears it.
-	seen []uint64
-	// stack[i] is the dimension used to enter the (i+1)th node of the
-	// forward path; popping it backtracks.
-	stack []uint
+// AppendRouteAdaptiveDims is AppendRouteAdaptive in the subcube of a
+// wider label space spanned by the dimensions in the mask dims: s and d
+// differ only in dims, every hop flips one dims bit, and f is probed on
+// the wide labels. nodes bounds the labels and sizes sc's visited
+// bitmap. A GEEC slice of the Gaussian Cube routes this way directly on
+// GC labels, with dims = Dim(k); the walk is the subcube route mapped
+// through the embedding, since both visit dimensions in ascending order.
+func AppendRouteAdaptiveDims(dst []Node, sc *graph.WalkScratch, nodes int, dims uint64, f Faults, s, d Node) ([]Node, int, error) {
+	return spareWalk(dst, sc, nodes, f, s, d, func(cur Node, spareMask uint64) (uint, bool) {
+		return pickDim(f, cur, d, dims, sc, spareMask)
+	})
 }
 
-// AppendRouteAdaptive is RouteAdaptive appending the walk onto dst and
-// keeping its visited set and backtrack stack in sc, so once dst and sc
-// have grown a route allocates nothing. On error dst comes back
-// unextended.
-func AppendRouteAdaptive(dst []Node, sc *AdaptiveScratch, c *Cube, f Faults, s, d Node) ([]Node, int, error) {
+// spareWalk is the search every substrate shares, sc.Walk between
+// healthy endpoints: pick chooses the next dimension out of cur given
+// the spare dimensions used so far, and a chosen dimension that fixes no
+// bit of cur XOR d is a spare, masked against reuse. The second result
+// counts the spare hops.
+func spareWalk(dst []Node, sc *graph.WalkScratch, nodes int, f Faults, s, d Node, pick func(cur Node, spareMask uint64) (uint, bool)) ([]Node, int, error) {
 	if f.NodeFaulty(s) || f.NodeFaulty(d) {
 		return dst, 0, ErrFaultyEndpoint
 	}
-	start := len(dst)
-	dst = append(dst, s)
-	if s == d {
-		return dst, 0, nil
-	}
-	if n := (c.Nodes() + 63) / 64; len(sc.seen) < n {
-		sc.seen = make([]uint64, n)
-	}
-	seen, stack := sc.seen, sc.stack[:0]
-	seen[s>>6] |= 1 << (s & 63)
-	var spareMask uint64 // dimensions consumed as spares
+	var spareMask uint64
 	spares := 0
-	cur := s
-	var err error
-	for cur != d {
-		dim, ok := pickDim(c, f, cur, d, seen, spareMask)
-		if ok {
-			if !bitutil.HasBit(uint64(cur^d), dim) {
-				spareMask = bitutil.Set(spareMask, dim)
-				spares++
-			}
-			cur ^= 1 << dim
-			seen[cur>>6] |= 1 << (cur & 63)
-			dst = append(dst, cur)
-			stack = append(stack, dim)
-			continue
+	dst, ok := sc.Walk(dst, nodes, s, d, func(cur Node) (uint, bool) {
+		dim, ok := pick(cur, spareMask)
+		if ok && !bitutil.HasBit(uint64(cur^d), dim) {
+			spareMask = bitutil.Set(spareMask, dim)
+			spares++
 		}
-		// Dead end: backtrack one hop.
-		if len(stack) == 0 {
-			err = ErrUnreachable
-			break
-		}
-		dim = stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		cur ^= 1 << dim
-		dst = append(dst, cur)
-	}
-	for _, v := range dst[start:] {
-		seen[v>>6] &^= 1 << (v & 63)
-	}
-	sc.stack = stack[:0]
-	if err != nil {
-		return dst[:start], spares, err
+		return dim, ok
+	})
+	if !ok {
+		return dst, spares, ErrUnreachable
 	}
 	return dst, spares, nil
 }
 
 // pickDim selects the next dimension out of cur: first a usable
 // preferred dimension (lowest first, mirroring e-cube order), then a
-// usable unmasked spare dimension. seen is the visited bitmap.
-func pickDim(c *Cube, f Faults, cur, d Node, seen []uint64, spareMask uint64) (uint, bool) {
+// usable unmasked spare dimension of dims, lowest first, each onto a
+// node sc has not visited.
+func pickDim(f Faults, cur, d Node, dims uint64, sc *graph.WalkScratch, spareMask uint64) (uint, bool) {
 	r := uint64(cur ^ d)
 	for m := r; m != 0; m &= m - 1 {
-		if dim := uint(bitutil.LowestBit(m)); usable(f, cur, dim) && !marked(seen, cur^(1<<dim)) {
+		if dim := uint(bitutil.LowestBit(m)); usable(f, cur, dim) && !sc.Visited(cur^(1<<dim)) {
 			return dim, true
 		}
 	}
-	for dim := uint(0); dim < c.Dim(); dim++ {
-		if bitutil.HasBit(r, dim) || bitutil.HasBit(spareMask, dim) {
-			continue
-		}
-		if usable(f, cur, dim) && !marked(seen, cur^(1<<dim)) {
+	for m := dims &^ r &^ spareMask; m != 0; m &= m - 1 {
+		if dim := uint(bitutil.LowestBit(m)); usable(f, cur, dim) && !sc.Visited(cur^(1<<dim)) {
 			return dim, true
 		}
 	}
 	return 0, false
 }
-
-// marked reports whether bitmap seen has node v's bit set.
-func marked(seen []uint64, v Node) bool { return seen[v>>6]>>(v&63)&1 != 0 }
 
 // ValidatePath checks that path is a hop-by-hop walk in Q_dim from s to
 // d crossing no faulty component.

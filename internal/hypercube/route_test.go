@@ -3,6 +3,8 @@ package hypercube
 import (
 	"math/rand"
 	"testing"
+
+	"gaussiancube/internal/graph"
 )
 
 func TestECubeRoute(t *testing.T) {
@@ -71,7 +73,7 @@ func TestRouteAdaptiveFaultFreeIsMinimal(t *testing.T) {
 	c := New(5)
 	for s := Node(0); s < 32; s++ {
 		for d := Node(0); d < 32; d++ {
-			walk, spares, err := RouteAdaptive(c, NoFaults{}, s, d)
+			walk, spares, err := routeAdaptive(c, NoFaults{}, s, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,10 +91,10 @@ func TestRouteAdaptiveFaultyEndpoint(t *testing.T) {
 	c := New(3)
 	f := NewFaultSet()
 	f.AddNode(2)
-	if _, _, err := RouteAdaptive(c, f, 2, 5); err != ErrFaultyEndpoint {
+	if _, _, err := routeAdaptive(c, f, 2, 5); err != ErrFaultyEndpoint {
 		t.Errorf("faulty source: err = %v", err)
 	}
-	if _, _, err := RouteAdaptive(c, f, 5, 2); err != ErrFaultyEndpoint {
+	if _, _, err := routeAdaptive(c, f, 5, 2); err != ErrFaultyEndpoint {
 		t.Errorf("faulty destination: err = %v", err)
 	}
 }
@@ -136,7 +138,7 @@ func TestRouteAdaptiveDeliversUnderTheorem3Precondition(t *testing.T) {
 		k := rng.Intn(int(dim)) // < dim faults
 		f := randomFaults(rng, dim, k, s, d)
 
-		walk, _, err := RouteAdaptive(c, f, s, d)
+		walk, _, err := routeAdaptive(c, f, s, d)
 		if err != nil {
 			t.Fatalf("trial %d: Q%d with %d faults, %d->%d: %v", trial, dim, k, s, d, err)
 		}
@@ -160,7 +162,7 @@ func TestRouteAdaptiveLengthBound(t *testing.T) {
 		d := Node(rng.Intn(c.Nodes()))
 		k := rng.Intn(int(dim))
 		f := randomFaults(rng, dim, k, s, d)
-		walk, _, err := RouteAdaptive(c, f, s, d)
+		walk, _, err := routeAdaptive(c, f, s, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +180,7 @@ func TestRouteAdaptiveUnreachable(t *testing.T) {
 	f.AddNode(1)
 	f.AddNode(2)
 	f.AddNode(4)
-	_, _, err := RouteAdaptive(c, f, 0, 7)
+	_, _, err := routeAdaptive(c, f, 0, 7)
 	if err != ErrUnreachable {
 		t.Errorf("err = %v, want ErrUnreachable", err)
 	}
@@ -188,7 +190,7 @@ func TestRouteAdaptiveAroundSingleFault(t *testing.T) {
 	c := New(3)
 	f := NewFaultSet()
 	f.AddNode(0b001) // blocks the first e-cube hop of 000 -> 011
-	walk, _, err := RouteAdaptive(c, f, 0b000, 0b011)
+	walk, _, err := routeAdaptive(c, f, 0b000, 0b011)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,4 +200,10 @@ func TestRouteAdaptiveAroundSingleFault(t *testing.T) {
 	if len(walk)-1 != 2 {
 		t.Errorf("detour around node fault should still be minimal here: %v", walk)
 	}
+}
+
+// routeAdaptive runs AppendRouteAdaptive on a fresh scratch into a new
+// walk.
+func routeAdaptive(c *Cube, f Faults, s, d Node) ([]Node, int, error) {
+	return AppendRouteAdaptive(nil, new(graph.WalkScratch), c, f, s, d)
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"gaussiancube/internal/bitutil"
+	"gaussiancube/internal/graph"
 )
 
 // SafetyLevels computes Wu's safety level [5] for every node of Q_n.
@@ -80,51 +81,22 @@ func SafetyLevels(c *Cube, f Faults) ([]int, int) {
 // so delivery is guaranteed whenever the healthy subgraph connects s and
 // d. The walk, the number of spare hops, and an error are returned.
 func RouteSafety(c *Cube, f Faults, s, d Node) ([]Node, int, error) {
-	if f.NodeFaulty(s) || f.NodeFaulty(d) {
-		return nil, 0, ErrFaultyEndpoint
-	}
-	if s == d {
-		return []Node{s}, 0, nil
-	}
-	lvl, _ := SafetyLevels(c, f)
-
-	visited := map[Node]bool{s: true}
-	var spareMask uint64
-	spares := 0
-	walk := []Node{s}
-	var stack []uint
-	cur := s
-
-	for cur != d {
-		dim, ok := pickDimBySafety(c, f, cur, d, visited, spareMask, lvl)
-		if ok {
-			if !bitutil.HasBit(uint64(cur^d), dim) {
-				spareMask = bitutil.Set(spareMask, dim)
-				spares++
-			}
-			cur ^= 1 << dim
-			visited[cur] = true
-			walk = append(walk, cur)
-			stack = append(stack, dim)
-			continue
+	var lvl []int
+	sc := new(graph.WalkScratch)
+	return spareWalk(nil, sc, c.Nodes(), f, s, d, func(cur Node, spareMask uint64) (uint, bool) {
+		if lvl == nil {
+			lvl, _ = SafetyLevels(c, f)
 		}
-		if len(stack) == 0 {
-			return nil, spares, ErrUnreachable
-		}
-		dim = stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		cur ^= 1 << dim
-		walk = append(walk, cur)
-	}
-	return walk, spares, nil
+		return pickDimBySafety(c, f, cur, d, sc, spareMask, lvl)
+	})
 }
 
-func pickDimBySafety(c *Cube, f Faults, cur, d Node, visited map[Node]bool, spareMask uint64, lvl []int) (uint, bool) {
+func pickDimBySafety(c *Cube, f Faults, cur, d Node, sc *graph.WalkScratch, spareMask uint64, lvl []int) (uint, bool) {
 	r := uint64(cur ^ d)
 	best, bestLvl := uint(0), -1
 	for _, dim := range bitutil.BitsSet(r) {
 		w := cur ^ (1 << dim)
-		if usable(f, cur, dim) && !visited[w] && lvl[w] > bestLvl {
+		if usable(f, cur, dim) && !sc.Visited(w) && lvl[w] > bestLvl {
 			best, bestLvl = dim, lvl[w]
 		}
 	}
@@ -136,7 +108,7 @@ func pickDimBySafety(c *Cube, f Faults, cur, d Node, visited map[Node]bool, spar
 			continue
 		}
 		w := cur ^ (1 << dim)
-		if usable(f, cur, dim) && !visited[w] && lvl[w] > bestLvl {
+		if usable(f, cur, dim) && !sc.Visited(w) && lvl[w] > bestLvl {
 			best, bestLvl = dim, lvl[w]
 		}
 	}

@@ -2,6 +2,7 @@ package hypercube
 
 import (
 	"gaussiancube/internal/bitutil"
+	"gaussiancube/internal/graph"
 )
 
 // Safety vectors refine Wu's safety levels (Wu & Jiang's extension of
@@ -79,46 +80,17 @@ func SafetyVectors(c *Cube, f Faults) ([]uint64, int) {
 // backtracking search of the other substrates, so delivery is still
 // guaranteed whenever the healthy subgraph connects the endpoints.
 func RouteSafetyVector(c *Cube, f Faults, s, d Node) ([]Node, int, error) {
-	if f.NodeFaulty(s) || f.NodeFaulty(d) {
-		return nil, 0, ErrFaultyEndpoint
-	}
-	if s == d {
-		return []Node{s}, 0, nil
-	}
-	vec, _ := SafetyVectors(c, f)
-
-	visited := map[Node]bool{s: true}
-	var spareMask uint64
-	spares := 0
-	walk := []Node{s}
-	var stack []uint
-	cur := s
-
-	for cur != d {
-		dim, ok := pickDimByVector(c, f, cur, d, visited, spareMask, vec)
-		if ok {
-			if !bitutil.HasBit(uint64(cur^d), dim) {
-				spareMask = bitutil.Set(spareMask, dim)
-				spares++
-			}
-			cur ^= 1 << dim
-			visited[cur] = true
-			walk = append(walk, cur)
-			stack = append(stack, dim)
-			continue
+	var vec []uint64
+	sc := new(graph.WalkScratch)
+	return spareWalk(nil, sc, c.Nodes(), f, s, d, func(cur Node, spareMask uint64) (uint, bool) {
+		if vec == nil {
+			vec, _ = SafetyVectors(c, f)
 		}
-		if len(stack) == 0 {
-			return walk, spares, ErrUnreachable
-		}
-		dim = stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		cur ^= 1 << dim
-		walk = append(walk, cur)
-	}
-	return walk, spares, nil
+		return pickDimByVector(c, f, cur, d, sc, spareMask, vec)
+	})
 }
 
-func pickDimByVector(c *Cube, f Faults, cur, d Node, visited map[Node]bool, spareMask uint64, vec []uint64) (uint, bool) {
+func pickDimByVector(c *Cube, f Faults, cur, d Node, sc *graph.WalkScratch, spareMask uint64, vec []uint64) (uint, bool) {
 	r := uint64(cur ^ d)
 	h := bitutil.OnesCount(r)
 	// Preferred neighbors whose distance-(h-1) bit is set first (h = 1
@@ -126,7 +98,7 @@ func pickDimByVector(c *Cube, f Faults, cur, d Node, visited map[Node]bool, spar
 	for pass := 0; pass < 2; pass++ {
 		for _, dim := range bitutil.BitsSet(r) {
 			w := cur ^ (1 << dim)
-			if !usable(f, cur, dim) || visited[w] {
+			if !usable(f, cur, dim) || sc.Visited(w) {
 				continue
 			}
 			if pass == 0 && h > 1 && !bitutil.HasBit(vec[w], uint(h-2)) {
@@ -139,7 +111,7 @@ func pickDimByVector(c *Cube, f Faults, cur, d Node, visited map[Node]bool, spar
 		if bitutil.HasBit(r, dim) || bitutil.HasBit(spareMask, dim) {
 			continue
 		}
-		if usable(f, cur, dim) && !visited[cur^(1<<dim)] {
+		if usable(f, cur, dim) && !sc.Visited(cur^(1<<dim)) {
 			return dim, true
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"gaussiancube/internal/core"
 	"gaussiancube/internal/fault"
@@ -26,7 +27,7 @@ type engine struct {
 	stats   *Stats
 	pkts    []packet
 	cal     calendar
-	links   ledger
+	links   *ledger
 
 	// Planning: router and traced (the tracer-attached twin for sampled
 	// packets) plan whole paths; trees stripes flows; cache memoizes
@@ -265,6 +266,7 @@ func (e *engine) run() *Stats {
 		stats.Epochs = int(loopDyn.Epoch())
 	}
 	e.links.fold(stats)
+	ledgers.Put(e.links)
 	if e.cache != nil {
 		stats.CacheInvalidations = int(e.cache.Invalidations() - cacheBase)
 	}
@@ -299,17 +301,17 @@ func (e *engine) route(src, dst gc.NodeID, sampled bool) ([]gc.NodeID, error) {
 	if sampled {
 		r = e.traced
 	}
-	res, err := r.Route(src, dst)
+	path, fallback, err := r.AppendRoute(nil, src, dst)
 	if err != nil {
 		return nil, err
 	}
-	if res.UsedFallback {
+	if fallback {
 		stats.FallbackRoutes++
 	}
 	if e.cache != nil {
-		e.cache.PutTree(src, dst, tree, res.Path)
+		e.cache.PutTree(src, dst, tree, path)
 	}
-	return res.Path, nil
+	return path, nil
 }
 
 // plan routes p from its current node, first emitting a sampled
@@ -486,14 +488,30 @@ type ledger struct {
 	slots  []linkSlot
 }
 
+// ledgers pools ledgers across runs: a run's ledger is the largest
+// object it allocates, one slot per directed link. A run returns its
+// ledger after folding it.
+var ledgers sync.Pool
+
 // linkSlot is one directed link's next free cycle, relative to the
 // calendar's base (0 never binds: every departure is later), and its
 // traversal count.
 type linkSlot struct{ free, count int32 }
 
-func newLedger(cube *gc.Cube) ledger {
-	stride := int(cube.N())
-	return ledger{stride: stride, slots: make([]linkSlot, cube.Nodes()*stride)}
+// newLedger returns an all-zero ledger for cube, reusing a pooled one.
+func newLedger(cube *gc.Cube) *ledger {
+	l, _ := ledgers.Get().(*ledger)
+	if l == nil {
+		l = new(ledger)
+	}
+	l.stride = int(cube.N())
+	if n := cube.Nodes() * l.stride; cap(l.slots) < n {
+		l.slots = make([]linkSlot, n)
+	} else {
+		l.slots = l.slots[:n]
+		clear(l.slots)
+	}
+	return l
 }
 
 // reserve books the link from→to for a packet ready to leave at cycle

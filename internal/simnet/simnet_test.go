@@ -3,12 +3,44 @@ package simnet
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"gaussiancube/internal/fault"
 	"gaussiancube/internal/gc"
 	"gaussiancube/internal/workload"
 )
+
+// TestRunReusesLedger: Run takes its link ledger from a pool that the
+// previous run returned it to. GC(10), then GC(8) (which reuses a prefix
+// of GC(10)'s slots and leaves the rest dirty), then GC(10) again must
+// each give Stats bit-identical, LinkLoad and the hottest links
+// included, to a run that allocated a never-used ledger.
+func TestRunReusesLedger(t *testing.T) {
+	cfgs := []Config{
+		{N: 10, Alpha: 2, Arrival: 0.02, GenCycles: 40, Seed: 3},
+		{N: 8, Alpha: 1, Arrival: 0.05, GenCycles: 40, Seed: 4},
+		{N: 10, Alpha: 2, Arrival: 0.02, GenCycles: 40, Seed: 5},
+	}
+	run := func(cfg Config) *Stats {
+		st, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	fresh := make([]*Stats, len(cfgs))
+	for i, cfg := range cfgs {
+		ledgers = sync.Pool{} // empty: the run allocates its ledger
+		fresh[i] = run(cfg)
+	}
+	ledgers = sync.Pool{}
+	for i, cfg := range cfgs {
+		if got := run(cfg); !reflect.DeepEqual(got, fresh[i]) {
+			t.Errorf("GC(%d,2^%d) on a reused ledger:\n got  %+v\n want %+v", cfg.N, cfg.Alpha, got, fresh[i])
+		}
+	}
+}
 
 func baseConfig() Config {
 	return Config{
