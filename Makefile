@@ -33,6 +33,7 @@ fuzz:
 	$(GO) test -run '^FuzzRoute$$' -fuzz='^FuzzRoute$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run '^FuzzRouteAgainstOracle$$' -fuzz='^FuzzRouteAgainstOracle$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run '^FuzzFallbackAgainstShortestPath$$' -fuzz='^FuzzFallbackAgainstShortestPath$$' -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run '^FuzzGCDistance$$' -fuzz='^FuzzGCDistance$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run '^FuzzSliceRouteMatchesReference$$' -fuzz='^FuzzSliceRouteMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run '^FuzzMultipathAgainstOracle$$' -fuzz='^FuzzMultipathAgainstOracle$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run '^FuzzCollectiveAgainstOracle$$' -fuzz='^FuzzCollectiveAgainstOracle$$' -fuzztime=$(FUZZTIME) ./internal/core/

@@ -242,6 +242,137 @@ func TestFallbackBidirectionalCases(t *testing.T) {
 	}
 }
 
+// TestFallbackBoundPrunes checks what the distance bound buys on the
+// pairs of BenchmarkRouteFaulty that take the fallback: the bounded
+// search returns the unbounded search's path and, summed over the
+// pairs, visits at most a quarter of the nodes.
+func TestFallbackBoundPrunes(t *testing.T) {
+	cube, fs := wireMissFaults()
+	r := NewRouter(cube, WithFaults(fs))
+	sc := new(routeScratch)
+	var bounded, full int
+	for _, p := range wireMissFallbackPairs(r, cube, fs) {
+		want, ok := r.appendSearch(nil, sc, p[0], p[1], false)
+		if !ok {
+			t.Fatalf("%d->%d: wire-miss fallback pair unreachable", p[0], p[1])
+		}
+		full += sc.fbLog.visits
+		got, _ := r.appendFallback(nil, sc, p[0], p[1])
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d->%d: bounded path %v, unbounded %v", p[0], p[1], got, want)
+		}
+		bounded += sc.fbLog.visits
+	}
+	t.Logf("visits: bounded %d, unbounded %d", bounded, full)
+	if 4*bounded > full {
+		t.Fatalf("bounded search visited %d nodes, unbounded %d; want at most a quarter", bounded, full)
+	}
+}
+
+// TestFallbackBoundRules drives the bounded search through each of its
+// rules and checks every answer against graph.ShortestPath: a first
+// pass that meets; a first pass that runs out after pruning and widens;
+// a widened pass that meets past its bound and reruns; a last pass run
+// unbounded; and unreachable pairs, proven by a side that pruned
+// nothing or by the unbounded last pass. Seeded dense node faults on
+// small cubes supply the cases, and a cut between two halves of a cube
+// supplies partitioned pairs whose small side prunes. One scratch
+// serves every case.
+func TestFallbackBoundRules(t *testing.T) {
+	sc := new(routeScratch)
+	var exact, widened, overshoot, unboundedLast, cut, cutAfterPruning int
+	check := func(t *testing.T, r *Router, s, d gc.NodeID) {
+		t.Helper()
+		want := graph.ShortestPath(healthyView{cube: r.cube, faults: r.faults}, s, d)
+		got, ok := r.appendFallback(nil, sc, s, d)
+		if ok != (want != nil) || !slices.Equal(got, want) {
+			t.Fatalf("GC(%d,2^%d) %d->%d: fallback (%v, %v), ShortestPath %v",
+				r.cube.N(), r.cube.Alpha(), s, d, got, ok, want)
+		}
+		fl := sc.fbLog
+		if fl.overshoot && !fl.widened {
+			t.Fatalf("%d->%d: the first pass, bounded by h(s, d), met past its bound", s, d)
+		}
+		switch {
+		case !ok && fl.passes == 1:
+			cut++
+		case !ok:
+			cutAfterPruning++
+		case fl.passes == 1:
+			exact++
+		}
+		if fl.widened {
+			widened++
+		}
+		if fl.overshoot {
+			overshoot++
+		}
+		if fl.unbounded && fl.passes > 1 {
+			unboundedLast++
+		}
+	}
+
+	// dense is GC(n, 2^alpha) with n in 6..12 and alpha in 1..3, under
+	// 1/8 to 1/3 of its nodes faulty, all drawn from seed.
+	dense := func(seed int64) *Router {
+		rng := rand.New(rand.NewSource(seed))
+		cube := gc.New(uint(6+rng.Intn(7)), uint(1+rng.Intn(3)))
+		fs := fault.NewSet(cube)
+		fs.InjectRandomNodes(rng, cube.Nodes()/8+rng.Intn(cube.Nodes()/5))
+		return NewRouter(cube, WithFaults(fs.Freeze()))
+	}
+
+	t.Run("dense-faults", func(t *testing.T) {
+		for seed := int64(1); seed <= 120; seed++ {
+			r := dense(seed)
+			for _, p := range healthyPairs(r.cube, r.faults, 60, seed) {
+				check(t, r, p[0], p[1])
+			}
+		}
+	})
+
+	t.Run("overshoot", func(t *testing.T) {
+		// A widened pass rarely meets past its bound: these are two of
+		// the eight such pairs among the first 1000 healthy pairs of
+		// seeds 1..129, and two where taking that meet's path would
+		// not return ShortestPath's.
+		for _, c := range []struct {
+			seed int64
+			s, d gc.NodeID
+		}{{73, 1908, 595}, {112, 359, 681}} {
+			r := dense(c.seed)
+			check(t, r, c.s, c.d)
+			if !sc.fbLog.overshoot {
+				t.Fatalf("seed %d GC(%d,2^%d) %d->%d: no overshoot rerun (%+v)", c.seed, r.cube.N(), r.cube.Alpha(), c.s, c.d, sc.fbLog)
+			}
+		}
+	})
+
+	t.Run("partitioned", func(t *testing.T) {
+		// Cut the 256 nodes with both top bits set from the other 768.
+		cube := gc.New(10, 2)
+		fs := fault.NewSet(cube)
+		inSmall := func(v gc.NodeID) bool { return v>>8 == 3 }
+		for v := gc.NodeID(0); int(v) < cube.Nodes(); v++ {
+			for _, dim := range cube.LinkDims(v) {
+				if inSmall(v) && !inSmall(v^1<<dim) {
+					fs.AddLink(v, dim)
+				}
+			}
+		}
+		r := NewRouter(cube, WithFaults(fs.Freeze()))
+		for _, p := range healthyPairs(cube, r.faults, 64, 11) {
+			check(t, r, p[0], p[1])
+		}
+	})
+
+	t.Logf("first pass met %d, widened %d, overshoot %d, unbounded last pass %d, unreachable %d at once and %d after pruning",
+		exact, widened, overshoot, unboundedLast, cut, cutAfterPruning)
+	if exact == 0 || widened == 0 || overshoot == 0 || unboundedLast == 0 || cut == 0 || cutAfterPruning == 0 {
+		t.Fatal("coverage: want every rule exercised at least once")
+	}
+}
+
 // FuzzFallbackAgainstShortestPath checks appendFallback against
 // graph.ShortestPath on arbitrary cubes, fault populations (node and
 // link faults at a fuzzed density) and endpoints, faulty ones included:

@@ -53,9 +53,11 @@ type routeScratch struct {
 	ehWalk   []exchanged.Node
 	// seen, from and to are the BFS fallback's state (appendFallback):
 	// a byte per node, sized to the cube on the first fallback through
-	// this scratch, and the visit lists of the two search sides.
+	// this scratch, and the visit lists of the two search sides; fbLog
+	// records the last search's passes.
 	seen     []uint8
 	from, to fallbackSide
+	fbLog    fallbackLog
 }
 
 // planInto computes the FFGCR tree-level plan for the pair (s, d) into

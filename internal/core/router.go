@@ -298,11 +298,36 @@ func (r *Router) OptimalLength(s, d gc.NodeID) int {
 // node one d-level closer to d — the greedy form of the smallest
 // dimension sequence.
 //
+// Each pass is bounded by a distance D: the s side keeps a node w it
+// reaches at level g only if g + h(w, d) <= D, and the d side only if
+// g + h(s, w) <= D, where h is the fault-free Gaussian Cube distance
+// (Router.distance). Faults only lengthen paths, so when D >= L every
+// node on a shortest healthy path passes with its exact BFS level, the
+// kept nodes' levels are BFS levels of the kept subgraph, and the sides
+// meet at ks + kd = L with the same meeting layer and the same greedy
+// candidates as an unbounded search: the path is unchanged. The first
+// pass takes D = h(s, d). A meet at ks + kd > D is a real path but need
+// not be shortest, so the search reruns at D = ks + kd, which is then
+// at least L. A frontier that runs out proves the pair unreachable only
+// if its side turned nothing away; otherwise L > D, and the search
+// widens once to the smallest g + h its side turned away (at most L,
+// since a shortest path leaves the side's kept nodes through such a
+// probe) and after that runs unbounded. Past gtree.MaxCoverAlpha there
+// is no closed-form h and every pass is unbounded.
+//
 // The state lives in sc: one seen byte per node (layout below), all
 // zero between searches, plus each side's visit list with its level
-// offsets. Only the visited nodes are cleared afterwards, and once the
-// buffers have grown the search allocates nothing.
+// offsets. Only the visited nodes are cleared after each pass, and once
+// the buffers have grown the search allocates nothing.
 func (r *Router) appendFallback(dst []gc.NodeID, sc *routeScratch, s, d gc.NodeID) ([]gc.NodeID, bool) {
+	return r.appendSearch(dst, sc, s, d, r.cube.Alpha() <= gtree.MaxCoverAlpha)
+}
+
+// appendSearch is appendFallback's search, its passes bounded by the
+// rules above when bounded is set and all unbounded otherwise. It logs
+// its passes in sc.fbLog.
+func (r *Router) appendSearch(dst []gc.NodeID, sc *routeScratch, s, d gc.NodeID, bounded bool) ([]gc.NodeID, bool) {
+	sc.fbLog = fallbackLog{}
 	if s == d {
 		return append(dst, s), true
 	}
@@ -312,26 +337,88 @@ func (r *Router) appendFallback(dst []gc.NodeID, sc *routeScratch, s, d gc.NodeI
 	}
 	seen := sc.seen[:n]
 	from, to := &sc.from, &sc.to
-	from.reset(seen, s, fromShift)
-	to.reset(seen, d, toShift)
-	met := false
-	for !met && from.frontier() > 0 && to.frontier() > 0 {
-		if from.frontier() <= to.frontier() {
-			met = r.expand(seen, from, to)
-		} else {
-			met = r.expand(seen, to, from)
+	bound, h := unbounded, 0
+	if bounded {
+		h = r.distance(s, d)
+		bound = h
+	}
+	for {
+		sc.fbLog.passes++
+		sc.fbLog.unbounded = bound == unbounded
+		from.reset(seen, s, fromShift, h)
+		to.reset(seen, d, toShift, h)
+		met := false
+		for !met && from.frontier() > 0 && to.frontier() > 0 {
+			if from.frontier() <= to.frontier() {
+				met = r.expand(seen, from, to, bound)
+			} else {
+				met = r.expand(seen, to, from, bound)
+			}
+		}
+		emptied := from
+		if from.frontier() > 0 {
+			emptied = to
+		}
+		found := met && (bound == unbounded || from.depth()+to.depth() <= bound)
+		if found {
+			dst = r.appendMeetPath(dst, seen, from, to)
+		}
+		for _, v := range from.visit {
+			seen[v] = 0
+		}
+		for _, v := range to.visit {
+			seen[v] = 0
+		}
+		sc.fbLog.visits += len(from.visit) + len(to.visit)
+		switch {
+		case found:
+			return dst, true
+		case met: // overshoot: a real path, so its length bounds L
+			bound, sc.fbLog.overshoot = from.depth()+to.depth(), true
+		case emptied.pruned == 0: // the emptied side saw its whole component
+			return dst, false
+		case !sc.fbLog.widened:
+			bound, sc.fbLog.widened = emptied.pruned, true
+		default:
+			bound = unbounded
 		}
 	}
-	if met {
-		dst = r.appendMeetPath(dst, seen, from, to)
+}
+
+// fallbackLog records what the last appendSearch did: its passes, the
+// nodes they visited, and which rules ran after the first pass.
+type fallbackLog struct {
+	passes, visits int
+	overshoot      bool // a pass met past its bound and the search reran
+	widened        bool // a pass ran out after pruning and the bound widened
+	unbounded      bool // the last pass was unbounded
+}
+
+// unbounded is the bound of a pass that prunes nothing.
+const unbounded = -1
+
+// distance returns the fault-free Gaussian Cube distance between u and
+// v: the length of FFGCR's optimal route (routePlan.optimal) in closed
+// form, in O(2^alpha). Each high dimension in which u and v differ
+// costs one hop inside its owning class (dimension i belongs to class
+// i mod 2^alpha), and the class walk is the shortest Gaussian-tree walk
+// from EC(u) to EC(v) visiting every such class. The alpha must be at
+// most gtree.MaxCoverAlpha.
+func (r *Router) distance(u, v gc.NodeID) int {
+	high := uint64(u^v) >> r.cube.Alpha() << r.cube.Alpha()
+	return bitutil.OnesCount(high) + r.cube.Tree().CoverWalkLen(r.cube.EndingClass(u), r.cube.EndingClass(v), r.pendingClasses(u, v))
+}
+
+// pendingClasses returns the set of classes (bit k: class k) owning a
+// high dimension in which u and v differ: the high bits of u^v folded
+// by shifts of 2^alpha.
+func (r *Router) pendingClasses(u, v gc.NodeID) uint64 {
+	alpha := r.cube.Alpha()
+	var classes uint64
+	for y := uint64(u^v) >> alpha << alpha; y != 0; y >>= 1 << alpha {
+		classes |= y
 	}
-	for _, v := range from.visit {
-		seen[v] = 0
-	}
-	for _, v := range to.visit {
-		seen[v] = 0
-	}
-	return dst, met
+	return classes & (uint64(1)<<(1<<alpha) - 1)
 }
 
 // A fallback seen byte holds, for each side of the search, the BFS
@@ -350,18 +437,26 @@ func levelTag(k int) uint8 { return uint8(k%3 + 1) }
 
 // fallbackSide is one side of appendFallback's search: every node it
 // has reached, in visit order, with level k starting at visit[start[k]].
-// The deepest level, the frontier, runs to the end of visit.
+// The deepest level, the frontier, runs to the end of visit. In a
+// bounded pass dist[i] is h from visit[i] to the other side's root.
+// pruned is the smallest g + h among the nodes the pass's bound turned
+// away, 0 when it turned none away.
 type fallbackSide struct {
-	visit []gc.NodeID
-	start []int32
-	shift uint // the side's level-tag position in a seen byte
+	visit  []gc.NodeID
+	start  []int32
+	dist   []int
+	shift  uint // the side's level-tag position in a seen byte
+	pruned int
 }
 
-// reset starts the side at root, BFS level 0.
-func (a *fallbackSide) reset(seen []uint8, root gc.NodeID, shift uint) {
+// reset starts the side at root, BFS level 0, h away from the other
+// side's root.
+func (a *fallbackSide) reset(seen []uint8, root gc.NodeID, shift uint, h int) {
 	a.visit = append(a.visit[:0], root)
 	a.start = append(a.start[:0], 0)
+	a.dist = append(a.dist[:0], h)
 	a.shift = shift
+	a.pruned = 0
 	seen[root] |= levelTag(0) << shift
 }
 
@@ -381,16 +476,41 @@ func (a *fallbackSide) frontier() int { return len(a.visit) - int(a.start[a.dept
 
 // expand grows side a by one whole level over the healthy links and
 // reports whether the new level holds a node that side b has reached.
-func (r *Router) expand(seen []uint8, a, b *fallbackSide) bool {
+// Unless bound is unbounded, a node w joins the level g only if
+// g + h(w, t) <= bound, t being b's root; side a records the smallest
+// g + h it turns away. Each probe derives h(w, t) from h(v, t) in O(1).
+// A hop across a high dimension i changes h by exactly one: the link
+// exists only inside class i mod 2^alpha, which is both endpoints'
+// ending class and so already on the class walk, and only the count of
+// differing high dimensions moves, down when v and t differ in bit i.
+// A tree hop keeps the high bits and moves the walk's start along one
+// tree edge (gtree.Tree.CoverWalkStep).
+func (r *Router) expand(seen []uint8, a, b *fallbackSide, bound int) bool {
 	k := a.depth()
-	front := a.level(k)
-	a.start = append(a.start, int32(len(a.visit)))
+	lo, hi := int(a.start[k]), len(a.visit)
+	a.start = append(a.start, int32(hi))
 	tag, met := levelTag(k+1)<<a.shift, false
-	for _, v := range front {
+	t, alpha, tree := b.visit[0], r.cube.Alpha(), r.cube.Tree()
+	tc := r.cube.EndingClass(t)
+	for i := lo; i < hi; i++ {
+		v := a.visit[i]
 		for _, dim := range r.cube.LinkDims(v) {
 			w := v ^ (1 << dim)
 			if seen[w]>>a.shift&tagMask != 0 || r.linkDown(v, dim) {
 				continue
+			}
+			if bound != unbounded {
+				h := a.dist[i] + 1 - 2*int((v^t)>>dim&1)
+				if dim < alpha {
+					h = a.dist[i] + tree.CoverWalkStep(r.cube.EndingClass(v), r.cube.EndingClass(w), tc, r.pendingClasses(v, t))
+				}
+				if f := k + 1 + h; f > bound {
+					if a.pruned == 0 || f < a.pruned {
+						a.pruned = f
+					}
+					continue
+				}
+				a.dist = append(a.dist, h)
 			}
 			seen[w] |= tag
 			met = met || seen[w]>>b.shift&tagMask != 0

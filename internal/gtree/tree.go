@@ -49,6 +49,9 @@ type Tree struct {
 	childList  []Node
 	// subSize[v] is the size of v's subtree under the rooting at 0.
 	subSize []int32
+	// subMask[v] is the vertex set of v's subtree under the rooting at
+	// 0, bit u for vertex u (CoverWalkLen); nil past MaxCoverAlpha.
+	subMask []uint64
 
 	// trav pools the scratch used by the allocation-light walk
 	// algorithms (AppendPC composition inside AppendCT).
@@ -194,6 +197,71 @@ func (t *Tree) buildRooting() {
 		v := queue[head]
 		t.subSize[t.parent[v]] += t.subSize[v]
 	}
+	if t.alpha <= MaxCoverAlpha {
+		t.subMask = make([]uint64, n)
+		for v := range t.subMask {
+			t.subMask[v] = 1 << v
+		}
+		for head := len(queue) - 1; head > 0; head-- {
+			v := queue[head]
+			t.subMask[t.parent[v]] |= t.subMask[v]
+		}
+	}
+}
+
+// MaxCoverAlpha is the largest alpha whose vertex sets fit the 64-bit
+// masks CoverWalkLen takes.
+const MaxCoverAlpha = 6
+
+// CoverWalkLen returns the length of the shortest walk from a to b that
+// visits every vertex of the set x (bit u for vertex u). Such a walk
+// crosses each edge of the smallest subtree spanning x, a and b twice,
+// except the edges of the a-b path, which it crosses once. The edge
+// from v to its parent lies in the smallest subtree spanning a set iff
+// the set has vertices both inside and outside v's subtree, so one pass
+// over the precomputed subtree masks counts both edge sets: O(2^alpha)
+// with no allocation. It equals the length of AppendWalkVisiting's walk
+// and panics when alpha exceeds MaxCoverAlpha.
+func (t *Tree) CoverWalkLen(a, b Node, x uint64) int {
+	if t.subMask == nil {
+		panic(fmt.Sprintf("gtree: CoverWalkLen needs alpha <= %d, have %d", MaxCoverAlpha, t.alpha))
+	}
+	ab := uint64(1)<<a | uint64(1)<<b
+	x |= ab
+	n := 0
+	for _, sub := range t.subMask[1:] {
+		if x&sub != 0 && x&^sub != 0 {
+			n += 2
+		}
+		if ab&sub != 0 && ab&^sub != 0 {
+			n--
+		}
+	}
+	return n
+}
+
+// CoverWalkStep returns CoverWalkLen(a2, b, x) - CoverWalkLen(a, b, x)
+// for the tree edge {a, a2}, which is -1 or +1, in O(1). Cut the edge
+// and call a2's side far. Stepping toward b shortens the walk unless x
+// keeps a vertex on a's side, which the walk must come back for.
+// Stepping away from b shortens it only if x has a vertex on the far
+// side, which the walk must reach anyway. The alpha must be at most
+// MaxCoverAlpha.
+func (t *Tree) CoverWalkStep(a, a2, b Node, x uint64) int {
+	far := t.subMask[a2]
+	if Node(t.parent[a2]) != a {
+		far = ^t.subMask[a]
+	}
+	if far>>b&1 != 0 {
+		if x&^far != 0 {
+			return 1
+		}
+		return -1
+	}
+	if x&far != 0 {
+		return -1
+	}
+	return 1
 }
 
 // SubtreeSize returns the number of vertices in v's subtree under the

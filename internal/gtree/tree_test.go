@@ -1,8 +1,10 @@
 package gtree
 
 import (
+	"math/rand"
 	"testing"
 
+	"gaussiancube/internal/bitutil"
 	"gaussiancube/internal/graph"
 )
 
@@ -263,6 +265,49 @@ func TestDegreeBounds(t *testing.T) {
 		deg := tr.Degree(v)
 		if deg < 1 || deg > 6 {
 			t.Fatalf("degree of %d = %d", v, deg)
+		}
+	}
+}
+
+// TestCoverWalkLen checks the subtree-mask closed form against the
+// length of AppendWalkVisiting's walk, and CoverWalkStep against the
+// difference of two lengths across each tree edge, for every pair of
+// endpoints: over every vertex set for alpha <= 3, and seeded random
+// sets up to MaxCoverAlpha.
+func TestCoverWalkLen(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for alpha := uint(0); alpha <= MaxCoverAlpha; alpha++ {
+		tr := New(alpha)
+		m := tr.Nodes()
+		var sets []uint64
+		if alpha <= 3 {
+			for x := uint64(0); x < 1<<m; x++ {
+				sets = append(sets, x)
+			}
+		} else {
+			for i := 0; i < 24; i++ {
+				sets = append(sets, rng.Uint64()&rng.Uint64()&(uint64(1)<<m-1))
+			}
+		}
+		var visit []Node
+		for a := Node(0); int(a) < m; a++ {
+			for b := Node(0); int(b) < m; b++ {
+				for _, x := range sets {
+					visit = visit[:0]
+					for y := x; y != 0; y &= y - 1 {
+						visit = append(visit, Node(bitutil.LowestBit(y)))
+					}
+					want := len(tr.AppendWalkVisiting(nil, a, b, visit)) - 1
+					if got := tr.CoverWalkLen(a, b, x); got != want {
+						t.Fatalf("alpha=%d %d->%d visiting %#x: CoverWalkLen %d, walk %d", alpha, a, b, x, got, want)
+					}
+					for _, a2 := range tr.AppendNeighbors(nil, a) {
+						if got, want := tr.CoverWalkStep(a, a2, b, x), tr.CoverWalkLen(a2, b, x)-tr.CoverWalkLen(a, b, x); got != want {
+							t.Fatalf("alpha=%d %d->%d visiting %#x: CoverWalkStep to %d is %d, want %d", alpha, a, b, x, a2, got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

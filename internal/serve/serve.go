@@ -509,7 +509,7 @@ func (s *Server) shardFor(src gc.NodeID) *shard {
 // frontier are degrade-marked.
 func (s *Server) SubmitTree(ctx context.Context, src, dst gc.NodeID, tree int) (*Response, error) {
 	ch := make(chan *Response, 1)
-	if err := s.submitRoute(ctx, 0, src, dst, tree, completion{ch: ch}); err != nil {
+	if err := s.submitRoute(ctx, 0, src, dst, tree, completion{ch: ch}, false); err != nil {
 		return nil, err
 	}
 	// Every accepted request is answered exactly once — including
@@ -526,7 +526,10 @@ func (s *Server) SubmitTree(ctx context.Context, src, dst gc.NodeID, tree int) (
 // once, possibly before submitRoute returns (a cache hit). timeout,
 // when positive, bounds the request (the wire's DeadlineMS);
 // otherwise Config.DefaultDeadline applies when ctx has no deadline.
-func (s *Server) submitRoute(ctx context.Context, timeout time.Duration, src, dst gc.NodeID, tree int, done completion) error {
+// missed reports that the caller has just missed the route cache for
+// this request (a gcwire reader's lookupHit), so the fast path is not
+// probed a second time and the request goes straight to its shard.
+func (s *Server) submitRoute(ctx context.Context, timeout time.Duration, src, dst gc.NodeID, tree int, done completion, missed bool) error {
 	if int(src) >= s.cube.Nodes() || int(dst) >= s.cube.Nodes() {
 		return fmt.Errorf("serve: node out of range for GC(%d,2^%d)", s.cube.N(), s.cube.Alpha())
 	}
@@ -544,9 +547,11 @@ func (s *Server) submitRoute(ctx context.Context, timeout time.Duration, src, ds
 	}
 	r.ctx = ctx
 	r.enq = time.Now()
-	if ans, ok := s.FastRouteTree(src, dst, tree); ok {
-		s.deliver(&r, responseFromCached(&ans), nil)
-		return nil
+	if !missed {
+		if ans, ok := s.FastRouteTree(src, dst, tree); ok {
+			s.deliver(&r, responseFromCached(&ans), nil)
+			return nil
+		}
 	}
 	err := s.enqueue(s.shardFor(src), &task{request: r})
 	if err != nil && r.cancel != nil {

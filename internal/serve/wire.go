@@ -371,8 +371,9 @@ read:
 	c.Close()
 }
 
-// routeMiss answers a RouteReq the fast path could not. It is enqueued
-// with the connection as its completion target, so the shard worker
+// routeMiss answers a RouteReq the fast path could not. The reader's
+// lookupHit has just missed, so it skips the fast path and is enqueued
+// with the connection as its completion target: the shard worker
 // that answers it queues the reply, with OutcomeCanceled if its
 // deadline died in the queue. Every member answers every request it
 // receives, whoever owns the source class, so the NoForward flag
@@ -385,7 +386,7 @@ func (ws *WireServer) routeMiss(wbuf []byte, wc *wireConn, id uint64, req wire.R
 	}
 	timeout := time.Duration(req.DeadlineMS) * time.Millisecond
 	wc.inflight.Add(1)
-	if err := ws.srv.submitRoute(context.Background(), timeout, req.Src, req.Dst, tree, completion{wc: wc, id: id}); err != nil {
+	if err := ws.srv.submitRoute(context.Background(), timeout, req.Src, req.Dst, tree, completion{wc: wc, id: id}, true); err != nil {
 		wc.inflight.Done()
 		return appendRouteReply(wbuf, id, nil, err)
 	}
