@@ -35,6 +35,7 @@ fuzz:
 	$(GO) test -run '^FuzzFallbackAgainstShortestPath$$' -fuzz='^FuzzFallbackAgainstShortestPath$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run '^FuzzGCDistance$$' -fuzz='^FuzzGCDistance$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run '^FuzzSliceRouteMatchesReference$$' -fuzz='^FuzzSliceRouteMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run '^FuzzFREHMatchesReference$$' -fuzz='^FuzzFREHMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run '^FuzzMultipathAgainstOracle$$' -fuzz='^FuzzMultipathAgainstOracle$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run '^FuzzCollectiveAgainstOracle$$' -fuzz='^FuzzCollectiveAgainstOracle$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run '^FuzzPC$$' -fuzz='^FuzzPC$$' -fuzztime=$(FUZZTIME) ./internal/gtree/

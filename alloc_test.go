@@ -68,36 +68,58 @@ func TestRouteAllocs(t *testing.T) {
 }
 
 // TestRouteIntoAllocs: a warmed-up RouteInto with a capacious
-// destination buffer performs zero heap allocations per route.
+// destination buffer performs zero heap allocations per route, fault
+// free and, over in-slice link faults, with each intra-class substrate
+// (the safety-level and safety-vector substrates fill their per-slice
+// tables in the route scratch).
 func TestRouteIntoAllocs(t *testing.T) {
 	cube := gc.New(14, 2)
-	r := core.NewRouter(cube)
-	pairs := allocPairs(cube, 64, 7)
-	dst := make([]gc.NodeID, 0, 64)
-	// Warm the scratch pool and the destination buffer.
-	for _, p := range pairs {
-		var err error
-		dst, err = r.RouteInto(dst[:0], p[0], p[1])
-		if err != nil {
-			t.Fatal(err)
-		}
+	fs := fault.NewSet(cube)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 256; i++ {
+		v := gc.NodeID(rng.Intn(cube.Nodes()))
+		dims := cube.Dim(cube.EndingClass(v))
+		fs.AddLink(v, dims[rng.Intn(len(dims))])
 	}
-	var firstErr error
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		p := pairs[i%len(pairs)]
-		i++
-		var err error
-		dst, err = r.RouteInto(dst[:0], p[0], p[1])
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	})
-	if firstErr != nil {
-		t.Fatal(firstErr)
-	}
-	if allocs >= 1 {
-		t.Fatalf("RouteInto: %v allocs/route, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		r    *core.Router
+	}{
+		{"fault-free", core.NewRouter(cube)},
+		{"adaptive", core.NewRouter(cube, core.WithFaults(fs))},
+		{"safety", core.NewRouter(cube, core.WithFaults(fs), core.WithSubstrate(core.SubstrateSafety))},
+		{"vector", core.NewRouter(cube, core.WithFaults(fs), core.WithSubstrate(core.SubstrateVector))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := tc.r
+			pairs := allocPairs(cube, 64, 7)
+			dst := make([]gc.NodeID, 0, 64)
+			// Warm the scratch pool and the destination buffer.
+			for _, p := range pairs {
+				var err error
+				dst, err = r.RouteInto(dst[:0], p[0], p[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			var firstErr error
+			i := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				p := pairs[i%len(pairs)]
+				i++
+				var err error
+				dst, err = r.RouteInto(dst[:0], p[0], p[1])
+				if err != nil && firstErr == nil {
+					firstErr = err
+				}
+			})
+			if firstErr != nil {
+				t.Fatal(firstErr)
+			}
+			if allocs >= 1 {
+				t.Fatalf("RouteInto: %v allocs/route, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -222,6 +222,7 @@ func BenchmarkAblationSubstrate(b *testing.B) {
 	} {
 		r := core.NewRouter(cube, core.WithFaults(fs), core.WithSubstrate(sub.s))
 		b.Run(sub.name, func(b *testing.B) {
+			b.ReportAllocs()
 			extra := 0
 			n := 0
 			for i := 0; i < b.N; i++ {

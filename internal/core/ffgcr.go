@@ -5,7 +5,6 @@ import (
 
 	"gaussiancube/internal/bitutil"
 	"gaussiancube/internal/exchanged"
-	"gaussiancube/internal/fault"
 	"gaussiancube/internal/gc"
 	"gaussiancube/internal/graph"
 	"gaussiancube/internal/gtree"
@@ -40,17 +39,12 @@ type routeScratch struct {
 	// tree is the multipath tree this route is planned for (-1 when
 	// single-tree), resolved once per route by the entry points.
 	tree int
-	// walk is the search state of the adaptive GEEC substrate
-	// (fixClassDims) and of FREH on a blocked tree-edge crossing
-	// (crossTreeEdge); view is the subcube fault oracle of the
-	// safety-level ablation substrates (geecRoute). pair, pairView and
-	// ehWalk are FREH's pair subgraph, its fault oracle and its walk in
-	// EH labels.
-	walk     graph.WalkScratch
-	view     fault.GEECView
-	pair     gc.Pair
-	pairView fault.PairView
-	ehWalk   []exchanged.Node
+	// walk is the search state of the in-slice substrates (fixClassDims)
+	// and of FREH on a blocked tree-edge crossing (crossTreeEdge);
+	// safety holds the per-slice tables of the safety-level and
+	// safety-vector substrates.
+	walk   graph.WalkScratch
+	safety hypercube.SafetyTables
 	// seen, from and to are the BFS fallback's state (appendFallback):
 	// a byte per node, sized to the cube on the first fallback through
 	// this scratch, and the visit lists of the two search sides; fbLog
@@ -175,17 +169,19 @@ func (r *Router) fixClassDims(sc *routeScratch, path []gc.NodeID, cur gc.NodeID,
 		// The forced class-exit node is faulty: beyond the strategy
 		// (see package comment); the caller may fall back.
 		return path, cur, ErrUnreachable
-	case r.substrate == SubstrateAdaptive:
-		dims := r.cube.DimMask(r.cube.EndingClass(cur))
-		path, _, err = hypercube.AppendRouteAdaptiveDims(path[:start], &sc.walk, r.cube.Nodes(), dims, r.faults, cur, to)
-		if err != nil {
-			path = path[:start+1] // a failed walk leaves cur in place
-		}
 	default:
-		path, err = r.geecRoute(sc, path, cur, to)
+		dims := r.cube.DimMask(r.cube.EndingClass(cur))
+		switch r.substrate {
+		case SubstrateSafety:
+			path, _, err = hypercube.AppendRouteSafetyDims(path[:start], &sc.walk, &sc.safety, r.cube.Nodes(), dims, r.faults, cur, to)
+		case SubstrateVector:
+			path, _, err = hypercube.AppendRouteSafetyVectorDims(path[:start], &sc.walk, &sc.safety, r.cube.Nodes(), dims, r.faults, cur, to)
+		default:
+			path, _, err = hypercube.AppendRouteAdaptiveDims(path[:start], &sc.walk, r.cube.Nodes(), dims, r.faults, cur, to)
+		}
 	}
 	if err != nil {
-		return path, cur, ErrUnreachable
+		return path[:start+1], cur, ErrUnreachable // a failed walk leaves cur in place
 	}
 	if r.tracer != nil {
 		// A walk longer than the pending-dimension count means an
@@ -232,30 +228,27 @@ func (r *Router) crossTreeEdge(ctx context.Context, sc *routeScratch, path []gc.
 		}
 		return append(path, tgt), tgt, false, nil
 	}
-	if !r.faults.NodeFaulty(tgt) {
+	// Theorem 5: the pair subgraph G(from, to, k) holding cur is
+	// EH(|Dim(from)|, |Dim(to)|) with the tree edge as its crossing, the
+	// a-part on Dim(from) and the b-part on Dim(to), so FREH routes it
+	// on GC labels.
+	m := exchanged.Embedding{Edge: dim, ASide: uint64(from) & (1 << dim), ADims: c.DimMask(from), BDims: c.DimMask(to)}
+	if !r.faults.NodeFaulty(tgt) && m.ADims != 0 && m.BDims != 0 {
+		start := len(path) - 1 // the walk starts at cur
 		var err error
-		if sc.pair, err = c.PairOf(from, to, cur); err == nil {
-			pair := &sc.pair
-			// The view lives in the scratch so that handing it to FREH
-			// as an interface does not allocate.
-			sc.pairView = r.faults.PairView(pair)
-			sc.ehWalk, err = exchanged.AppendRoute(sc.ehWalk[:0], &sc.walk, pair.EH(), &sc.pairView, pair.FromGC(cur), pair.FromGC(tgt))
-			if err == nil {
-				// The direct crossing is a B-category blockage (the
-				// landing node is alive, so the link itself is broken):
-				// FREH routes around it inside the pair subgraph.
-				start := len(path) - 1
-				for _, x := range sc.ehWalk[1:] {
-					path = append(path, pair.ToGC(x))
-				}
-				if r.tracer != nil {
-					r.tracer.Emit(trace.Event{Kind: trace.KindDetourEnter, Cat: trace.CatB, Dim: uint8(dim), Note: "freh-pair"})
-					r.emitPathHops(path[start:])
-					r.tracer.Emit(trace.Event{Kind: trace.KindDetourExit})
-				}
-				return path, path[len(path)-1], false, nil
+		path, err = exchanged.AppendRouteDims(path[:start], &sc.walk, c.Nodes(), m, r.faults, cur, tgt)
+		if err == nil {
+			// The direct crossing is a B-category blockage (the landing
+			// node is alive, so the link itself is broken): FREH routes
+			// around it inside the pair subgraph.
+			if r.tracer != nil {
+				r.tracer.Emit(trace.Event{Kind: trace.KindDetourEnter, Cat: trace.CatB, Dim: uint8(dim), Note: "freh-pair"})
+				r.emitPathHops(path[start:])
+				r.tracer.Emit(trace.Event{Kind: trace.KindDetourExit})
 			}
+			return path, tgt, false, nil
 		}
+		path = path[:start+1] // a failed walk leaves cur in place
 	}
 	// The crossing at this frame is beyond the FREH theorem (landing
 	// node dead, degenerate pair, or the pair subgraph itself cut): the

@@ -36,7 +36,6 @@ import (
 	"gaussiancube/internal/bitutil"
 	"gaussiancube/internal/gc"
 	"gaussiancube/internal/gtree"
-	"gaussiancube/internal/hypercube"
 	"gaussiancube/internal/trace"
 )
 
@@ -617,28 +616,4 @@ func (r *Router) traceFallbackPath(fb []gc.NodeID) {
 // traceOutcome terminates one route's narrative.
 func (r *Router) traceOutcome(arg int32, note string) {
 	r.tracer.Emit(trace.Event{Kind: trace.KindOutcome, Arg: arg, Note: note})
-}
-
-// geecRoute runs a safety-level ablation substrate (levels or
-// vectors), which works in subcube coordinates, inside cur's GEEC
-// slice: it maps cur and to through the embedding, routes over the
-// slice's fault view, and appends the hops after cur onto path. On
-// error path comes back unextended.
-func (r *Router) geecRoute(sc *routeScratch, path []gc.NodeID, cur, to gc.NodeID) ([]gc.NodeID, error) {
-	g := r.cube.GEECOf(cur)
-	// The view lives in the pooled scratch so that handing it to the
-	// substrate as an interface does not allocate.
-	sc.view = r.faults.GEECView(g)
-	route := hypercube.RouteSafety
-	if r.substrate == SubstrateVector {
-		route = hypercube.RouteSafetyVector
-	}
-	walk, _, err := route(g.Cube(), &sc.view, g.FromGC(cur), g.FromGC(to))
-	if err != nil {
-		return path, err
-	}
-	for _, x := range walk[1:] {
-		path = append(path, g.ToGC(x))
-	}
-	return path, nil
 }

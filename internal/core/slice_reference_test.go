@@ -8,25 +8,66 @@ import (
 	"testing"
 
 	"gaussiancube/internal/bitutil"
+	"gaussiancube/internal/exchanged"
 	"gaussiancube/internal/fault"
 	"gaussiancube/internal/gc"
+	"gaussiancube/internal/graph"
+	"gaussiancube/internal/gtree"
 	"gaussiancube/internal/hypercube"
+	"gaussiancube/internal/repair"
 	"gaussiancube/internal/trace"
 )
 
-// The reference slice engine: in-slice routing as the planner did it in
-// subcube coordinates, mapping every hop and every fault probe through
-// the GEEC embedding (GEECOf, FromGC, ToGC, fault.GEECView). The
-// production fixClassDims routes on GC labels restricted to Dim(k); the
-// tests below require the two to agree path for path and event for
-// event.
+// The reference engines: in-slice routing as the planner did it in
+// subcube coordinates, and FREH on a blocked tree-edge crossing as it
+// ran in EH labels, mapping every hop and every fault probe through the
+// Theorem 3 and Theorem 5 embeddings (GEECOf, Pair, FromGC, ToGC,
+// GCDimOf, and the coordinate views below). The production
+// fixClassDims and crossTreeEdge route on GC labels restricted to
+// dimension masks; the tests below require the two to agree path for
+// path and event for event.
 
-// refSliceScratch is the reference engine's working state.
+// geecView adapts a fault set to the hypercube.Faults oracle of one
+// GEEC(k, t) slice: subcube dimension i is GC dimension Dims()[i].
+type geecView struct {
+	set  *fault.Set
+	geec *gc.GEEC
+}
+
+func (v *geecView) NodeFaulty(x hypercube.Node) bool {
+	return v.set.NodeFaulty(v.geec.ToGC(x))
+}
+
+func (v *geecView) LinkFaulty(x hypercube.Node, dim uint) bool {
+	return v.set.LinkFaulty(v.geec.ToGC(x), v.geec.Dims()[dim])
+}
+
+// pairView adapts a fault set to the exchanged.Faults oracle of one
+// tree-edge subgraph G(p, q, k) in EH labels.
+type pairView struct {
+	set  *fault.Set
+	pair *gc.Pair
+}
+
+func (v *pairView) NodeFaulty(x exchanged.Node) bool {
+	return v.set.NodeFaulty(v.pair.ToGC(x))
+}
+
+func (v *pairView) LinkFaulty(x exchanged.Node, dim uint) bool {
+	return v.set.LinkFaulty(v.pair.ToGC(x), v.pair.GCDimOf(dim))
+}
+
+// refSliceScratch is the reference engines' working state. frehFailed
+// counts the blocked crossings whose pair subgraph FREH could not
+// route.
 type refSliceScratch struct {
-	view   fault.GEECView
-	hcWalk []hypercube.Node
-	seen   map[hypercube.Node]bool
-	stack  []uint
+	view       geecView
+	hcWalk     []hypercube.Node
+	seen       map[hypercube.Node]bool
+	stack      []uint
+	ehWalk     []exchanged.Node
+	ehScratch  graph.WalkScratch
+	frehFailed int
 }
 
 // routeAdaptive is the adaptive substrate as it ran on the whole
@@ -108,7 +149,7 @@ func (r *Router) refFixClassDims(sc *refSliceScratch, path []gc.NodeID, cur gc.N
 	if r.faults.NodeFaulty(g.ToGC(to)) {
 		return path, cur, ErrUnreachable
 	}
-	sc.view = r.faults.GEECView(g)
+	sc.view = geecView{r.faults, g}
 	q := g.Cube()
 	var err error
 	switch r.substrate {
@@ -141,9 +182,66 @@ func (r *Router) refFixClassDims(sc *refSliceScratch, path []gc.NodeID, cur gc.N
 	return path, cur, nil
 }
 
-// refExecute is execute with the reference slice engine: the same class
-// walk and tree-edge crossings, with every in-slice correction done by
-// refFixClassDims.
+// refPairOf returns the pair subgraph G(from, to, k) holding member:
+// bit i of k is member's bit in the i-th lowest frame dimension.
+func refPairOf(c *gc.Cube, from, to gtree.Node, member gc.NodeID) (*gc.Pair, error) {
+	frame := bitutil.Mask(c.N()) &^ bitutil.Mask(c.Alpha()) &^ c.DimMask(from) &^ c.DimMask(to)
+	var k uint64
+	for i, m := uint(0), frame; m != 0; i, m = i+1, m&(m-1) {
+		if uint64(member)&m&-m != 0 {
+			k |= 1 << i
+		}
+	}
+	return c.Pair(from, to, k)
+}
+
+// refCrossTreeEdge is crossTreeEdge for a single-tree top-level route
+// with the reference FREH: a blocked crossing onto a live node routes
+// the pair subgraph in EH labels through the pair view, and a crossing
+// FREH cannot make takes the production tree-repair detour.
+func (r *Router) refCrossTreeEdge(sc *routeScratch, ref *refSliceScratch, path []gc.NodeID, cur gc.NodeID, from, to gtree.Node, d gc.NodeID) ([]gc.NodeID, gc.NodeID, bool, error) {
+	c := r.cube
+	dim := c.Tree().EdgeDim(from, to)
+	tgt := cur ^ (1 << dim)
+	if r.faults == nil || (!r.faults.LinkFaulty(cur, dim) && !r.faults.NodeFaulty(tgt)) {
+		if r.tracer != nil {
+			r.emitHop(cur, tgt, dim)
+		}
+		return append(path, tgt), tgt, false, nil
+	}
+	if !r.faults.NodeFaulty(tgt) {
+		if pair, err := refPairOf(c, from, to, cur); err == nil {
+			ref.ehWalk, err = exchanged.AppendRoute(ref.ehWalk[:0], &ref.ehScratch, pair.EH(), &pairView{r.faults, pair}, pair.FromGC(cur), pair.FromGC(tgt))
+			if err == nil {
+				if r.tracer != nil {
+					r.tracer.Emit(trace.Event{Kind: trace.KindDetourEnter, Cat: trace.CatB, Dim: uint8(dim), Note: "freh-pair"})
+				}
+				for _, x := range ref.ehWalk[1:] {
+					nxt := pair.ToGC(x)
+					if r.tracer != nil {
+						r.emitHop(cur, nxt, uint(bitutil.LowestBit(uint64(cur^nxt))))
+					}
+					cur = nxt
+					path = append(path, cur)
+				}
+				if r.tracer != nil {
+					r.tracer.Emit(trace.Event{Kind: trace.KindDetourExit})
+				}
+				return path, cur, false, nil
+			}
+			ref.frehFailed++
+		}
+	}
+	if r.repair == nil {
+		return path, cur, false, ErrUnreachable
+	}
+	path, done, err := r.repairDetour(context.Background(), path, cur, to, dim, d, 0, sc.tree)
+	return path, cur, done, err
+}
+
+// refExecute is execute with the reference engines: the same class
+// walk, with every in-slice correction done by refFixClassDims and
+// every tree-edge crossing by refCrossTreeEdge.
 func (r *Router) refExecute(sc *routeScratch, ref *refSliceScratch, s, d gc.NodeID) ([]gc.NodeID, error) {
 	p := &sc.plan
 	path := []gc.NodeID{s}
@@ -162,7 +260,7 @@ func (r *Router) refExecute(sc *routeScratch, ref *refSliceScratch, s, d gc.Node
 		if i+1 < len(p.walk) {
 			var err error
 			var done bool
-			path, cur, done, err = r.crossTreeEdge(context.Background(), sc, path, cur, k, p.walk[i+1], d, 0)
+			path, cur, done, err = r.refCrossTreeEdge(sc, ref, path, cur, k, p.walk[i+1], d)
 			if err != nil || done {
 				return path, err
 			}
@@ -301,6 +399,106 @@ func FuzzSliceRouteMatchesReference(f *testing.F) {
 		}
 		ring := trace.NewRing(1 << 12)
 		r := NewRouter(c, WithFaults(fs), WithSubstrate(Substrate(sub%3)), WithTracer(ring))
+		if _, err := diffSliceEngines(r, ring, new(routeScratch), new(refSliceScratch), src, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// frehDiffFaults returns a seeded random fault set on c: a few node
+// faults anywhere, and link faults on tree-edge dimensions (below
+// alpha), which block crossings and send them through FREH.
+func frehDiffFaults(c *gc.Cube, rng *rand.Rand) *fault.Set {
+	fs := fault.NewSet(c)
+	nodes := c.Nodes()
+	for i := 0; i < 1+rng.Intn(1+nodes/32); i++ {
+		fs.AddNode(gc.NodeID(rng.Intn(nodes)))
+	}
+	for i := 0; i < 1+rng.Intn(1+nodes/4); i++ {
+		v := gc.NodeID(rng.Intn(nodes))
+		dims := c.LinkDims(v) // ascending: the tree-edge dimensions come first
+		tree := 0
+		for tree < len(dims) && dims[tree] < c.Alpha() {
+			tree++
+		}
+		if tree > 0 {
+			fs.AddLink(v, dims[rng.Intn(tree)])
+		}
+	}
+	return fs
+}
+
+// frehDiffRouter returns a traced router over fs, with a tree-repair
+// health map when withRepair is set.
+func frehDiffRouter(c *gc.Cube, fs *fault.Set, ring *trace.Ring, withRepair bool) *Router {
+	opts := []Option{WithFaults(fs), WithTracer(ring)}
+	if withRepair {
+		health := repair.NewHealth(c)
+		health.Rebuild(fs)
+		opts = append(opts, WithRepair(health))
+	}
+	return NewRouter(c, opts...)
+}
+
+// TestFREHMatchesReference diffs FREH on GC labels against the EH-label
+// reference on every pair of TestFFGCRExhaustiveOptimal's cubes, under
+// seeded node faults plus link faults on tree-edge dimensions, without
+// and with tree repair. Paths, errors and trace events (the B-category
+// freh-pair detour) must be identical, and somewhere FREH must both
+// detour around a blocked crossing and fail to.
+func TestFREHMatchesReference(t *testing.T) {
+	detours, failures := 0, 0
+	for _, cfg := range []struct{ n, alpha uint }{
+		{4, 0}, {5, 1}, {6, 1}, {6, 2}, {7, 2}, {7, 3}, {6, 6}, {5, 5}, {8, 2},
+	} {
+		c := gc.New(cfg.n, cfg.alpha)
+		rng := rand.New(rand.NewSource(int64(cfg.n*16 + cfg.alpha)))
+		for _, withRepair := range []bool{false, true} {
+			ring := trace.NewRing(1 << 12)
+			r := frehDiffRouter(c, frehDiffFaults(c, rng), ring, withRepair)
+			sc, ref := new(routeScratch), new(refSliceScratch)
+			nodes := gc.NodeID(c.Nodes())
+			for s := gc.NodeID(0); s < nodes; s++ {
+				for d := gc.NodeID(0); d < nodes; d++ {
+					if r.faults.NodeFaulty(s) || r.faults.NodeFaulty(d) {
+						continue
+					}
+					out, err := diffSliceEngines(r, ring, sc, ref, s, d)
+					if err != nil {
+						t.Fatalf("GC(%d,2^%d) repair %v: %v", cfg.n, cfg.alpha, withRepair, err)
+					}
+					for _, ev := range out.events {
+						if ev.Kind == trace.KindDetourEnter && ev.Cat == trace.CatB {
+							detours++
+						}
+					}
+				}
+			}
+			failures += ref.frehFailed
+		}
+	}
+	t.Logf("%d FREH detours, %d FREH failures", detours, failures)
+	if detours == 0 || failures == 0 {
+		t.Errorf("the fault sets never sent a crossing through FREH (%d) or cut a pair subgraph (%d)", detours, failures)
+	}
+}
+
+// FuzzFREHMatchesReference drives the same differential from fuzzed
+// cubes, fault sets, repair settings and pairs.
+func FuzzFREHMatchesReference(f *testing.F) {
+	f.Add(uint8(8), uint8(2), int64(1), false, uint32(3), uint32(200))
+	f.Add(uint8(10), uint8(1), int64(7), true, uint32(0), uint32(1023))
+	f.Add(uint8(9), uint8(3), int64(3), false, uint32(17), uint32(400))
+	f.Fuzz(func(t *testing.T, n, alpha uint8, seed int64, withRepair bool, s, d uint32) {
+		nn := 2 + uint(n)%10
+		c := gc.New(nn, uint(alpha)%(nn+1))
+		fs := frehDiffFaults(c, rand.New(rand.NewSource(seed)))
+		src, dst := gc.NodeID(s)%gc.NodeID(c.Nodes()), gc.NodeID(d)%gc.NodeID(c.Nodes())
+		if fs.NodeFaulty(src) || fs.NodeFaulty(dst) {
+			return
+		}
+		ring := trace.NewRing(1 << 12)
+		r := frehDiffRouter(c, fs, ring, withRepair)
 		if _, err := diffSliceEngines(r, ring, new(routeScratch), new(refSliceScratch), src, dst); err != nil {
 			t.Fatal(err)
 		}

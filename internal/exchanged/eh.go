@@ -17,7 +17,11 @@
 // Theorem 5 of the paper shows each Gaussian Tree edge (p, q) induces
 // subgraphs of the Gaussian Cube isomorphic to EH(|Dim(p)|, |Dim(q)|),
 // which is how FREH extends the GC routing strategy to B- and C-category
-// faults.
+// faults. FREH and the closed-form distance work on an Embedding: the
+// dimension of the crossing links and the masks of the a- and b-part
+// dimensions in a wider label space. A pair subgraph routes on Gaussian
+// Cube labels with EdgeDim(p, q), DimMask(p) and DimMask(q); EH(s, t)
+// is the special case with dimension 0, bits t+1..s+t and bits 1..t.
 package exchanged
 
 import (
@@ -124,29 +128,57 @@ func (e *EH) Degree(v Node) int {
 	return int(e.t) + 1
 }
 
-// Distance returns the graph distance between u and v in closed form:
-// with da, db the Hamming distances of the a- and b-parts,
+// Distance returns the graph distance between u and v in closed form
+// (see Embedding.Distance).
+func (e *EH) Distance(u, v Node) int { return e.embedding().Distance(u, v) }
+
+// embedding returns EH(s, t) as an Embedding of itself: dimension 0 is
+// the crossing, bits [t:1] the b-part and bits [s+t:t+1] the a-part.
+func (e *EH) embedding() Embedding {
+	return Embedding{ADims: bitutil.Mask(e.s) << (e.t + 1), BDims: bitutil.Mask(e.t) << 1}
+}
+
+// Embedding places an exchanged hypercube in a wider label space whose
+// links each flip one label bit: the crossing (EH dimension 0) flips
+// label dimension Edge, and the a- and b-parts are the label dimensions
+// in ADims and BDims, each in ascending order. A node is on the a-side
+// (0-ending) when its bit Edge equals ASide (0 or 1<<Edge); its links
+// are then Edge and ADims, and on the b-side Edge and BDims. With Edge
+// below every bit of ADims and BDims, as in the Gaussian Cube (EdgeDim
+// < alpha <= every high dimension), label order is EH's own order.
+type Embedding struct {
+	Edge         uint
+	ASide        uint64
+	ADims, BDims uint64
+}
+
+// links returns the mask of label dimensions of v's links.
+func (m Embedding) links(v Node) uint64 {
+	if uint64(v)&(1<<m.Edge) == m.ASide {
+		return 1<<m.Edge | m.ADims
+	}
+	return 1<<m.Edge | m.BDims
+}
+
+// Distance returns the graph distance between embedded nodes u and v
+// in closed form: with da, db the Hamming distances of the a- and
+// b-parts,
 //
-//	same ending, other part equal:    da+db        (one subcube)
-//	same ending, other part differs:  da+db+2      (two crossings)
-//	different ending:                 da+db+1      (one crossing)
-func (e *EH) Distance(u, v Node) int {
-	if u == v {
-		return 0
-	}
-	da := bitutil.Hamming(uint64(e.A(u)), uint64(e.A(v)))
-	db := bitutil.Hamming(uint64(e.B(u)), uint64(e.B(v)))
-	if e.C(u) != e.C(v) {
+//	same side, other part equal:    da+db        (one subcube)
+//	same side, other part differs:  da+db+2      (two crossings)
+//	different sides:                da+db+1      (one crossing)
+func (m Embedding) Distance(u, v Node) int {
+	x := uint64(u ^ v)
+	da := bitutil.OnesCount(x & m.ADims)
+	db := bitutil.OnesCount(x & m.BDims)
+	switch {
+	case x&(1<<m.Edge) != 0:
 		return da + db + 1
-	}
-	if e.C(u) == 0 { // both 0-ending: a-bits fixable in place
+	case uint64(u)&(1<<m.Edge) == m.ASide: // both a-side: a-bits fixable in place
 		if db == 0 {
 			return da
 		}
-		return da + db + 2
-	}
-	// both 1-ending: b-bits fixable in place
-	if da == 0 {
+	case da == 0: // both b-side: b-bits fixable in place
 		return db
 	}
 	return da + db + 2

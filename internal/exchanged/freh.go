@@ -43,20 +43,29 @@ var (
 // dst comes back unextended. The visited set and backtrack stack live in
 // sc, so once dst and sc have grown a route allocates nothing.
 func AppendRoute(dst []Node, sc *graph.WalkScratch, e *EH, f Faults, r, d Node) ([]Node, error) {
+	return AppendRouteDims(dst, sc, e.Nodes(), e.embedding(), f, r, d)
+}
+
+// AppendRouteDims is AppendRoute on the embedding m in a label space of
+// nodes labels: r and d lie in one embedded copy, each hop flips one
+// dimension of the current node's links under m, trying them lowest
+// first, and f is probed on the wide labels. A pair subgraph of the
+// Gaussian Cube routes this way directly on GC labels; the walk is the
+// EH-label route mapped through the isomorphism, since both try the
+// dimensions in the same order.
+func AppendRouteDims(dst []Node, sc *graph.WalkScratch, nodes int, m Embedding, f Faults, r, d Node) ([]Node, error) {
 	if f.NodeFaulty(r) || f.NodeFaulty(d) {
 		return dst, ErrFaultyEndpoint
 	}
-	dst, ok := sc.Walk(dst, e.Nodes(), r, d, func(cur Node) (uint, bool) {
+	dst, ok := sc.Walk(dst, nodes, r, d, func(cur Node) (uint, bool) {
 		bestDim, bestDist := uint(0), math.MaxInt
-		for dim := uint(0); dim <= e.s+e.t; dim++ {
-			if !e.HasLinkDim(cur, dim) || f.LinkFaulty(cur, dim) {
-				continue
-			}
+		for l := m.links(cur); l != 0; l &= l - 1 {
+			dim := uint(bitutil.LowestBit(l))
 			nb := cur ^ (1 << dim)
-			if sc.Visited(nb) || f.NodeFaulty(nb) {
+			if f.LinkFaulty(cur, dim) || sc.Visited(nb) || f.NodeFaulty(nb) {
 				continue
 			}
-			if dist := e.Distance(nb, d); dist < bestDist {
+			if dist := m.Distance(nb, d); dist < bestDist {
 				bestDim, bestDist = dim, dist
 			}
 		}

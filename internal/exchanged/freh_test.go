@@ -217,8 +217,6 @@ func TestValidatePathRejectsNonLink(t *testing.T) {
 	}
 }
 
-var _ = graph.Connected // keep graph import for future structural checks
-
 // refRoute is FREH as it ran before AppendRoute, with its search state
 // in a map and a fresh stack per route: the reference AppendRoute's
 // walks must match.

@@ -72,19 +72,21 @@ type sliceFaultKey struct {
 func (s *Set) exchangeInSlice(g *gc.GEEC) ExchangeReport {
 	dim := g.Dim()
 	size := 1 << dim
-	view := s.GEECView(g)
+	// Subcube coordinate x is GC node members[x], and subcube dimension
+	// d is GC dimension dims[d] (Theorem 3).
+	members, dims := g.Members(), g.Dims()
 
 	// The ground truth every healthy node should learn.
 	truth := make(map[sliceFaultKey]bool)
 	for x := 0; x < size; x++ {
 		xv := hypercube.Node(x)
-		if view.NodeFaulty(xv) {
+		if s.NodeFaulty(members[xv]) {
 			truth[sliceFaultKey{node: xv, dim: -1}] = true
 			continue
 		}
 		for d := uint(0); d < dim; d++ {
 			y := xv ^ (1 << d)
-			if xv < y && !view.NodeFaulty(y) && view.LinkFaulty(xv, d) {
+			if xv < y && !s.NodeFaulty(members[y]) && s.LinkFaulty(members[xv], dims[d]) {
 				truth[sliceFaultKey{node: xv, dim: int8(d)}] = true
 			}
 		}
@@ -97,15 +99,15 @@ func (s *Set) exchangeInSlice(g *gc.GEEC) ExchangeReport {
 	for x := 0; x < size; x++ {
 		know[x] = make(map[sliceFaultKey]bool)
 		xv := hypercube.Node(x)
-		if view.NodeFaulty(xv) {
+		if s.NodeFaulty(members[xv]) {
 			continue
 		}
 		for d := uint(0); d < dim; d++ {
 			y := xv ^ (1 << d)
 			switch {
-			case view.NodeFaulty(y):
+			case s.NodeFaulty(members[y]):
 				know[x][sliceFaultKey{node: y, dim: -1}] = true
-			case view.LinkFaulty(xv, d):
+			case s.LinkFaulty(members[xv], dims[d]):
 				low := xv
 				if y < low {
 					low = y
@@ -128,10 +130,10 @@ func (s *Set) exchangeInSlice(g *gc.GEEC) ExchangeReport {
 				merged[f] = true
 			}
 			xv := hypercube.Node(x)
-			if !view.NodeFaulty(xv) {
+			if !s.NodeFaulty(members[xv]) {
 				for d := uint(0); d < dim; d++ {
 					y := xv ^ (1 << d)
-					if view.LinkFaulty(xv, d) || view.NodeFaulty(y) {
+					if s.LinkFaulty(members[xv], dims[d]) || s.NodeFaulty(members[y]) {
 						continue
 					}
 					for f := range know[y] {
@@ -152,7 +154,7 @@ func (s *Set) exchangeInSlice(g *gc.GEEC) ExchangeReport {
 
 	report := ExchangeReport{Rounds: rounds, Complete: true}
 	for x := 0; x < size; x++ {
-		if view.NodeFaulty(hypercube.Node(x)) {
+		if s.NodeFaulty(members[x]) {
 			continue
 		}
 		if len(know[x]) > report.MaxKnowledge {

@@ -4,32 +4,7 @@ import (
 	"gaussiancube/internal/exchanged"
 	"gaussiancube/internal/gc"
 	"gaussiancube/internal/gtree"
-	"gaussiancube/internal/hypercube"
 )
-
-// GEECView adapts the fault set to the hypercube.Faults oracle of one
-// GEEC(k, t) slice, so the fault-tolerant hypercube routers can run
-// inside the slice unchanged.
-type GEECView struct {
-	set  *Set
-	geec *gc.GEEC
-}
-
-// GEECView constructs the oracle for slice g.
-func (s *Set) GEECView(g *gc.GEEC) GEECView { return GEECView{set: s, geec: g} }
-
-// NodeFaulty implements hypercube.Faults.
-func (v GEECView) NodeFaulty(x hypercube.Node) bool {
-	return v.set.NodeFaulty(v.geec.ToGC(x))
-}
-
-// LinkFaulty implements hypercube.Faults. Subcube dimension i is GC
-// dimension Dims()[i].
-func (v GEECView) LinkFaulty(x hypercube.Node, dim uint) bool {
-	return v.set.LinkFaulty(v.geec.ToGC(x), v.geec.Dims()[dim])
-}
-
-var _ hypercube.Faults = GEECView{}
 
 // GEECFaultCount counts the faulty components inside GEEC(k, t): faulty
 // member nodes plus faulty links between members (links in Dim(k)
@@ -77,28 +52,6 @@ func (s *Set) geecBoundsHold() bool {
 	}
 	return true
 }
-
-// PairView adapts the fault set to the exchanged.Faults oracle of one
-// tree-edge subgraph G(p, q, k), so FREH can run inside it unchanged.
-type PairView struct {
-	set  *Set
-	pair *gc.Pair
-}
-
-// PairView constructs the oracle for pair subgraph g.
-func (s *Set) PairView(g *gc.Pair) PairView { return PairView{set: s, pair: g} }
-
-// NodeFaulty implements exchanged.Faults.
-func (v PairView) NodeFaulty(x exchanged.Node) bool {
-	return v.set.NodeFaulty(v.pair.ToGC(x))
-}
-
-// LinkFaulty implements exchanged.Faults.
-func (v PairView) LinkFaulty(x exchanged.Node, dim uint) bool {
-	return v.set.LinkFaulty(v.pair.ToGC(x), v.pair.GCDimOf(dim))
-}
-
-var _ exchanged.Faults = PairView{}
 
 // PairCensus counts the Theorem 5 fault categories inside G(p, q, k):
 // es faults on the class-p side (nodes and Dim(p) links), et on the

@@ -4,34 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"gaussiancube/internal/exchanged"
 	"gaussiancube/internal/gc"
 	"gaussiancube/internal/hypercube"
 )
-
-func TestGEECViewProjectsFaults(t *testing.T) {
-	c := gc.New(8, 2)
-	s := NewSet(c)
-	g := c.GEEC(0, 0)
-	member := g.ToGC(1)
-	s.AddNode(member)
-	view := s.GEECView(g)
-	if !view.NodeFaulty(1) || view.NodeFaulty(0) {
-		t.Error("GEECView node projection wrong")
-	}
-	// A link fault inside the slice.
-	g2 := c.GEEC(2, 0)
-	if g2.Dim() < 1 {
-		t.Fatal("test assumes Dim(2) nonempty")
-	}
-	p := g2.ToGC(0)
-	s.AddLink(p, g2.Dims()[0])
-	v2 := s.GEECView(g2)
-	if !v2.LinkFaulty(0, 0) {
-		t.Error("GEECView link projection wrong")
-	}
-	var _ hypercube.Faults = v2
-}
 
 func TestGEECFaultCount(t *testing.T) {
 	c := gc.New(8, 2)
@@ -93,7 +68,7 @@ func TestTheorem3Holds(t *testing.T) {
 	}
 }
 
-func TestPairViewAndCensus(t *testing.T) {
+func TestPairCensus(t *testing.T) {
 	c := gc.New(8, 2)
 	// Tree T_4 path: 0-1-3-2. Pair (3,2): Dim(3)={3,7}, Dim(2)={2,6}.
 	g, err := c.Pair(3, 2, 0)
@@ -115,14 +90,6 @@ func TestPairViewAndCensus(t *testing.T) {
 	if census.Fs != 1 || census.F0 != 1 || census.Ft != 0 {
 		t.Errorf("census = %+v, want Fs=1 F0=1 Ft=0", census)
 	}
-	view := s.PairView(g)
-	if !view.NodeFaulty(eh.Compose(1, 0, 0)) {
-		t.Error("PairView node projection wrong")
-	}
-	if !view.LinkFaulty(v, 0) {
-		t.Error("PairView link projection wrong")
-	}
-	var _ exchanged.Faults = view
 }
 
 func TestTheorem5Holds(t *testing.T) {

@@ -34,16 +34,6 @@ func BenchmarkGEECOf(b *testing.B) {
 	}
 }
 
-func BenchmarkPairOf(b *testing.B) {
-	c := New(12, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.PairOf(0, 1, NodeID(i&0xff)<<2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkComputeStats(b *testing.B) {
 	c := New(10, 2)
 	b.ResetTimer()

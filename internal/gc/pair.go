@@ -32,30 +32,22 @@ type Pair struct {
 
 // Pair constructs G(p, q, k). p and q must be adjacent in the Gaussian
 // Tree, both |Dim(p)| and |Dim(q)| must be at least 1 (so the exchanged
-// hypercube is well formed), and k must fit in the frame width.
+// hypercube is well formed), and k must fit in the frame width: bit i
+// of k is the i-th lowest frame dimension.
 func (c *Cube) Pair(p, q gtree.Node, k uint64) (*Pair, error) {
-	g, err := c.pair(p, q, k)
-	if err != nil {
-		return nil, err
-	}
-	return &g, nil
-}
-
-// pair is Pair by value. Bit i of k is the i-th lowest frame dimension.
-func (c *Cube) pair(p, q gtree.Node, k uint64) (Pair, error) {
 	tr := c.Tree()
 	x := uint64(p ^ q)
 	if bitutil.OnesCount(x) != 1 || !tr.HasEdgeDim(p, uint(bitutil.LowestBit(x))) {
-		return Pair{}, fmt.Errorf("gc: classes %d and %d are not Gaussian Tree neighbors", p, q)
+		return nil, fmt.Errorf("gc: classes %d and %d are not Gaussian Tree neighbors", p, q)
 	}
 	dimsP, dimsQ := c.Dim(p), c.Dim(q)
 	if len(dimsP) == 0 || len(dimsQ) == 0 {
-		return Pair{}, fmt.Errorf("gc: pair (%d,%d) has an empty Dim set (|Dim(p)|=%d, |Dim(q)|=%d)",
+		return nil, fmt.Errorf("gc: pair (%d,%d) has an empty Dim set (|Dim(p)|=%d, |Dim(q)|=%d)",
 			p, q, len(dimsP), len(dimsQ))
 	}
 	frame := bitutil.Mask(c.n) &^ bitutil.Mask(c.alpha) &^ c.DimMask(p) &^ c.DimMask(q)
 	if width := bitutil.OnesCount(frame); k >= 1<<uint(width) {
-		return Pair{}, fmt.Errorf("gc: frame value %d out of range for %d frame dims", k, width)
+		return nil, fmt.Errorf("gc: frame value %d out of range for %d frame dims", k, width)
 	}
 	base := uint64(p)
 	for i, m := uint(0), frame; m != 0; i, m = i+1, m&(m-1) {
@@ -63,7 +55,7 @@ func (c *Cube) pair(p, q gtree.Node, k uint64) (Pair, error) {
 			base |= m & -m
 		}
 	}
-	return Pair{
+	return &Pair{
 		cube:    c,
 		p:       p,
 		q:       q,
@@ -75,27 +67,6 @@ func (c *Cube) pair(p, q gtree.Node, k uint64) (Pair, error) {
 		base:    NodeID(base),
 		eh:      exchanged.New(uint(len(dimsP)), uint(len(dimsQ))),
 	}, nil
-}
-
-// PairOf returns the pair subgraph G(p, q, k) whose frame value k is
-// read off the given member node (which must belong to class p or q).
-// It returns the subgraph by value, so a caller that keeps it in reused
-// state builds it without allocating.
-func (c *Cube) PairOf(p, q gtree.Node, member NodeID) (Pair, error) {
-	g, err := c.pair(p, q, 0)
-	if err != nil {
-		return Pair{}, err
-	}
-	for i, m := uint(0), g.frame; m != 0; i, m = i+1, m&(m-1) {
-		if uint64(member)&m&-m != 0 {
-			g.k = bitutil.Set(g.k, i)
-		}
-	}
-	g.base |= member & NodeID(g.frame)
-	if !g.Contains(member) {
-		return Pair{}, fmt.Errorf("gc: node %d not in any G(%d,%d,.)", member, p, q)
-	}
-	return g, nil
 }
 
 // EH returns the exchanged hypercube this pair subgraph is isomorphic
@@ -112,8 +83,8 @@ func (g *Pair) Q() gtree.Node { return g.q }
 // EH dimension-0 links map to.
 func (g *Pair) EdgeDim() uint { return g.edgeDim }
 
-// FrameCount returns the number of distinct frame values k for this
-// tree edge.
+// PairFrameCount returns the number of distinct frame values k for the
+// tree edge (p, q).
 func (c *Cube) PairFrameCount(p, q gtree.Node) int {
 	width := int(c.n-c.alpha) - c.DimCount(p) - c.DimCount(q)
 	if width < 0 {

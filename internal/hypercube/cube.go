@@ -21,7 +21,12 @@
 //     GEEC(k, t) routes on GC labels restricted to Dim(k), with no
 //     coordinate translation;
 //   - SafetyLevels and RouteSafety: Wu's safety-level scheme [5], with
-//     the distributed n-round status-exchange computation.
+//     the distributed n-round status-exchange computation, and
+//     SafetyVectors and RouteSafetyVector, its safety-vector
+//     refinement. AppendRouteSafetyDims and AppendRouteSafetyVectorDims
+//     are their dims-mask forms: they compute the levels or vectors of
+//     the subcube spanned by the mask into reused SafetyTables, indexed
+//     by subcube coordinate, and route on the wide labels.
 package hypercube
 
 import (

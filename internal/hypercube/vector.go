@@ -1,6 +1,8 @@
 package hypercube
 
 import (
+	"slices"
+
 	"gaussiancube/internal/bitutil"
 	"gaussiancube/internal/graph"
 )
@@ -25,52 +27,66 @@ import (
 // (bit k-1 of the returned word is the "distance k" bit). The second
 // result is the number of exchange rounds performed.
 func SafetyVectors(c *Cube, f Faults) ([]uint64, int) {
-	n := int(c.Dim())
-	vec := make([]uint64, c.Nodes())
-	for v := range vec {
-		if !f.NodeFaulty(Node(v)) {
-			vec[v] = 1 // distance-1 bit
+	var t SafetyTables
+	rounds := t.vectors(f, 0, bitutil.Mask(c.Dim()))
+	return t.vec, rounds
+}
+
+// vectors computes SafetyVectors for the subcube {base | x : x ⊆ dims}
+// of a wider label space into t.vec, as levels does for SafetyLevels.
+func (t *SafetyTables) vectors(f Faults, base, dims uint64) int {
+	n := bitutil.OnesCount(dims)
+	vec, next := slices.Grow(t.vec[:0], 1<<n)[:1<<n], slices.Grow(t.vecNext[:0], 1<<n)[:1<<n]
+	for i, x := 0, uint64(0); i < len(vec); i, x = i+1, (x-dims)&dims {
+		vec[i] = 0
+		if !f.NodeFaulty(Node(base | x)) {
+			vec[i] = 1 // distance-1 bit
 		}
 	}
 	rounds := 0
 	for iter := 1; iter < n; iter++ {
 		rounds++
-		next := make([]uint64, len(vec))
 		copy(next, vec)
 		changed := false
-		for v := range vec {
-			if f.NodeFaulty(Node(v)) {
+		for i, x := 0, uint64(0); i < len(vec); i, x = i+1, (x-dims)&dims {
+			v := Node(base | x)
+			if f.NodeFaulty(v) {
 				continue
+			}
+			// live holds the coordinate bits of the neighbors reachable
+			// over a healthy link.
+			var live int
+			for j, m := 0, dims; m != 0; j, m = j+1, m&(m-1) {
+				if dim := uint(bitutil.LowestBit(m)); !f.LinkFaulty(v, dim) && !f.NodeFaulty(v^(1<<dim)) {
+					live |= 1 << j
+				}
 			}
 			for k := 2; k <= n; k++ {
 				withBit := 0
-				for i := uint(0); i < uint(n); i++ {
-					w := Node(v) ^ (1 << i)
-					if f.LinkFaulty(Node(v), i) || f.NodeFaulty(w) {
-						continue
-					}
-					if bitutil.HasBit(vec[w], uint(k-2)) {
+				for l := live; l != 0; l &= l - 1 {
+					if bitutil.HasBit(vec[i^l&-l], uint(k-2)) {
 						withBit++
 					}
 				}
-				has := bitutil.HasBit(vec[v], uint(k-1))
+				has := bitutil.HasBit(vec[i], uint(k-1))
 				want := withBit >= n-k+1
 				if want != has {
 					changed = true
 					if want {
-						next[v] = bitutil.Set(next[v], uint(k-1))
+						next[i] = bitutil.Set(next[i], uint(k-1))
 					} else {
-						next[v] = bitutil.Clear(next[v], uint(k-1))
+						next[i] = bitutil.Clear(next[i], uint(k-1))
 					}
 				}
 			}
 		}
-		vec = next
+		vec, next = next, vec
 		if !changed {
 			break
 		}
 	}
-	return vec, rounds
+	t.vec, t.vecNext = vec, next
+	return rounds
 }
 
 // RouteSafetyVector routes s to d guided by safety vectors: when the
@@ -80,40 +96,35 @@ func SafetyVectors(c *Cube, f Faults) ([]uint64, int) {
 // backtracking search of the other substrates, so delivery is still
 // guaranteed whenever the healthy subgraph connects the endpoints.
 func RouteSafetyVector(c *Cube, f Faults, s, d Node) ([]Node, int, error) {
-	var vec []uint64
-	sc := new(graph.WalkScratch)
-	return spareWalk(nil, sc, c.Nodes(), f, s, d, func(cur Node, spareMask uint64) (uint, bool) {
-		if vec == nil {
-			vec, _ = SafetyVectors(c, f)
-		}
-		return pickDimByVector(c, f, cur, d, sc, spareMask, vec)
+	return AppendRouteSafetyVectorDims(nil, new(graph.WalkScratch), new(SafetyTables), c.Nodes(), bitutil.Mask(c.Dim()), f, s, d)
+}
+
+// AppendRouteSafetyVectorDims is RouteSafetyVector in the subcube
+// spanned by dims, as AppendRouteSafetyDims is for RouteSafety.
+func AppendRouteSafetyVectorDims(dst []Node, sc *graph.WalkScratch, t *SafetyTables, nodes int, dims uint64, f Faults, s, d Node) ([]Node, int, error) {
+	t.vectors(f, uint64(s)&^dims, dims)
+	return spareWalk(dst, sc, nodes, f, s, d, func(cur Node, spareMask uint64) (uint, bool) {
+		return pickDimByVector(f, cur, d, dims, sc, spareMask, t.vec)
 	})
 }
 
-func pickDimByVector(c *Cube, f Faults, cur, d Node, sc *graph.WalkScratch, spareMask uint64, vec []uint64) (uint, bool) {
+// pickDimByVector picks, h hops from d, a usable unvisited preferred
+// dimension whose far node has its distance-(h-1) bit set, lowest
+// first; failing that (or at h = 1, where the neighbor is d itself) it
+// picks as the adaptive router does.
+func pickDimByVector(f Faults, cur, d Node, dims uint64, sc *graph.WalkScratch, spareMask uint64, vec []uint64) (uint, bool) {
 	r := uint64(cur ^ d)
-	h := bitutil.OnesCount(r)
-	// Preferred neighbors whose distance-(h-1) bit is set first (h = 1
-	// means the neighbor is d itself).
-	for pass := 0; pass < 2; pass++ {
-		for _, dim := range bitutil.BitsSet(r) {
-			w := cur ^ (1 << dim)
-			if !usable(f, cur, dim) || sc.Visited(w) {
+	if h := bitutil.OnesCount(r); h > 1 {
+		at := coord(cur, dims)
+		for j, m := 0, dims; m != 0; j, m = j+1, m&(m-1) {
+			bit := m & -m
+			if r&bit == 0 || !bitutil.HasBit(vec[at^1<<j], uint(h-2)) {
 				continue
 			}
-			if pass == 0 && h > 1 && !bitutil.HasBit(vec[w], uint(h-2)) {
-				continue
+			if dim := uint(bitutil.LowestBit(bit)); usable(f, cur, dim) && !sc.Visited(cur^Node(bit)) {
+				return dim, true
 			}
-			return dim, true
 		}
 	}
-	for dim := uint(0); dim < c.Dim(); dim++ {
-		if bitutil.HasBit(r, dim) || bitutil.HasBit(spareMask, dim) {
-			continue
-		}
-		if usable(f, cur, dim) && !sc.Visited(cur^(1<<dim)) {
-			return dim, true
-		}
-	}
-	return 0, false
+	return pickDim(f, cur, d, dims, sc, spareMask)
 }
