@@ -126,18 +126,22 @@ type FaultsResponse struct {
 
 // ShardSnapshot is one shard's slice of the metrics scrape.
 type ShardSnapshot struct {
-	Shard        int                `json:"shard"`
-	Served       int64              `json:"served"`
-	CacheHits    int64              `json:"cache_hits"`
-	CacheMisses  int64              `json:"cache_misses"`
-	FastPathHits int64              `json:"fast_path_hits"`
-	Sampled      int64              `json:"sampled"`
-	Errors       int64              `json:"errors"`
-	Outcomes     map[string]int64   `json:"outcomes"`
-	Queue        int                `json:"queue"`
-	Collectives  int64              `json:"collectives,omitempty"`
-	Latency      *metrics.Histogram `json:"latency_us"`
-	Hops         *metrics.Histogram `json:"hops"`
+	Shard       int   `json:"shard"`
+	Served      int64 `json:"served"`
+	CacheHits   int64 `json:"cache_hits"`
+	CacheMisses int64 `json:"cache_misses"`
+	// CacheDeclined counts planned routes the cache refused to store: a
+	// pair seen for the first time while the cache is full
+	// (simnet.RouteCache.Declined).
+	CacheDeclined int64              `json:"cache_declined"`
+	FastPathHits  int64              `json:"fast_path_hits"`
+	Sampled       int64              `json:"sampled"`
+	Errors        int64              `json:"errors"`
+	Outcomes      map[string]int64   `json:"outcomes"`
+	Queue         int                `json:"queue"`
+	Collectives   int64              `json:"collectives,omitempty"`
+	Latency       *metrics.Histogram `json:"latency_us"`
+	Hops          *metrics.Histogram `json:"hops"`
 }
 
 // CollectiveTotals is the collective slice of the metrics scrape: the
@@ -241,6 +245,9 @@ func (s *Server) Metrics() *MetricsSnapshot {
 			Collectives:  sh.collectives.Value(),
 			Latency:      sh.latency.Snapshot(),
 			Hops:         sh.hops.Snapshot(),
+		}
+		if sh.cache != nil {
+			ss.CacheDeclined = sh.cache.Declined()
 		}
 		for o := range sh.outcomes {
 			if v := sh.outcomes[o].Value(); v > 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -420,4 +421,68 @@ func TestServeDegradedDuringReplay(t *testing.T) {
 		t.Errorf("JournalStatus = %+v, want ok", js)
 	}
 	_ = srv.Shutdown(ctx)
+}
+
+// TestServeReplayCacheHit pins the window the worker still probes the
+// route cache in: while the startup replay runs the fast path refuses
+// every request, so a pair cached during the replay is answered by the
+// worker's own probe, as a cache hit degrade-marked with the replay
+// reason, not planned again.
+func TestServeReplayCacheHit(t *testing.T) {
+	cube := gc.New(8, 2)
+	fs := journal.NewFailpointFS()
+	seedSrv, err := New(Config{Cube: cube, Shards: 1, Journal: &JournalConfig{Dir: "j", FS: fs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seedSrv.WaitJournal(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := seedSrv.ApplyFaults([]FaultOp{{Op: OpInject, Kind: KindNode, Node: 40}}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := seedSrv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	gate := make(chan struct{})
+	fs.OnOpen(func(name string) {
+		if strings.HasPrefix(name, "seg-") {
+			<-gate
+		}
+	})
+	srv, err := New(Config{Cube: cube, Shards: 1, Journal: &JournalConfig{Dir: "j", FS: fs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Shutdown(ctx) }()
+	defer close(gate)
+	if !srv.Replaying() {
+		t.Fatal("server not in replaying state with the gate held")
+	}
+	first, err := srv.SubmitTree(context.Background(), 1, 200, core.TreeAuto)
+	if err != nil || first.Err != nil {
+		t.Fatalf("first route: %v %+v", err, first)
+	}
+	if first.CacheHit {
+		t.Fatal("first route of the pair hit the cache")
+	}
+	second, err := srv.SubmitTree(context.Background(), 1, 200, core.TreeAuto)
+	if err != nil || second.Err != nil {
+		t.Fatalf("second route: %v %+v", err, second)
+	}
+	if !second.CacheHit {
+		t.Fatal("pair cached during the replay was planned again")
+	}
+	if second.Report.Outcome != core.OutcomeDeliveredDegraded || second.Report.Reason != replayDegradedReason {
+		t.Errorf("replay-window hit: %v %q, want DeliveredDegraded %q", second.Report.Outcome, second.Report.Reason, replayDegradedReason)
+	}
+	if !slices.Equal(second.Report.Path, first.Report.Path) {
+		t.Errorf("cached path %v, planned %v", second.Report.Path, first.Report.Path)
+	}
+	if m := srv.Metrics(); m.FastPathHits != 0 || m.PerShard[0].CacheHits != 1 {
+		t.Errorf("fast-path hits %d, cache hits %d; want 0 and 1", m.FastPathHits, m.PerShard[0].CacheHits)
+	}
 }

@@ -658,18 +658,7 @@ func (s *Server) lookupHit(src, dst gc.NodeID, tree int) (*shard, CachedAnswer, 
 	if s.cfg.Adaptive || s.drain.Load() {
 		return nil, CachedAnswer{}, false
 	}
-	if s.jphase.Load() == jstateReplay {
-		// During the startup replay every answer must carry the degraded
-		// marking, which the fast path cannot: fall through to submit.
-		// One predictable-branch atomic load is the entire hot-path cost
-		// of journaling; with no journal (or once caught up) the phase
-		// word never changes.
-		return nil, CachedAnswer{}, false
-	}
-	if s.stale.Load() != nil {
-		// Behind the cluster gossip frontier: same funneling as the
-		// replay window — every answer must carry the stale-epoch
-		// degrade marking, which only deliver can apply.
+	if s.degrading() {
 		return nil, CachedAnswer{}, false
 	}
 	if int(src) >= s.cube.Nodes() || int(dst) >= s.cube.Nodes() {
@@ -686,11 +675,12 @@ func (s *Server) lookupHit(src, dst gc.NodeID, tree int) (*shard, CachedAnswer, 
 	rs := sh.state.Load()
 	path, tag, ok := sh.cache.GetTagged(src, dst, rt, rs.es.fp)
 	if !ok || len(path) == 0 {
-		// Not counted as a shard cache miss: the request falls through to
-		// the worker, whose own lookup tallies the miss once. The cache
-		// only stores delivered (non-empty) paths, but an empty one would
-		// underflow every hops computation downstream, so it is treated
-		// as a miss rather than trusted.
+		// Not counted as a shard cache miss here: the request falls
+		// through to the worker, which tallies the miss once without
+		// probing the cache again. The cache only stores delivered
+		// (non-empty) paths, but an empty one would underflow every hops
+		// computation downstream, so it is treated as a miss rather than
+		// trusted.
 		return nil, CachedAnswer{}, false
 	}
 	if n, sampled := s.sample(sh); sampled {
@@ -699,6 +689,18 @@ func (s *Server) lookupHit(src, dst gc.NodeID, tree int) (*shard, CachedAnswer, 
 		sh.ring.Emit(trace.Event{Kind: trace.KindCacheHit, From: uint32(src), To: uint32(dst)})
 	}
 	return sh, CachedAnswer{Path: path, Epoch: rs.es.epoch, DetourHops: int(tag), Tree: rt}, true
+}
+
+// degrading reports whether every answer must now carry a degrade marking,
+// which only deliver applies: during the startup journal replay (the
+// verdict is computed against the seed, not yet the reconstructed
+// history) and while this instance trails the cluster's gossip
+// frontier. The fast path refuses to answer then, so the worker makes
+// the request's only cache probe. One predictable-branch atomic load is
+// the hot-path cost of each window; with no journal (or once caught up)
+// and no cluster, neither word changes.
+func (s *Server) degrading() bool {
+	return s.jphase.Load() == jstateReplay || s.stale.Load() != nil
 }
 
 // sample advances sh's sampling ordinal and reports it and whether the
@@ -862,17 +864,23 @@ func (s *Server) process(sh *shard, rs *shardRouters, t *task, rb *replyBatch) {
 	// flow stripe the auto routers resolve internally (same hash).
 	rt := s.resolveTree(t.src, t.dst, t.tree)
 	if sh.cache != nil && !s.cfg.Adaptive {
-		// len(path) > 0 mirrors FastRouteTree's guard: only delivered paths
-		// are ever stored, but an empty one must not reach cachedReport.
-		if path, tag, ok := sh.cache.GetTagged(t.src, t.dst, rt, rs.es.fp); ok && len(path) > 0 {
-			sh.cacheHits.Inc()
-			if sampled {
-				sh.sampled.Inc()
-				sh.ring.Emit(trace.Event{Kind: trace.KindPacket, From: uint32(t.src), To: uint32(t.dst), Arg: int32(n)})
-				sh.ring.Emit(trace.Event{Kind: trace.KindCacheHit, From: uint32(t.src), To: uint32(t.dst)})
+		// Every unicast task probed the cache on submission (lookupHit)
+		// unless a degrade-marking window refused it (a draining server
+		// enqueues nothing new), so only then does the worker probe;
+		// otherwise it counts the submission's miss. len(path) > 0
+		// mirrors lookupHit's guard: only delivered paths are ever
+		// stored, but an empty one must not reach cachedReport.
+		if s.degrading() {
+			if path, tag, ok := sh.cache.GetTagged(t.src, t.dst, rt, rs.es.fp); ok && len(path) > 0 {
+				sh.cacheHits.Inc()
+				if sampled {
+					sh.sampled.Inc()
+					sh.ring.Emit(trace.Event{Kind: trace.KindPacket, From: uint32(t.src), To: uint32(t.dst), Arg: int32(n)})
+					sh.ring.Emit(trace.Event{Kind: trace.KindCacheHit, From: uint32(t.src), To: uint32(t.dst)})
+				}
+				s.finish(sh, t, Response{Report: cachedReport(path, tag, rt), Epoch: rs.es.epoch, CacheHit: true}, rb)
+				return
 			}
-			s.finish(sh, t, Response{Report: cachedReport(path, tag, rt), Epoch: rs.es.epoch, CacheHit: true}, rb)
-			return
 		}
 		sh.cacheMisses.Inc()
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -107,6 +108,74 @@ func TestCacheAcrossEpochs(t *testing.T) {
 	}
 	if third.Epoch != 1 {
 		t.Fatalf("epoch %d, want 1", third.Epoch)
+	}
+}
+
+// TestCacheWorkingSetServedFromFastPath: a working set that fits the
+// route cache (the shape of a warmed hot set: 4096 uniform pairs on
+// GC(10,2^3) over two shards) is stored whole on its first pass, so the
+// doorkeeper never engages and the second pass is answered entirely on
+// the fast path with the planned paths.
+func TestCacheWorkingSetServedFromFastPath(t *testing.T) {
+	cube := gc.New(10, 3)
+	s := mustServer(t, Config{Cube: cube, Shards: 2})
+	rng := rand.New(rand.NewSource(1))
+	type pair struct{ s, d gc.NodeID }
+	set := make([]pair, 4096)
+	planned := make([][]gc.NodeID, len(set))
+	for i := range set {
+		for set[i].s == set[i].d {
+			set[i] = pair{gc.NodeID(rng.Intn(cube.Nodes())), gc.NodeID(rng.Intn(cube.Nodes()))}
+		}
+		r, err := s.SubmitTree(context.Background(), set[i].s, set[i].d, core.TreeAuto)
+		if err != nil || r.Err != nil {
+			t.Fatalf("warm %v: %v %v", set[i], err, r.Err)
+		}
+		planned[i] = r.Report.Path
+	}
+	for i, p := range set {
+		ans, ok := s.FastRouteTree(p.s, p.d, core.TreeAuto)
+		if !ok {
+			t.Fatalf("second pass: pair %d %v missed the fast path", i, p)
+		}
+		if !slices.Equal(ans.Path, planned[i]) {
+			t.Fatalf("pair %v: cached path %v, planned %v", p, ans.Path, planned[i])
+		}
+	}
+	for _, sh := range s.Metrics().PerShard {
+		if sh.CacheDeclined != 0 {
+			t.Fatalf("shard %d declined %d stores of a working set that fits", sh.Shard, sh.CacheDeclined)
+		}
+	}
+}
+
+// TestCacheAllMissStreamDeclined: a uniform stream of pairs that never
+// recur keeps the cache within its bound, and once the cache is full
+// the doorkeeper declines nearly every store instead of evicting for
+// it.
+func TestCacheAllMissStreamDeclined(t *testing.T) {
+	const capacity, requests = 256, 8000
+	cube := gc.New(10, 2)
+	s := mustServer(t, Config{Cube: cube, Shards: 1, CacheCapacity: capacity})
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < requests; i++ {
+		src, dst := gc.NodeID(rng.Intn(cube.Nodes())), gc.NodeID(rng.Intn(cube.Nodes()))
+		r, err := s.SubmitTree(context.Background(), src, dst, core.TreeAuto)
+		if err != nil || r.Err != nil || r.Report.Outcome != core.OutcomeDelivered {
+			t.Fatalf("route (%d,%d): %v %+v", src, dst, err, r)
+		}
+	}
+	if n := s.shards[0].cache.Len(); n > capacity {
+		t.Fatalf("cache holds %d routes, bound %d", n, capacity)
+	}
+	sh := s.Metrics().PerShard[0]
+	if sh.CacheHits+sh.CacheMisses != requests {
+		t.Fatalf("hits %d + misses %d != %d requests", sh.CacheHits, sh.CacheMisses, requests)
+	}
+	// Each miss is planned and offered to the cache; all but the first
+	// fill (and doorkeeper false positives) must be declined.
+	if sh.CacheDeclined < sh.CacheMisses*8/10 {
+		t.Fatalf("declined %d of %d stores, want most", sh.CacheDeclined, sh.CacheMisses)
 	}
 }
 

@@ -135,3 +135,21 @@ func BenchmarkRouteCacheParallel(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRouteCachePutTaggedFull measures PutTagged on an all-miss
+// stream into a full cache, the store a serving worker makes after
+// planning a pair that never recurs: each op is a key not seen before.
+func BenchmarkRouteCachePutTaggedFull(b *testing.B) {
+	const token = 7
+	c := NewRouteCache(1 << 12)
+	c.InvalidateTo(token)
+	path := []gc.NodeID{0, 1}
+	for i := 0; i < 1<<14; i++ {
+		c.PutTagged(gc.NodeID(i), 1, -1, path, 0, token)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.PutTagged(gc.NodeID(i), 2, -1, path, 0, token)
+	}
+}

@@ -21,6 +21,15 @@ import (
 // write lock: a referenced entry has its bit cleared and goes back to
 // the head, and the first unreferenced one is recycled.
 //
+// PutTagged, the serving layer's store, admits a new key into a full
+// shard only on its second sight. Each shard keeps a doorkeeper (the
+// TinyLFU idea: a small bitset of hashed keys) in which a declined key
+// is marked, so a pair that comes back is stored on its next store,
+// while a stream of pairs that never recur costs a bitset probe
+// instead of a store and an eviction. A shard with free slots, and an
+// overwrite, always admit. Put and PutTree store always: the
+// simulator's cache keeps its reuse and CLOCK order unchanged.
+//
 // The key does not encode the topology or the fault configuration, so a
 // cache shared across runs (or across fault transitions within one run)
 // would happily serve routes planned against a different network. The
@@ -70,6 +79,13 @@ type cacheShard struct {
 	capacity   int
 	table      map[routeKey]*cacheEntry
 	head, tail *cacheEntry
+	// door is the admission doorkeeper, a bitset of hashed keys seen
+	// once while the shard was full; nil until the first gated insert
+	// into a full shard. fresh counts the keys marked since its last
+	// clear, which comes after capacity of them.
+	door     []uint64
+	fresh    int
+	declined atomic.Int64 // gated inserts refused by the doorkeeper
 }
 
 // NewRouteCache builds a cache bounded to roughly the given total number
@@ -131,6 +147,8 @@ func (c *RouteCache) InvalidateTo(token uint64) bool {
 		sh.mu.Lock()
 		sh.table = make(map[routeKey]*cacheEntry)
 		sh.head, sh.tail = nil, nil
+		clear(sh.door)
+		sh.fresh = 0
 		sh.mu.Unlock()
 	}
 	c.invalidations.Add(1)
@@ -174,7 +192,7 @@ func (c *RouteCache) PutTree(s, d gc.NodeID, tree int, path []gc.NodeID) {
 	k := routeKey{s, d, int16(tree)}
 	sh := c.shard(k)
 	sh.mu.Lock()
-	sh.store(k, path, 0)
+	sh.store(k, path, 0, false)
 	sh.mu.Unlock()
 }
 
@@ -203,7 +221,9 @@ func (c *RouteCache) GetTagged(s, d gc.NodeID, tree int, token uint64) ([]gc.Nod
 // it), but only when the cache is still stamped with token — a write
 // racing a fault-epoch swap is dropped rather than poisoning the new
 // epoch with a stale plan. tree scopes the entry to one multipath tree
-// (-1 single-tree).
+// (-1 single-tree). A new key is admitted into a full shard only on its
+// second sight (see RouteCache); a declined store allocates nothing and
+// counts in Declined.
 func (c *RouteCache) PutTagged(s, d gc.NodeID, tree int, path []gc.NodeID, tag uint32, token uint64) {
 	k := routeKey{s, d, int16(tree)}
 	sh := c.shard(k)
@@ -212,7 +232,17 @@ func (c *RouteCache) PutTagged(s, d gc.NodeID, tree int, path []gc.NodeID, tag u
 	if c.epoch.Load() != token {
 		return
 	}
-	sh.store(k, path, tag)
+	sh.store(k, path, tag, true)
+}
+
+// Declined returns how many PutTagged inserts the shards' doorkeepers
+// refused.
+func (c *RouteCache) Declined() int64 {
+	var n int64
+	for i := range c.shards {
+		n += c.shards[i].declined.Load()
+	}
+	return n
 }
 
 // Len returns the current number of cached routes.
@@ -245,8 +275,9 @@ func (sh *cacheShard) lookup(k routeKey) ([]gc.NodeID, uint32, bool) {
 
 // store inserts or overwrites k. An overwrite counts as a use; an
 // insert into a full shard recycles the CLOCK victim instead of
-// allocating. Called with sh.mu write-locked.
-func (sh *cacheShard) store(k routeKey, path []gc.NodeID, tag uint32) {
+// allocating. With gated set, that insert happens only when the
+// doorkeeper has seen k before. Called with sh.mu write-locked.
+func (sh *cacheShard) store(k routeKey, path []gc.NodeID, tag uint32, gated bool) {
 	if e, ok := sh.table[k]; ok {
 		e.path, e.tag = path, tag
 		e.ref.Store(true)
@@ -254,6 +285,10 @@ func (sh *cacheShard) store(k routeKey, path []gc.NodeID, tag uint32) {
 	}
 	var e *cacheEntry
 	if len(sh.table) >= sh.capacity {
+		if gated && !sh.seenBefore(k) {
+			sh.declined.Add(1)
+			return
+		}
 		e = sh.evict()
 	} else {
 		e = &cacheEntry{}
@@ -261,6 +296,39 @@ func (sh *cacheShard) store(k routeKey, path []gc.NodeID, tag uint32) {
 	e.key, e.path, e.tag = k, path, tag
 	sh.table[k] = e
 	sh.pushFront(e)
+}
+
+// seenBefore reports whether the doorkeeper already holds k, marking it
+// when it does not. The bitset has about 8 bits per entry (a power of
+// two, at least one word) and each key sets two of them; it is cleared
+// after capacity first sightings, so it remembers roughly the last
+// shard's worth of declined keys. Called with sh.mu write-locked.
+func (sh *cacheShard) seenBefore(k routeKey) bool {
+	if sh.door == nil {
+		words := 1
+		for words*64 < 8*sh.capacity {
+			words <<= 1
+		}
+		sh.door = make([]uint64, words)
+	}
+	h := uint64(k.s)*0x9e3779b97f4a7c15 ^ uint64(k.d)*0xc2b2ae3d27d4eb4f ^ uint64(uint16(k.tree))*0x165667b19e3779f9
+	h ^= h >> 31
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 29
+	mask := uint64(len(sh.door)*64 - 1)
+	b1, b2 := h&mask, (h>>32)&mask
+	w1, m1 := &sh.door[b1/64], uint64(1)<<(b1%64)
+	w2, m2 := &sh.door[b2/64], uint64(1)<<(b2%64)
+	if *w1&m1 != 0 && *w2&m2 != 0 {
+		return true
+	}
+	*w1 |= m1
+	*w2 |= m2
+	if sh.fresh++; sh.fresh >= sh.capacity {
+		clear(sh.door)
+		sh.fresh = 0
+	}
+	return false
 }
 
 // evict sweeps the list from the tail as a CLOCK ring and unlinks the

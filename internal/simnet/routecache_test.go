@@ -113,6 +113,92 @@ func TestRouteCacheSecondChance(t *testing.T) {
 	}
 }
 
+// TestRouteCacheAdmission pins PutTagged's doorkeeper: a full shard
+// declines a key on its first sight and admits it on its second, an
+// overwrite always lands, the doorkeeper forgets after capacity first
+// sightings, a stale-token write is dropped before admission, and an
+// invalidated (empty) cache admits everything again. Put stays
+// store-always.
+func TestRouteCacheAdmission(t *testing.T) {
+	const token = 3
+	c := NewRouteCache(2 * cacheShards) // two entries per shard
+	c.InvalidateTo(token)
+	k := func(i int) routeKey { return routeKey{s: gc.NodeID(16 * i), d: 1, tree: -1} }
+	for i := 2; i <= 7; i++ {
+		if c.shard(k(i)) != c.shard(k(1)) {
+			t.Fatal("test keys do not share a shard")
+		}
+	}
+	put := func(i int, tag uint32) { c.PutTagged(k(i).s, k(i).d, -1, []gc.NodeID{k(i).s}, tag, token) }
+	has := func(i int) bool { _, _, ok := c.GetTagged(k(i).s, k(i).d, -1, token); return ok }
+	declined := func(step string, want int64) {
+		t.Helper()
+		if got := c.Declined(); got != want {
+			t.Fatalf("%s: Declined = %d, want %d", step, got, want)
+		}
+	}
+
+	put(1, 0)
+	put(2, 0)
+	declined("fill", 0)
+	if !has(1) || !has(2) {
+		t.Fatal("a shard with free slots declined a store")
+	}
+	put(3, 0)
+	if has(3) {
+		t.Fatal("a full shard admitted a key on its first sight")
+	}
+	declined("first sight", 1)
+	put(3, 0)
+	if !has(3) {
+		t.Fatal("a full shard declined a key on its second sight")
+	}
+	declined("second sight", 1)
+
+	put(3, 7)
+	if _, tag, ok := c.GetTagged(k(3).s, k(3).d, -1, token); !ok || tag != 7 {
+		t.Fatalf("overwrite lost: ok=%v tag=%d", ok, tag)
+	}
+	declined("overwrite", 1)
+
+	// k3's first sight was one first sighting; k4's is the second, which
+	// reaches capacity and clears the bitset, so k4 itself is forgotten.
+	put(4, 0)
+	declined("capacity first sightings", 2)
+	put(4, 0)
+	if has(4) {
+		t.Fatal("doorkeeper remembered a key across its reset")
+	}
+	declined("after reset", 3)
+	put(4, 0)
+	if !has(4) {
+		t.Fatal("doorkeeper forgot a key seen after its reset")
+	}
+
+	c.PutTagged(k(6).s, k(6).d, -1, []gc.NodeID{0}, 0, token+1)
+	c.PutTagged(k(6).s, k(6).d, -1, []gc.NodeID{0}, 0, token+1)
+	if _, ok := c.GetTree(k(6).s, k(6).d, -1); ok {
+		t.Fatal("stale-token PutTagged stored")
+	}
+	declined("stale token", 3)
+
+	// Put is not gated: it stores into the full shard at once.
+	c.Put(k(7).s, k(7).d, []gc.NodeID{k(7).s})
+	if _, ok := c.Get(k(7).s, k(7).d); !ok {
+		t.Fatal("Put declined a store")
+	}
+	declined("Put", 3)
+
+	c.InvalidateTo(token + 1)
+	for i := 1; i <= 2; i++ {
+		c.PutTagged(k(i).s, k(i).d, -1, []gc.NodeID{k(i).s}, 0, token+1)
+		if _, _, ok := c.GetTagged(k(i).s, k(i).d, -1, token+1); !ok {
+			t.Fatalf("invalidated cache declined key %d", i)
+		}
+	}
+	declined("after InvalidateTo", 3)
+}
+
 // TestRouteCacheEpochSoak races token-checked hits against fault swaps
 // on a cache small enough that CLOCK sweeps run throughout (run under
 // -race in CI). A writer alternates InvalidateTo and PutTagged of paths
