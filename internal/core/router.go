@@ -156,38 +156,94 @@ func (r *Router) Route(s, d gc.NodeID) (*Result, error) {
 		Dest:         d,
 		Path:         path,
 		TreeWalk:     walk,
-		Optimal:      m.optimal,
-		UsedFallback: m.fallback,
-		Tree:         m.tree,
+		Optimal:      m.Optimal,
+		UsedFallback: m.Fallback,
+		Tree:         m.Tree,
 	}, nil
 }
 
 // RouteInto computes a route from s to d and appends its hop-by-hop
 // path (endpoints included) onto dst, returning the extended slice. It
-// is AppendRoute without the fallback report.
+// is AppendRoute without the context and the report.
 func (r *Router) RouteInto(dst []gc.NodeID, s, d gc.NodeID) ([]gc.NodeID, error) {
-	dst, _, err := r.AppendRoute(dst, s, d)
+	dst, _, err := r.AppendRoute(context.Background(), dst, s, d)
 	return dst, err
 }
 
-// AppendRoute computes a route from s to d and appends its hop-by-hop
-// path (endpoints included) onto dst, returning the extended slice and
-// whether the BFS fallback produced it: Route without the Result
-// envelope. When the strategy fails against the fault pattern and the
-// fallback is enabled, the BFS fallback path is appended instead. When
-// dst has capacity, a warmed-up call performs zero heap allocations,
-// fault-free or through the adaptive GEEC substrate, FREH and the BFS
-// fallback.
-func (r *Router) AppendRoute(dst []gc.NodeID, s, d gc.NodeID) ([]gc.NodeID, bool, error) {
-	dst, m, err := r.route(context.Background(), dst, nil, s, d)
-	return dst, m.fallback, err
+// AppendRoute computes a route from s to d under ctx and appends its
+// hop-by-hop path (endpoints included) onto dst, returning the extended
+// slice and what the planner knows of it beside the path: Route
+// without the Result envelope. When the strategy fails against the
+// fault pattern and the fallback is enabled, the BFS fallback path is
+// appended instead. ctx is checked between hops of the class walk; a
+// canceled route returns ctx's error. When dst has capacity, a
+// warmed-up call under a context that allocates nothing on Err (such
+// as context.Background) performs zero heap allocations, fault-free or
+// through the adaptive GEEC substrate, FREH and the BFS fallback.
+// RouteMeta.Report lifts the results onto the outcome ladder.
+func (r *Router) AppendRoute(ctx context.Context, dst []gc.NodeID, s, d gc.NodeID) ([]gc.NodeID, RouteMeta, error) {
+	return r.route(ctx, dst, nil, s, d)
 }
 
-// routeMeta is what the route core reports beside the path.
-type routeMeta struct {
-	tree     int  // multipath tree planned for; -1 single-tree
-	optimal  int  // fault-free optimum for the pair
-	fallback bool // the BFS last resort produced the path
+// RouteMeta is what the planner reports beside a path.
+type RouteMeta struct {
+	// Tree is the multipath tree the route was planned for; -1 on a
+	// single-tree router.
+	Tree int
+	// Optimal is the fault-free optimum for the pair (0 when the request
+	// was refused before planning).
+	Optimal int
+	// Fallback reports that the BFS last resort produced the path.
+	Fallback bool
+}
+
+// Report lifts one AppendRoute call onto the outcome ladder: path is
+// the route it appended and err its error. A non-nil error returned is
+// a caller mistake (node out of range, faulty endpoint) and carries no
+// report; every network verdict is a nil error with the verdict on the
+// report's Outcome:
+//
+//	delivered on plan            -> OutcomeDelivered
+//	delivered via BFS fallback   -> OutcomeDeliveredDegraded
+//	no route around the faults   -> OutcomeUndeliverable
+//	proven cut off (ErrPartitioned) -> OutcomeUndeliverablePartitioned
+//	ctx canceled / deadline hit  -> OutcomeCanceled
+//
+// The report is returned by value and its Path aliases path, so a
+// caller that plans into its own buffer builds it without allocating.
+func (m RouteMeta) Report(path []gc.NodeID, err error) (RouteReport, error) {
+	switch {
+	case err == nil:
+		rep := RouteReport{
+			Outcome:      OutcomeDelivered,
+			Path:         path,
+			Hops:         len(path) - 1,
+			DetourHops:   len(path) - 1 - m.Optimal,
+			UsedFallback: m.Fallback,
+			TreeID:       m.Tree,
+		}
+		if m.Fallback {
+			rep.Outcome = OutcomeDeliveredDegraded
+			rep.Reason = "BFS last resort"
+		}
+		return rep, nil
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return RouteReport{Outcome: OutcomeCanceled, Reason: err.Error(), TreeID: m.Tree}, nil
+	case errors.Is(err, ErrPartitioned):
+		return RouteReport{
+			Outcome: OutcomeUndeliverablePartitioned,
+			Reason:  "destination class severed from source component",
+			TreeID:  m.Tree,
+		}, nil
+	case errors.Is(err, ErrUnreachable):
+		return RouteReport{
+			Outcome: OutcomeUndeliverable,
+			Reason:  "no route around faults",
+			TreeID:  m.Tree,
+		}, nil
+	default:
+		return RouteReport{}, err
+	}
 }
 
 // route is the one planning ladder behind Route, AppendRoute and
@@ -200,8 +256,8 @@ type routeMeta struct {
 // fallback — the caller has already lost interest. ctx must be
 // non-nil; context.Background().Err() allocates nothing, so the
 // warmed-up fault-free path stays allocation-free.
-func (r *Router) route(ctx context.Context, dst []gc.NodeID, walk *[]gtree.Node, s, d gc.NodeID) ([]gc.NodeID, routeMeta, error) {
-	m := routeMeta{tree: -1}
+func (r *Router) route(ctx context.Context, dst []gc.NodeID, walk *[]gtree.Node, s, d gc.NodeID) ([]gc.NodeID, RouteMeta, error) {
+	m := RouteMeta{Tree: -1}
 	if int(s) >= r.cube.Nodes() || int(d) >= r.cube.Nodes() {
 		return dst, m, fmt.Errorf("core: node out of range for GC(%d,2^%d)", r.cube.N(), r.cube.Alpha())
 	}
@@ -214,7 +270,7 @@ func (r *Router) route(ctx context.Context, dst []gc.NodeID, walk *[]gtree.Node,
 	sc := r.scratch.Get().(*routeScratch)
 	defer r.scratch.Put(sc)
 	sc.tree = resolveTree(r.trees, r.tree, s, d)
-	m.tree = sc.tree
+	m.Tree = sc.tree
 	r.planInto(&sc.plan, s, d)
 	if r.repair != nil {
 		if _, ok := r.repair.CheckWalk(s, d, sc.plan.classes); !ok {
@@ -224,7 +280,7 @@ func (r *Router) route(ctx context.Context, dst []gc.NodeID, walk *[]gtree.Node,
 			return dst, m, ErrPartitioned
 		}
 	}
-	m.optimal = sc.plan.optimal() // before execute consumes the masks
+	m.Optimal = sc.plan.optimal() // before execute consumes the masks
 	if walk != nil {
 		*walk = append(*walk, sc.plan.walk...)
 	}
@@ -265,7 +321,7 @@ func (r *Router) route(ctx context.Context, dst []gc.NodeID, walk *[]gtree.Node,
 		r.traceFallbackPath(dst[start:])
 		r.traceOutcome(trace.OutcomeOK, "bfs-fallback")
 	}
-	m.fallback = true
+	m.Fallback = true
 	return dst, m, nil
 }
 

@@ -9,7 +9,6 @@ package core
 
 import (
 	"context"
-	"errors"
 
 	"gaussiancube/internal/gc"
 )
@@ -61,54 +60,21 @@ var (
 	_ Routing = (*AdaptiveRouter)(nil)
 )
 
-// RouteContext implements Routing on the static planner. The plan is
-// computed and executed under ctx (checked between hops of the class
-// walk); routing failures land on the report's Outcome ladder rather
-// than in the error:
-//
-//	delivered on plan            -> OutcomeDelivered
-//	delivered via BFS fallback   -> OutcomeDeliveredDegraded
-//	no route around the faults   -> OutcomeUndeliverable
-//	proven cut off (ErrPartitioned) -> OutcomeUndeliverablePartitioned
-//	ctx canceled / deadline hit  -> OutcomeCanceled
+// RouteContext implements Routing on the static planner: AppendRoute
+// into a fresh path, lifted onto the outcome ladder by
+// RouteMeta.Report. The plan is computed and executed under ctx
+// (checked between hops of the class walk); routing failures land on
+// the report's Outcome rather than in the error.
 func (r *Router) RouteContext(ctx context.Context, s, d gc.NodeID) (*RouteReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	path, m, err := r.route(ctx, nil, nil, s, d)
-	switch {
-	case err == nil:
-		rep := &RouteReport{
-			Outcome:      OutcomeDelivered,
-			Path:         path,
-			Hops:         len(path) - 1,
-			DetourHops:   len(path) - 1 - m.optimal,
-			UsedFallback: m.fallback,
-			TreeID:       m.tree,
-		}
-		if m.fallback {
-			rep.Outcome = OutcomeDeliveredDegraded
-			rep.Reason = "BFS last resort"
-		}
-		return rep, nil
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return &RouteReport{Outcome: OutcomeCanceled, Reason: err.Error(), TreeID: m.tree}, nil
-	case errors.Is(err, ErrPartitioned):
-		return &RouteReport{
-			Outcome: OutcomeUndeliverablePartitioned,
-			Reason:  "destination class severed from source component",
-			TreeID:  m.tree,
-		}, nil
-	case errors.Is(err, ErrUnreachable):
-		return &RouteReport{
-			Outcome: OutcomeUndeliverable,
-			Reason:  "no route around faults",
-			TreeID:  m.tree,
-		}, nil
-	default:
-		// Caller mistakes: node out of range, faulty endpoint.
+	path, m, err := r.AppendRoute(ctx, nil, s, d)
+	rep, err := m.Report(path, err)
+	if err != nil {
 		return nil, err
 	}
+	return &rep, nil
 }
 
 // RouteContext implements Routing on the adaptive stepper: it drives a

@@ -168,7 +168,7 @@ type MetricsSnapshot struct {
 	Served   int64 `json:"served"`
 	Errors   int64 `json:"errors"`
 	// FastPathHits counts cache hits answered on the submitter's
-	// goroutine without ever enqueueing.
+	// goroutine from the route cache, without planning.
 	FastPathHits int64 `json:"fast_path_hits"`
 	// Coalesced is always 0: the server merges no requests (DESIGN.md
 	// §11). The field is kept only because the bench/ module reads it.
@@ -184,8 +184,8 @@ type MetricsSnapshot struct {
 	Collectives *CollectiveTotals `json:"collectives,omitempty"`
 
 	Outcomes map[string]int64 `json:"outcomes"`
-	// Latency is the merged end-to-end service latency in microseconds
-	// (enqueue to verdict).
+	// Latency is the merged service latency in microseconds (accept to
+	// verdict: a queued request's queue wait included).
 	Latency *metrics.Histogram `json:"latency_us"`
 	// Hops is the merged hop-count distribution over delivered routes.
 	Hops *metrics.Histogram `json:"hops"`

@@ -88,26 +88,22 @@ func (s *Server) Frontier() (epoch, fp uint64) {
 	return es.epoch, es.fp
 }
 
-// degradeResponse returns r with its delivered outcome demoted to
-// DeliveredDegraded for the given reason (already-set reasons are
-// kept); non-delivered verdicts pass through unchanged. It is the
-// shared degrade-marking core (replay window, stale epoch). marked
-// reports whether a copy was made.
-func degradeResponse(r *Response, reason string) (*Response, bool) {
+// degrade demotes r's delivered outcome to DeliveredDegraded for the
+// given reason (an already-set reason is kept), in place; other
+// verdicts are left as they are. It is the shared degrade-marking core
+// (replay window, stale epoch) and reports whether it marked r.
+func degrade(r *Response, reason string) bool {
 	if r.Err != nil || r.Report == nil {
-		return r, false
+		return false
 	}
 	if r.Report.Outcome.Undeliverable() || r.Report.Outcome == core.OutcomeCanceled {
-		return r, false
+		return false
 	}
-	rep := *r.Report
-	rep.Outcome = core.OutcomeDeliveredDegraded
-	if rep.Reason == "" {
-		rep.Reason = reason
+	r.Report.Outcome = core.OutcomeDeliveredDegraded
+	if r.Report.Reason == "" {
+		r.Report.Reason = reason
 	}
-	cp := *r
-	cp.Report = &rep
-	return &cp, true
+	return true
 }
 
 // ---------------------------------------------------------------------

@@ -56,7 +56,7 @@ func (s *Server) SubmitMulticast(ctx context.Context, root gc.NodeID, dests []gc
 // collective is always planned here, on the member that receives it:
 // its verdict depends on the origin and the fault set only, and every
 // member holds the fault set. The answer gets the same replay-window
-// and stale-frontier marking deliver gives unicast responses.
+// and stale-frontier marking markDegraded gives unicast responses.
 func (s *Server) submitCollective(ctx context.Context, root gc.NodeID, dests []gc.NodeID, multicast bool) (*CollectiveResponse, error) {
 	if int(root) >= s.cube.Nodes() {
 		return nil, fmt.Errorf("serve: node out of range for GC(%d,2^%d)", s.cube.N(), s.cube.Alpha())

@@ -209,15 +209,6 @@ func (s *Server) journalCommit(b *journal.Batch) error {
 	return nil
 }
 
-// degradeForReplay marks a response served during the replay window:
-// the verdict stands, but the caller is told the fault state behind
-// it is provisional. The Report is copied, never marked in place: its
-// Path may be the route cache's shared slice, so it is read-only.
-func degradeForReplay(r *Response) *Response {
-	out, _ := degradeResponse(r, replayDegradedReason)
-	return out
-}
-
 // closeJournal seals the journal at shutdown, after the replay
 // goroutine has finished with it.
 func (s *Server) closeJournal() {

@@ -1,24 +1,25 @@
 // Package serve is the concurrent route-serving subsystem: a
-// long-running service that accepts route requests, batches them onto
-// a pool of sharded workers, and keeps routing against a live,
-// mutating fault state.
+// long-running service that accepts route requests, plans them against
+// a live, mutating fault state on sharded routers, and answers them
+// over HTTP/JSON, the gcwire binary protocol or in process.
 //
-// # Architecture (DESIGN.md §10)
+// # Architecture (DESIGN.md §10, §11)
 //
 // Requests are sharded by the source node's ending class — the
-// quantity the whole FFGCR strategy is keyed on — so each worker's
-// router keeps re-planning from a small, hot set of per-class topology
-// tables, and its scratch pool (PR 1's zero-allocation hot path) never
-// migrates between OS threads mid-route. Each shard owns:
+// quantity the whole FFGCR strategy is keyed on — so each shard's
+// routers keep re-planning from a small, hot set of per-class topology
+// tables. Each shard owns:
 //
 //   - one planner Router and one adaptive AdaptiveRouter (both rebuilt
 //     on every fault epoch, against the epoch's frozen fault.Set);
 //   - a tracer-attached twin of each, writing into the shard's private
 //     trace.Ring, used for every TraceEvery-th request (sampled
 //     observability, simnet-style);
-//   - a bounded task queue (backpressure: a full queue rejects with
+//   - a bounded task queue and its worker, for SubmitTree (and so
+//     HTTP) and collectives (backpressure: a full queue rejects with
 //     ErrBackpressure, which the HTTP layer turns into 429 +
-//     Retry-After);
+//     Retry-After). A gcwire miss skips the queue: the connection's
+//     reader runs the worker's own step (serveRoute) itself;
 //   - a RouteCache stamped with the epoch's fault fingerprint, so a
 //     fault mutation atomically invalidates stale paths;
 //   - per-shard metrics.AtomicHistogram for latency and hops, merged
@@ -31,9 +32,10 @@
 // with; there is no epoch lock on the hot path.
 //
 // Shutdown drains: new submissions are refused with ErrDraining, every
-// queued request is answered, then the workers exit. The soak test
-// pins the conservation law — accepted == served, and the latency
-// histogram counts every served request exactly once.
+// queued request and every miss a gcwire reader has accepted is
+// answered, then the workers exit. The soak test pins the conservation
+// law — accepted == served, and the latency histogram counts every
+// served request exactly once.
 package serve
 
 import (
@@ -41,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,8 +165,8 @@ type Response struct {
 }
 
 // request is one unicast route request from submission until its
-// verdict is delivered. A miss carries it by value into its queued
-// task.
+// verdict is delivered. A queued miss carries it by value into its
+// task; a gcwire reader keeps its own on the stack.
 type request struct {
 	ctx context.Context
 	// cancel releases a deadline the server set on ctx (the wire
@@ -175,25 +178,16 @@ type request struct {
 	// single-tree servers, where it is ignored).
 	tree int
 	enq  time.Time
-	done completion
-}
-
-// completion is where a unicast verdict goes: the channel a blocking
-// submitter waits on, or, for a gcwire request, the write queue of the
-// connection it arrived on under its frame id.
-type completion struct {
-	ch chan *Response
-	wc *wireConn
-	id uint64
 }
 
 // task is one queued request. A task with cresp non-nil is a
 // collective (src is the root; dests is the multicast list, nil with
 // multicast unset for a broadcast) and is answered on cresp; otherwise
-// it is a unicast route answered through its completion.
+// it is a unicast route answered on done, where its submitter waits.
 type task struct {
 	request
 
+	done      chan *Response
 	dests     []gc.NodeID
 	multicast bool
 	cresp     chan CollectiveResponse
@@ -267,8 +261,9 @@ type Server struct {
 	// single-tree) — the balance view of the flow striping.
 	treeServed []metrics.Counter
 
-	// mu guards draining against the enqueue fast path (RLock) so
-	// Shutdown can close the shard channels without racing a send.
+	// mu guards draining against enqueue and holdDrain (RLock), so
+	// Shutdown can close the shard channels without racing a send and
+	// Wait for wg without racing an Add.
 	mu       sync.RWMutex
 	draining bool
 	// drain mirrors draining for lock-free reads on the cache-hit fast
@@ -282,7 +277,7 @@ type Server struct {
 	epoch    atomic.Uint64
 
 	shards   []*shard
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // the workers, and readers holding a drain pass
 	accepted metrics.Counter
 	rejected metrics.Counter
 	started  time.Time
@@ -501,45 +496,53 @@ func (s *Server) shardFor(src gc.NodeID) *shard {
 //
 // A planner-mode request is answered on this goroutine when the route
 // cache holds its path (FastRouteTree); otherwise, and always in
-// adaptive mode, it queues on its shard.
+// adaptive mode, it queues on its shard, whose worker answers it.
 //
 // In a cluster the request is answered here whoever owns src's ending
 // class: every member holds the global fault set. Responses served
 // while the journal replays or while the instance trails the gossip
 // frontier are degrade-marked.
 func (s *Server) SubmitTree(ctx context.Context, src, dst gc.NodeID, tree int) (*Response, error) {
-	ch := make(chan *Response, 1)
-	if err := s.submitRoute(ctx, 0, src, dst, tree, completion{ch: ch}, false); err != nil {
+	if ans, ok := s.FastRouteTree(src, dst, tree); ok {
+		resp := responseFromCached(&ans)
+		s.markDegraded(resp)
+		return resp, nil
+	}
+	if err := s.validate(src, dst, tree); err != nil {
+		return nil, err
+	}
+	t := &task{request: s.newRequest(ctx, 0, src, dst, tree), done: make(chan *Response, 1)}
+	if err := s.enqueue(s.shardFor(src), t); err != nil {
+		if t.cancel != nil {
+			t.cancel()
+		}
 		return nil, err
 	}
 	// Every accepted request is answered exactly once — including
 	// during a drain, and with OutcomeCanceled once its deadline dies —
 	// so this receive cannot leak.
-	return <-ch, nil
+	return <-t.done, nil
 }
 
-// submitRoute is the enqueue core of every unicast request: blocking
-// submitters pass a channel completion, the gcwire front end its
-// connection. It never blocks. A non-nil error is a submission-level
-// refusal (out-of-range nodes, an invalid tree, backpressure, drain)
-// and done never fires; otherwise done receives the verdict exactly
-// once, possibly before submitRoute returns (a cache hit). timeout,
-// when positive, bounds the request (the wire's DeadlineMS);
-// otherwise Config.DefaultDeadline applies when ctx has no deadline.
-// missed reports that the caller has just missed the route cache for
-// this request (a gcwire reader's lookupHit), so the fast path is not
-// probed a second time and the request goes straight to its shard.
-func (s *Server) submitRoute(ctx context.Context, timeout time.Duration, src, dst gc.NodeID, tree int, done completion, missed bool) error {
+// validate is the submission-level check of a unicast request:
+// out-of-range nodes and a tree pin the server cannot honor.
+func (s *Server) validate(src, dst gc.NodeID, tree int) error {
 	if int(src) >= s.cube.Nodes() || int(dst) >= s.cube.Nodes() {
 		return fmt.Errorf("serve: node out of range for GC(%d,2^%d)", s.cube.N(), s.cube.Alpha())
 	}
-	if err := s.validateTree(tree); err != nil {
-		return err
-	}
+	return s.validateTree(tree)
+}
+
+// newRequest stamps a validated unicast request. timeout, when
+// positive, bounds it (the wire's DeadlineMS); otherwise
+// Config.DefaultDeadline applies when ctx has no deadline. finish
+// releases the deadline; a caller that refuses the request instead
+// owes its cancel.
+func (s *Server) newRequest(ctx context.Context, timeout time.Duration, src, dst gc.NodeID, tree int) request {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r := request{src: src, dst: dst, tree: tree, done: done}
+	r := request{src: src, dst: dst, tree: tree}
 	if timeout > 0 {
 		ctx, r.cancel = context.WithTimeout(ctx, timeout)
 	} else if _, has := ctx.Deadline(); !has && s.cfg.DefaultDeadline > 0 {
@@ -547,17 +550,7 @@ func (s *Server) submitRoute(ctx context.Context, timeout time.Duration, src, ds
 	}
 	r.ctx = ctx
 	r.enq = time.Now()
-	if !missed {
-		if ans, ok := s.FastRouteTree(src, dst, tree); ok {
-			s.deliver(&r, responseFromCached(&ans), nil)
-			return nil
-		}
-	}
-	err := s.enqueue(s.shardFor(src), &task{request: r})
-	if err != nil && r.cancel != nil {
-		r.cancel()
-	}
-	return err
+	return r
 }
 
 // enqueue puts t on its shard queue without waiting: ErrDraining once
@@ -583,33 +576,19 @@ func (s *Server) enqueue(sh *shard, t *task) error {
 	}
 }
 
-// deliver hands r its verdict, releasing any deadline the server set.
-// Responses served while the journal replays or while the instance
-// trails the gossip frontier are degrade-marked here.
-func (s *Server) deliver(r *request, resp *Response, rb *replyBatch) {
-	if r.cancel != nil {
-		r.cancel()
-	}
+// markDegraded demotes a delivered verdict to DeliveredDegraded while
+// the startup journal replays (the verdict was computed against the
+// seed state, not yet the reconstructed history, so it is honest but
+// provisional) or while the instance trails the cluster's gossip
+// frontier (honest for the epoch it was computed against, but a peer
+// holds newer fault history — never silently wrong). resp's report
+// belongs to the caller, so it is marked in place.
+func (s *Server) markDegraded(resp *Response) {
 	if s.Replaying() {
-		// Served during the startup journal replay: the verdict was
-		// computed against the seed state, not yet the reconstructed
-		// history, so it is honest but provisional.
-		resp = degradeForReplay(resp)
-	} else if m := s.stale.Load(); m != nil {
-		// Served behind the cluster's gossip frontier: the verdict is
-		// honest for the epoch it was computed against, but a peer
-		// holds newer fault history — never silently wrong.
-		if d, marked := degradeResponse(resp, m.reason); marked {
-			s.degradedStale.Inc()
-			resp = d
-		}
+		degrade(resp, replayDegradedReason)
+	} else if m := s.stale.Load(); m != nil && degrade(resp, m.reason) {
+		s.degradedStale.Inc()
 	}
-	if r.done.wc != nil {
-		r.done.wc.reply(r.done.id, resp, rb)
-		return
-	}
-	cp := *resp
-	r.done.ch <- &cp
 }
 
 // CachedAnswer is a fast-path verdict: a cache-hit route answered on
@@ -676,7 +655,7 @@ func (s *Server) lookupHit(src, dst gc.NodeID, tree int) (*shard, CachedAnswer, 
 	path, tag, ok := sh.cache.GetTagged(src, dst, rt, rs.es.fp)
 	if !ok || len(path) == 0 {
 		// Not counted as a shard cache miss here: the request falls
-		// through to the worker, which tallies the miss once without
+		// through to serveRoute, which tallies the miss once without
 		// probing the cache again. The cache only stores delivered
 		// (non-empty) paths, but an empty one would underflow every hops
 		// computation downstream, so it is treated as a miss rather than
@@ -692,10 +671,10 @@ func (s *Server) lookupHit(src, dst gc.NodeID, tree int) (*shard, CachedAnswer, 
 }
 
 // degrading reports whether every answer must now carry a degrade marking,
-// which only deliver applies: during the startup journal replay (the
-// verdict is computed against the seed, not yet the reconstructed
+// which only markDegraded applies: during the startup journal replay
+// (the verdict is computed against the seed, not yet the reconstructed
 // history) and while this instance trails the cluster's gossip
-// frontier. The fast path refuses to answer then, so the worker makes
+// frontier. The fast path refuses to answer then, so serveRoute makes
 // the request's only cache probe. One predictable-branch atomic load is
 // the hot-path cost of each window; with no journal (or once caught up)
 // and no cluster, neither word changes.
@@ -795,17 +774,18 @@ func (s *Server) publishHits(sh *shard, h *shardHits) {
 }
 
 // responseFromCached lifts a fast-path verdict into the Response
-// envelope SubmitTree returns — byte-for-byte what the worker's cache-hit
-// branch would have produced.
+// envelope SubmitTree returns — byte-for-byte what serveRoute's
+// cache-hit branch would have produced.
 func responseFromCached(a *CachedAnswer) *Response {
-	return &Response{Report: cachedReport(a.Path, uint32(a.DetourHops), a.Tree), Epoch: a.Epoch, CacheHit: true}
+	rep := cachedReport(a.Path, uint32(a.DetourHops), a.Tree)
+	return &Response{Report: &rep, Epoch: a.Epoch, CacheHit: true}
 }
 
 // worker drains one shard's queue in batches until the channel closes.
 func (s *Server) worker(sh *shard) {
 	defer s.wg.Done()
 	batch := make([]*task, 0, s.cfg.Batch)
-	var replies replyBatch
+	var pb planBuf
 	for {
 		t, ok := <-sh.ch
 		if !ok {
@@ -829,94 +809,127 @@ func (s *Server) worker(sh *shard) {
 		// which is the freshest — never a stale — view.
 		rs := sh.state.Load()
 		for _, tk := range batch {
-			s.process(sh, rs, tk, &replies)
+			if tk.cresp != nil {
+				s.processCollective(sh, rs, tk)
+			} else {
+				tk.done <- pb.detach(s.serveRoute(sh, rs, &tk.request, &pb))
+			}
 		}
-		// One append and one signal per connection lets each
-		// connection's writer send the batch's replies in one write. The
-		// worker itself never touches a socket.
-		replies.publish()
 	}
 }
 
-// testHookProcess, when non-nil, runs at the top of every process call.
-// Tests use it to hold a worker mid-task and observe backpressure
+// planBuf is one planning goroutine's reusable verdict: a shard
+// worker's or a gcwire reader's. serveRoute plans a planner-mode route
+// into path and reports it in rep and resp, so answering a miss
+// allocates nothing; all three are overwritten by the goroutine's next
+// request.
+type planBuf struct {
+	path []gc.NodeID
+	rep  core.RouteReport
+	resp Response
+}
+
+// detach copies a verdict out of pb for a submitter that keeps it.
+func (pb *planBuf) detach(resp *Response) *Response {
+	cp := *resp
+	if cp.Report == &pb.rep {
+		rep := pb.rep
+		rep.Path = slices.Clone(rep.Path)
+		cp.Report = &rep
+	}
+	return &cp
+}
+
+// testHookProcess, when non-nil, runs at the top of every serveRoute
+// call, on a shard worker or a gcwire reader. Tests use it to hold
+// either mid-request and observe backpressure and drain
 // deterministically.
 var testHookProcess func()
 
-// process serves one task on its shard's worker.
-func (s *Server) process(sh *shard, rs *shardRouters, t *task, rb *replyBatch) {
+// serveRoute is the one step of every unicast request that missed the
+// fast path, run by a shard worker for a queued task and by a gcwire
+// reader for its own miss: the deadline check, the degrade-window
+// cache probe, the router (traced, pinned or plain), the cache store,
+// the accounting and the degrade marking (finish). The request must
+// already be counted accepted. The verdict returned lives in pb until
+// pb's next use: a planner-mode route is planned into pb.path, and the
+// cache copies the path only when it stores it.
+func (s *Server) serveRoute(sh *shard, rs *shardRouters, r *request, pb *planBuf) *Response {
 	if testHookProcess != nil {
 		testHookProcess()
 	}
-	if t.cresp != nil {
-		s.processCollective(sh, rs, t)
-		return
-	}
-	if err := t.ctx.Err(); err != nil {
-		// Deadline died in the queue: still answered, still counted.
-		rep := &core.RouteReport{Outcome: core.OutcomeCanceled, Reason: err.Error(), TreeID: -1}
-		s.finish(sh, t, Response{Report: rep, Epoch: rs.es.epoch}, rb)
-		return
+	resp := &pb.resp
+	*resp = Response{Epoch: rs.es.epoch}
+	if err := r.ctx.Err(); err != nil {
+		// Deadline died before planning: still answered, still counted.
+		pb.rep = core.RouteReport{Outcome: core.OutcomeCanceled, Reason: err.Error(), TreeID: -1}
+		resp.Report = &pb.rep
+		return s.finish(sh, r, resp)
 	}
 	n, sampled := s.sample(sh)
 
 	// rt is the tree the plan lives under — the explicit pin, or the
 	// flow stripe the auto routers resolve internally (same hash).
-	rt := s.resolveTree(t.src, t.dst, t.tree)
-	if sh.cache != nil && !s.cfg.Adaptive {
-		// Every unicast task probed the cache on submission (lookupHit)
-		// unless a degrade-marking window refused it (a draining server
-		// enqueues nothing new), so only then does the worker probe;
-		// otherwise it counts the submission's miss. len(path) > 0
-		// mirrors lookupHit's guard: only delivered paths are ever
-		// stored, but an empty one must not reach cachedReport.
+	rt := s.resolveTree(r.src, r.dst, r.tree)
+	caching := sh.cache != nil && !s.cfg.Adaptive
+	if caching {
+		// Every unicast request probed the cache before it got here
+		// (lookupHit or FastRouteTree) unless a degrade-marking window
+		// refused it (a draining server accepts nothing new), so only
+		// then is it probed again; otherwise the miss is counted.
+		// len(path) > 0 mirrors lookupHit's guard: only delivered paths
+		// are ever stored, but an empty one must not reach cachedReport.
 		if s.degrading() {
-			if path, tag, ok := sh.cache.GetTagged(t.src, t.dst, rt, rs.es.fp); ok && len(path) > 0 {
+			if path, tag, ok := sh.cache.GetTagged(r.src, r.dst, rt, rs.es.fp); ok && len(path) > 0 {
 				sh.cacheHits.Inc()
 				if sampled {
 					sh.sampled.Inc()
-					sh.ring.Emit(trace.Event{Kind: trace.KindPacket, From: uint32(t.src), To: uint32(t.dst), Arg: int32(n)})
-					sh.ring.Emit(trace.Event{Kind: trace.KindCacheHit, From: uint32(t.src), To: uint32(t.dst)})
+					sh.ring.Emit(trace.Event{Kind: trace.KindPacket, From: uint32(r.src), To: uint32(r.dst), Arg: int32(n)})
+					sh.ring.Emit(trace.Event{Kind: trace.KindCacheHit, From: uint32(r.src), To: uint32(r.dst)})
 				}
-				s.finish(sh, t, Response{Report: cachedReport(path, tag, rt), Epoch: rs.es.epoch, CacheHit: true}, rb)
-				return
+				pb.rep = cachedReport(path, tag, rt)
+				resp.Report, resp.CacheHit = &pb.rep, true
+				return s.finish(sh, r, resp)
 			}
 		}
 		sh.cacheMisses.Inc()
 	}
 
 	router := rs.plain
-	if t.tree >= 0 && rs.pinned != nil && t.tree < len(rs.pinned) {
-		router = rs.pinned[t.tree]
+	if r.tree >= 0 && rs.pinned != nil && r.tree < len(rs.pinned) {
+		router = rs.pinned[r.tree]
 	} else if sampled {
 		router = rs.traced
 	}
 	if sampled {
 		sh.sampled.Inc()
-		sh.ring.Emit(trace.Event{Kind: trace.KindPacket, From: uint32(t.src), To: uint32(t.dst), Arg: int32(n)})
-		if sh.cache != nil && !s.cfg.Adaptive {
-			sh.ring.Emit(trace.Event{Kind: trace.KindCacheMiss, From: uint32(t.src), To: uint32(t.dst)})
+		sh.ring.Emit(trace.Event{Kind: trace.KindPacket, From: uint32(r.src), To: uint32(r.dst), Arg: int32(n)})
+		if caching {
+			sh.ring.Emit(trace.Event{Kind: trace.KindCacheMiss, From: uint32(r.src), To: uint32(r.dst)})
 		}
 	}
-	rep, err := router.RouteContext(t.ctx, t.src, t.dst)
-	if err != nil {
-		s.finish(sh, t, Response{Err: err, Epoch: rs.es.epoch}, rb)
-		return
+	if planner, ok := router.(*core.Router); ok {
+		path, m, err := planner.AppendRoute(r.ctx, pb.path[:0], r.src, r.dst)
+		pb.path = path
+		if pb.rep, resp.Err = m.Report(path, err); resp.Err == nil {
+			resp.Report = &pb.rep
+		}
+	} else {
+		resp.Report, resp.Err = router.RouteContext(r.ctx, r.src, r.dst)
 	}
-	if sh.cache != nil && !s.cfg.Adaptive && !rep.Outcome.Undeliverable() && rep.Outcome != core.OutcomeCanceled {
+	if resp.Err != nil {
+		return s.finish(sh, r, resp)
+	}
+	if rep := resp.Report; caching && !rep.Outcome.Undeliverable() && rep.Outcome != core.OutcomeCanceled {
 		// The detour tag is stamped once here, at insertion — the planner
 		// already knows its hops beyond the fault-free optimum, so no
 		// BFS ever runs on a hit, which is what lets FastRouteTree stay
 		// allocation- and BFS-free. The epoch token pins the entry to the
 		// fault state it was planned against: a Put racing a fault swap
 		// is dropped instead of poisoning the new epoch.
-		extra := rep.DetourHops
-		if extra < 0 {
-			extra = 0
-		}
-		sh.cache.PutTagged(t.src, t.dst, rt, rep.Path, uint32(extra), rs.es.fp)
+		sh.cache.PutTagged(r.src, r.dst, rt, rep.Path, uint32(max(rep.DetourHops, 0)), rs.es.fp)
 	}
-	s.finish(sh, t, Response{Report: rep, Epoch: rs.es.epoch}, rb)
+	return s.finish(sh, r, resp)
 }
 
 // cachedReport rebuilds a routing envelope from a cached path and its
@@ -924,8 +937,8 @@ func (s *Server) process(sh *shard, rs *shardRouters, t *task, rb *replyBatch) {
 // was planned around faults, so it reports the degraded rung exactly
 // like its original route did. tree is the multipath tree the entry is
 // keyed under (-1 single-tree).
-func cachedReport(path []gc.NodeID, tag uint32, tree int) *core.RouteReport {
-	rep := &core.RouteReport{Outcome: core.OutcomeDelivered, Path: path, Hops: len(path) - 1, DetourHops: int(tag), TreeID: tree}
+func cachedReport(path []gc.NodeID, tag uint32, tree int) core.RouteReport {
+	rep := core.RouteReport{Outcome: core.OutcomeDelivered, Path: path, Hops: len(path) - 1, DetourHops: int(tag), TreeID: tree}
 	if tag > 0 {
 		rep.Outcome = core.OutcomeDeliveredDegraded
 		rep.Reason = "cached detour"
@@ -933,22 +946,68 @@ func cachedReport(path []gc.NodeID, tag uint32, tree int) *core.RouteReport {
 	return rep
 }
 
-// finish records one served task and answers it. Every accepted task
-// passes through here exactly once — the conservation law the metrics
-// and the drain test rely on.
-func (s *Server) finish(sh *shard, t *task, r Response, rb *replyBatch) {
+// finish records one served request, releases any deadline the server
+// set on it and applies the degrade marking. Every accepted unicast
+// request that misses the fast path passes through here exactly once,
+// before its answer can reach anyone — the conservation law the
+// metrics and the drain tests rely on.
+func (s *Server) finish(sh *shard, r *request, resp *Response) *Response {
 	sh.served.Inc()
-	sh.latency.Add(float64(time.Since(t.enq).Microseconds()))
-	if r.Err != nil {
+	sh.latency.Add(float64(time.Since(r.enq).Microseconds()))
+	if resp.Err != nil {
 		sh.errored.Inc()
 	} else {
-		sh.outcomes[int(r.Report.Outcome)].Inc()
-		s.countTree(r.Report.TreeID)
-		if !r.Report.Outcome.Undeliverable() && r.Report.Outcome != core.OutcomeCanceled {
-			sh.hops.Add(float64(r.Report.Hops))
+		sh.outcomes[int(resp.Report.Outcome)].Inc()
+		s.countTree(resp.Report.TreeID)
+		if !resp.Report.Outcome.Undeliverable() && resp.Report.Outcome != core.OutcomeCanceled {
+			sh.hops.Add(float64(resp.Report.Hops))
 		}
 	}
-	s.deliver(&t.request, &r, rb)
+	if r.cancel != nil {
+		r.cancel()
+	}
+	s.markDegraded(resp)
+	return resp
+}
+
+// holdDrain registers a gcwire reader's burst of misses with the drain:
+// until the matching releaseDrain, Shutdown waits, so every miss the
+// reader accepts under the hold is answered before Shutdown returns.
+// It reports false once the drain has begun. One hold covers a whole
+// burst, so the shared lock word is touched once per burst, never once
+// per miss.
+func (s *Server) holdDrain() bool {
+	s.mu.RLock()
+	ok := !s.draining
+	if ok {
+		// The workers keep wg above zero until draining is set, so this
+		// Add never races Shutdown's Wait.
+		s.wg.Add(1)
+	}
+	s.mu.RUnlock()
+	return ok
+}
+
+// releaseDrain ends a holdDrain.
+func (s *Server) releaseDrain() { s.wg.Done() }
+
+// routeHere answers one unicast request that missed the fast path on
+// the calling goroutine — a gcwire reader holding a drain pass
+// (holdDrain) — through the shard worker's own step, serveRoute. The
+// verdict lives in pb until its next use. A non-nil error is a
+// submission-level refusal: out-of-range nodes, an invalid tree, or
+// the drain.
+func (s *Server) routeHere(timeout time.Duration, src, dst gc.NodeID, tree int, pb *planBuf) (*Response, error) {
+	if err := s.validate(src, dst, tree); err != nil {
+		return nil, err
+	}
+	if s.drain.Load() {
+		return nil, ErrDraining
+	}
+	r := s.newRequest(context.Background(), timeout, src, dst, tree)
+	s.accepted.Inc()
+	sh := s.shardFor(src)
+	return s.serveRoute(sh, sh.state.Load(), &r, pb), nil
 }
 
 // ApplyFaults validates and applies a batch of fault mutations as one
@@ -1077,7 +1136,8 @@ func applyOp(fs *fault.Set, op FaultOp) {
 }
 
 // Shutdown drains the server: new submissions are refused with
-// ErrDraining, every queued request is answered, workers exit. It
+// ErrDraining, every queued request and every miss a gcwire reader has
+// accepted is answered, workers exit. It
 // returns ctx's error if the drain outlives it (workers keep draining
 // regardless). Shutdown is idempotent; concurrent calls all wait for
 // the one drain.
@@ -1088,8 +1148,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.drain.Store(true) // refuse fast-path answers from here on
 	s.mu.Unlock()
 	if first {
-		// No sender can be in flight: SubmitTree holds mu.RLock around its
-		// send and re-checks draining under it.
+		// No sender can be in flight: enqueue holds mu.RLock around its
+		// send and re-checks draining under it. Workers and gcwire
+		// readers holding a drain pass (holdDrain) count in wg.
 		for _, sh := range s.shards {
 			close(sh.ch)
 		}

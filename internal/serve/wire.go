@@ -33,17 +33,22 @@ import (
 // steady-state hit therefore costs zero heap allocations and no
 // goroutine switch.
 //
-// A miss costs no goroutine either: the reader enqueues it on its
-// shard queue with the connection as its completion target, and the
-// shard worker that answers it encodes the reply into its batch's
-// share for the connection. At the end of the batch the worker appends
-// each share to its connection's writeCombiner and signals the
-// connection's writer goroutine once, which sends the batch's replies
-// in one write. The worker never touches a socket, so a client that
-// stops reading stalls only its own connection. Out-of-order replies
-// are the protocol's contract, correlated by request id. Only a
+// A miss is answered on the reader too, with no queue and no
+// goroutine handoff: the reader loads the shard's routers and runs the
+// shard worker's own step (Server.serveRoute: deadline, degrade-window
+// cache probe, planner, cache store, accounting, degrade marking) into
+// a per-connection plan buffer, then encodes the reply into the same
+// write buffer as its hits, so the burst's replies leave in its one
+// flush. A planner-mode miss allocates nothing. One drain hold per
+// burst (Server.holdDrain) keeps Shutdown waiting until every miss the
+// reader has accepted is answered. There is no shard-queue bound on
+// the wire: a client that pipelines faster than its reader plans is
+// slowed by TCP flow control, and one that stops reading parks only
+// its own reader once flushAt bytes wait for the socket. Only a
 // collective (a whole-plan computation the reader must not wait on)
-// rides a goroutine, and its reply goes through the same combiner.
+// rides a goroutine and the shard queue; it appends its reply to the
+// connection's writeCombiner and flushes it itself. Out-of-order
+// replies are the protocol's contract, correlated by request id.
 type WireServer struct {
 	srv *Server
 	ln  net.Listener
@@ -83,7 +88,7 @@ func (ws *WireServer) Serve() error {
 			c.Close()
 			return nil
 		}
-		wc := &wireConn{out: newWriteCombiner(c), kick: make(chan struct{}, 1)}
+		wc := &wireConn{out: newWriteCombiner(c)}
 		ws.conns[c] = wc
 		ws.wg.Add(1)
 		ws.mu.Unlock()
@@ -112,120 +117,38 @@ func (ws *WireServer) Close() error {
 }
 
 // wireConn is one connection's reply side: the combiner every reply
-// frame goes through, the wakeup of the writer goroutine that flushes
-// it for the shard workers, and the requests answered off the reader
-// (queued misses, collectives) that still owe a reply.
+// frame goes through, and the collectives answered off the reader that
+// still owe a reply.
 type wireConn struct {
 	out      *writeCombiner
-	kick     chan struct{} // capacity 1: a pending wakeup covers later ones
 	inflight sync.WaitGroup
-}
-
-// signal wakes the connection's writer goroutine (write) to flush. It
-// never blocks.
-func (wc *wireConn) signal() {
-	select {
-	case wc.kick <- struct{}{}:
-	default:
-	}
-}
-
-// write is the connection's writer goroutine: it flushes on every
-// signal until stop closes, so the goroutines that only append and
-// signal — the shard workers above all — never wait on the socket. A
-// signal that finds a write in progress is answered by that write's
-// next pass.
-func (wc *wireConn) write(stop <-chan struct{}) {
-	for {
-		select {
-		case <-wc.kick:
-			_ = wc.out.flush(nil, 0)
-		case <-stop:
-			return
-		}
-	}
-}
-
-// reply answers one unicast request with its verdict. On a shard
-// worker the reply joins the worker's batch (rb), published when the
-// batch ends; elsewhere (rb nil) it is queued and the writer signalled
-// at once. Either way the inflight count settles only once the reply is
-// queued.
-func (wc *wireConn) reply(id uint64, resp *Response, rb *replyBatch) {
-	if rb != nil {
-		st := rb.stage(wc)
-		st.buf = appendRouteReply(st.buf, id, resp, nil)
-		st.n++
-		return
-	}
-	b := wc.out.lock()
-	b = appendRouteReply(b, id, resp, nil)
-	wc.out.unlock(b)
-	wc.signal()
-	wc.inflight.Done()
-}
-
-// replyBatch stages a shard worker's gcwire replies per connection for
-// one batch. At the batch's end each connection gets its replies in one
-// append and one signal, so its writer sends the whole batch in one
-// write and never catches it half-queued.
-type replyBatch struct {
-	staged []stagedReplies
-	used   int
-}
-
-// stagedReplies is one connection's share of a batch: n replies
-// encoded back to back in buf.
-type stagedReplies struct {
-	wc  *wireConn
-	buf []byte
-	n   int
-}
-
-// stage returns wc's share of the batch, opening one (and reusing an
-// earlier batch's buffer) on its first reply.
-func (b *replyBatch) stage(wc *wireConn) *stagedReplies {
-	for i := range b.staged[:b.used] {
-		if b.staged[i].wc == wc {
-			return &b.staged[i]
-		}
-	}
-	if b.used == len(b.staged) {
-		b.staged = append(b.staged, stagedReplies{})
-	}
-	st := &b.staged[b.used]
-	b.used++
-	st.wc = wc
-	return st
-}
-
-// publish queues every staged share on its connection, signals the
-// connection's writer, and only then settles the replies' inflight
-// counts, so a closing connection waits for them.
-func (b *replyBatch) publish() {
-	for i := range b.staged[:b.used] {
-		st := &b.staged[i]
-		q := st.wc.out.lock()
-		q = append(q, st.buf...)
-		st.wc.out.unlock(q)
-		st.wc.signal()
-		st.wc.inflight.Add(-st.n)
-		st.wc, st.buf, st.n = nil, st.buf[:0], 0
-	}
-	b.used = 0
 }
 
 // cachedDetourReason is the fast path's preencoded degraded reason —
 // the byte twin of cachedReport's "cached detour".
 var cachedDetourReason = []byte("cached detour")
 
+// wakeIdleP starts a goroutine that does nothing, which makes the Go
+// runtime wake an idle P, if there is one, to run it; that P first
+// runs its expired timers. A reader answers hits and misses itself and
+// readies no other goroutine, and while one connection's
+// request/reply exchange keeps the runtime's netpoller handing the
+// connection's goroutines to one P, timers parked on an idle P (the
+// journal's group-commit window, request deadlines) are not run until
+// the exchange pauses or a GC starts: beside one busy connection,
+// fault acks took ~1–2 s on all-miss traffic and ~30–50 ms on all-hit
+// traffic instead of ~3 ms. A reader wakes one at its flush at most
+// every idleWakeEvery, which bounds how late such a timer fires: a
+// wake per burst cost wire-churn ~25% of its batch latency, one per
+// 2 ms a few percent.
+func wakeIdleP() { go func() {}() }
+
+// idleWakeEvery is the most time a busy reader lets pass between two
+// wakeIdleP calls.
+const idleWakeEvery = 2 * time.Millisecond
+
 func (ws *WireServer) handleConn(c net.Conn, wc *wireConn) {
 	defer ws.wg.Done()
-	stop, writerDone := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		wc.write(stop)
-	}()
 	br := bufio.NewReaderSize(c, 64<<10)
 	var hdr [wire.HeaderSize]byte
 	payload := make([]byte, 0, 4096)
@@ -233,18 +156,36 @@ func (ws *WireServer) handleConn(c net.Conn, wc *wireConn) {
 	var res wire.RouteResult // reused fast-path encode scratch
 	var req wire.RouteReq
 	var ops []wire.FaultOp
-	// flushAt is a syscall's worth of batching for the reader's own
+	var pb planBuf // the reader's misses are planned into it
+	// flushAt is a syscall's worth of batching for the reader's
 	// replies, and the most reply bytes the connection queues before the
 	// reader stops reading: a client that does not read its replies
-	// stalls its own reader, never a shard worker.
+	// stalls its own reader, and nothing else.
 	flushAt := 256 << 10
 
 	// hits accounts the reader's cache hits. It is published before every
 	// write of the replies they answer, so a client never reads a reply
-	// that Served has not counted.
+	// that Served has not counted (a miss is counted before its reply is
+	// encoded).
 	hits := ws.srv.newHitTally()
+	// held is the burst's drain hold (Server.holdDrain), taken at its
+	// first miss and released before the reader can block: on a write,
+	// or on a read of bytes not yet buffered.
+	held := false
+	release := func() {
+		if held {
+			ws.srv.releaseDrain()
+			held = false
+		}
+	}
+	var woke time.Time // the reader's last wakeIdleP
 	flush := func() bool {
+		release()
 		hits.publish(ws.srv)
+		if now := time.Now(); now.Sub(woke) > idleWakeEvery {
+			woke = now
+			wakeIdleP()
+		}
 		err := wc.out.flush(wbuf, flushAt)
 		wbuf = wbuf[:0]
 		return err == nil
@@ -265,6 +206,9 @@ read:
 			payload = make([]byte, h.Len)
 		}
 		payload = payload[:h.Len]
+		if br.Buffered() < len(payload) {
+			release()
+		}
 		if _, err := io.ReadFull(br, payload); err != nil {
 			break
 		}
@@ -302,7 +246,16 @@ read:
 				wbuf = wire.AppendRouteResult(wbuf, h.ID, &res)
 				break
 			}
-			wbuf = ws.routeMiss(wbuf, wc, h.ID, req)
+			// A miss is planned here. Every member answers every request
+			// it receives, whoever owns the source class, so the
+			// NoForward flag changes nothing.
+			if !held && !ws.srv.holdDrain() {
+				wbuf = appendRefusal(wbuf, h.ID, ErrDraining)
+				break
+			}
+			held = true
+			resp, err := ws.srv.routeHere(time.Duration(req.DeadlineMS)*time.Millisecond, req.Src, req.Dst, tree, &pb)
+			wbuf = appendRouteReply(wbuf, h.ID, resp, err)
 		case wire.TypeBroadcastReq:
 			var breq wire.BroadcastReq
 			if err := wire.DecodeBroadcastReq(payload, &breq); err != nil {
@@ -358,39 +311,13 @@ read:
 		}
 	}
 	flush()
-	// Let in-flight requests answer (Shutdown guarantees queued tasks are
-	// served), then send what they queued before the connection goes
-	// away under them.
+	// Let in-flight collectives answer (Shutdown guarantees queued tasks
+	// are served); each flushes its own reply before it is done.
 	wc.inflight.Wait()
-	_ = wc.out.flush(nil, 0)
-	close(stop)
-	<-writerDone
 	ws.mu.Lock()
 	delete(ws.conns, c)
 	ws.mu.Unlock()
 	c.Close()
-}
-
-// routeMiss answers a RouteReq the fast path could not. The reader's
-// lookupHit has just missed, so it skips the fast path and is enqueued
-// with the connection as its completion target: the shard worker
-// that answers it queues the reply, with OutcomeCanceled if its
-// deadline died in the queue. Every member answers every request it
-// receives, whoever owns the source class, so the NoForward flag
-// changes nothing. A refusal is appended to wbuf, the reader's own
-// batch.
-func (ws *WireServer) routeMiss(wbuf []byte, wc *wireConn, id uint64, req wire.RouteReq) []byte {
-	tree := core.TreeAuto
-	if req.Flags&wire.RouteFlagTree != 0 {
-		tree = int(req.Tree)
-	}
-	timeout := time.Duration(req.DeadlineMS) * time.Millisecond
-	wc.inflight.Add(1)
-	if err := ws.srv.submitRoute(context.Background(), timeout, req.Src, req.Dst, tree, completion{wc: wc, id: id}, true); err != nil {
-		wc.inflight.Done()
-		return appendRouteReply(wbuf, id, nil, err)
-	}
-	return wbuf
 }
 
 // appendRouteReply encodes one unicast answer as its reply frame: an
@@ -452,7 +379,7 @@ func appendRefusal(dst []byte, id uint64, err error) []byte {
 
 // collectiveMiss serves a broadcast/multicast request off the reader
 // goroutine — a collective is always a whole-plan computation, never a
-// cache hit — and queues its CollectiveResult frame on the
+// cache hit — and sends its CollectiveResult frame through the
 // connection's combiner. The frame's Flags byte is not read: a
 // collective is planned on the member that receives it, so NoForward
 // changes nothing.
@@ -467,7 +394,7 @@ func (ws *WireServer) collectiveMiss(wc *wireConn, id uint64, root gc.NodeID, de
 			defer cancel()
 		}
 		resp, err := ws.srv.submitCollective(ctx, root, dests, multicast)
-		b := wc.out.lock()
+		var b []byte
 		switch {
 		case err != nil:
 			b = appendRefusal(b, id, err)
@@ -477,8 +404,7 @@ func (ws *WireServer) collectiveMiss(wc *wireConn, id uint64, root gc.NodeID, de
 			res := collectiveWireResult(resp)
 			b = wire.AppendCollectiveResult(b, id, &res)
 		}
-		wc.out.unlock(b)
-		wc.signal()
+		_ = wc.out.flush(b, 0)
 	}()
 }
 
@@ -600,12 +526,12 @@ func (ws *WireServer) epochSync(wbuf []byte, id uint64, req wire.EpochSyncReq) [
 }
 
 // writeCombiner is a WireServer connection's outbound queue, shared by
-// its reader, the shard workers, the collective goroutines and its
-// writer goroutine. Any number of goroutines append frames under a
-// short mutex; whoever flushes while no write is in progress becomes
-// the writer and loops until the queue is empty, so every frame
-// appended during a write leaves in the next one. The mutex is never
-// held across a syscall, so appending never waits on the socket.
+// its reader and its collective goroutines, each of which flushes its
+// own frames. Whoever flushes while no write is in progress becomes
+// the writer and loops until the queue is empty; a flush that finds a
+// write in progress appends its frames to the queue under a short
+// mutex, and they leave in that writer's next write. The mutex is
+// never held across a syscall.
 type writeCombiner struct {
 	c net.Conn
 
@@ -622,22 +548,6 @@ func newWriteCombiner(c net.Conn) *writeCombiner {
 	w := &writeCombiner{c: c}
 	w.drained.L = &w.mu
 	return w
-}
-
-// lock locks the queue and returns it for the caller to append frames
-// to; unlock stores the grown queue back and unlocks.
-func (w *writeCombiner) lock() []byte {
-	w.mu.Lock()
-	return w.queued
-}
-
-func (w *writeCombiner) unlock(b []byte) {
-	if w.err != nil {
-		b = b[:0] // the connection is dead: nobody will read these
-	}
-	w.queued = b
-	w.backlog.Store(int64(len(b)))
-	w.mu.Unlock()
 }
 
 // queuedBytes reports how many bytes wait behind the write in progress.

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/bits"
@@ -301,11 +302,11 @@ func (e *engine) route(src, dst gc.NodeID, sampled bool) ([]gc.NodeID, error) {
 	if sampled {
 		r = e.traced
 	}
-	path, fallback, err := r.AppendRoute(nil, src, dst)
+	path, m, err := r.AppendRoute(context.Background(), nil, src, dst)
 	if err != nil {
 		return nil, err
 	}
-	if fallback {
+	if m.Fallback {
 		stats.FallbackRoutes++
 	}
 	if e.cache != nil {

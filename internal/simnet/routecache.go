@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -223,7 +224,8 @@ func (c *RouteCache) GetTagged(s, d gc.NodeID, tree int, token uint64) ([]gc.Nod
 // epoch with a stale plan. tree scopes the entry to one multipath tree
 // (-1 single-tree). A new key is admitted into a full shard only on its
 // second sight (see RouteCache); a declined store allocates nothing and
-// counts in Declined.
+// counts in Declined. Unlike Put, PutTagged does not take ownership of
+// path: the caller may reuse it, and the cache stores its own copy.
 func (c *RouteCache) PutTagged(s, d gc.NodeID, tree int, path []gc.NodeID, tag uint32, token uint64) {
 	k := routeKey{s, d, int16(tree)}
 	sh := c.shard(k)
@@ -275,27 +277,31 @@ func (sh *cacheShard) lookup(k routeKey) ([]gc.NodeID, uint32, bool) {
 
 // store inserts or overwrites k. An overwrite counts as a use; an
 // insert into a full shard recycles the CLOCK victim instead of
-// allocating. With gated set, that insert happens only when the
-// doorkeeper has seen k before. Called with sh.mu write-locked.
+// allocating. With gated set (PutTagged), that insert happens only
+// when the doorkeeper has seen k before, and path, which the caller
+// keeps, is copied only once it is stored. Called with sh.mu
+// write-locked.
 func (sh *cacheShard) store(k routeKey, path []gc.NodeID, tag uint32, gated bool) {
-	if e, ok := sh.table[k]; ok {
-		e.path, e.tag = path, tag
+	e, ok := sh.table[k]
+	if ok {
 		e.ref.Store(true)
-		return
-	}
-	var e *cacheEntry
-	if len(sh.table) >= sh.capacity {
-		if gated && !sh.seenBefore(k) {
+	} else {
+		if len(sh.table) < sh.capacity {
+			e = &cacheEntry{}
+		} else if gated && !sh.seenBefore(k) {
 			sh.declined.Add(1)
 			return
+		} else {
+			e = sh.evict()
 		}
-		e = sh.evict()
-	} else {
-		e = &cacheEntry{}
+		e.key = k
+		sh.table[k] = e
+		sh.pushFront(e)
 	}
-	e.key, e.path, e.tag = k, path, tag
-	sh.table[k] = e
-	sh.pushFront(e)
+	if gated {
+		path = slices.Clone(path)
+	}
+	e.path, e.tag = path, tag
 }
 
 // seenBefore reports whether the doorkeeper already holds k, marking it
