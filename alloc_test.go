@@ -212,9 +212,9 @@ func TestRouteIntoFallbackAllocs(t *testing.T) {
 	}
 }
 
-// TestRouteContextAllocs: a warmed-up fault-free Router.RouteContext —
-// the shard worker's miss path — allocates only its report and the
-// path the report owns; no intermediate Result or TreeWalk copy.
+// TestRouteContextAllocs: a warmed-up fault-free Router.RouteContext
+// allocates only its report and the path the report owns; no
+// intermediate Result or TreeWalk copy.
 func TestRouteContextAllocs(t *testing.T) {
 	cube := gc.New(14, 2)
 	r := core.NewRouter(cube)

@@ -1,7 +1,7 @@
 // Command gcserved serves Gaussian Cube routing over HTTP/JSON: a
-// long-running front end over the sharded worker pool of
-// internal/serve, with live fault mutation, merged metrics, sampled
-// tracing and graceful drain on SIGTERM.
+// long-running front end over the sharded routers of internal/serve,
+// with live fault mutation, merged metrics, sampled tracing and
+// graceful drain on SIGTERM.
 //
 // Usage:
 //
@@ -15,14 +15,15 @@
 //
 // Endpoints: POST/GET /route, GET|POST /faults, GET /metrics,
 // GET /debug/traces, GET /healthz, /debug/pprof/*, /debug/vars.
-// Backpressure: a full shard queue answers 429 with Retry-After;
-// routing verdicts (delivered, degraded, undeliverable, partitioned,
-// canceled) are 200s carrying the outcome in the body.
+// Backpressure: a request over its shard's in-flight bound (-queue)
+// answers 429 with Retry-After; routing verdicts (delivered, degraded,
+// undeliverable, partitioned, canceled) are 200s carrying the outcome
+// in the body.
 //
 // -wire-addr additionally serves the gcwire binary protocol
 // (DESIGN.md §11) on a second listener: the same Server, the same
 // fault epoch, answered over length-prefixed frames with the
-// cache-hit fast path in front of the shard queues.
+// cache-hit fast path in front of the planner.
 //
 // -journal-dir makes the fault state durable (DESIGN.md §12): every
 // fault mutation is appended to a checksummed, hash-chained journal
@@ -81,9 +82,8 @@ func run(args []string, out io.Writer) error {
 		alpha       = fs.Uint("alpha", 3, "modulus exponent: M = 2^alpha")
 		addr        = fs.String("addr", ":8321", "listen address")
 		wireAddr    = fs.String("wire-addr", "", "also serve the gcwire binary protocol on this address (empty = off)")
-		shards      = fs.Int("shards", 0, "worker shards (0 = min(GOMAXPROCS, 2^alpha))")
-		queue       = fs.Int("queue", 256, "per-shard queue depth (backpressure bound)")
-		batch       = fs.Int("batch", 32, "max requests a worker drains per wakeup")
+		shards      = fs.Int("shards", 0, "router shards (0 = min(GOMAXPROCS, 2^alpha))")
+		queue       = fs.Int("queue", 256, "per-shard bound on requests in flight (backpressure bound)")
 		cache       = fs.Int("cache", 0, "per-shard route-cache entries (0 default, <0 disable)")
 		traceEvery  = fs.Int("trace-every", 0, "sample every Nth request into the shard trace ring (0 = off)")
 		adaptive    = fs.Bool("adaptive", false, "route with per-hop adaptive discovery instead of planning")
@@ -159,7 +159,6 @@ func run(args []string, out io.Writer) error {
 		Faults:          initial,
 		Shards:          *shards,
 		QueueDepth:      *queue,
-		Batch:           *batch,
 		CacheCapacity:   *cache,
 		TraceEvery:      *traceEvery,
 		Adaptive:        *adaptive,
@@ -252,12 +251,11 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintln(out, "gcserved: draining...")
 	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	// Stop accepting new work first — HTTP, then the wire listener (its
-	// Close unblocks every connection reader and waits for each
-	// connection's in-flight misses, which need the workers still
-	// running) — then
-	// drain the worker queues; every request accepted before the signal
-	// is answered.
+	// Stop accepting new work first — HTTP (its Shutdown waits for the
+	// handlers planning requests), then the wire listener (its Close
+	// unblocks every connection reader and waits for each connection's
+	// in-flight collectives) — then drain the server; every request
+	// accepted before the signal is answered.
 	if err := httpSrv.Shutdown(dctx); err != nil {
 		return fmt.Errorf("http shutdown: %w", err)
 	}
@@ -342,9 +340,9 @@ func buildPattern(name string, bits uint, seed int64) (workload.Pattern, error) 
 	}
 }
 
-// refusal classifies an error as a load-shedding verdict (queue full,
-// endpoint currently faulty) rather than a transport failure, on
-// either surface.
+// refusal classifies an error as a load-shedding verdict (shard over
+// its in-flight bound, endpoint currently faulty) rather than a
+// transport failure, on either surface.
 func refusal(err error) bool {
 	var se *gcube.StatusError
 	if errors.As(err, &se) {
@@ -473,7 +471,7 @@ func runSelftest(out io.Writer, srv *gcube.Server, cfg selftestConfig) error {
 				r, err := route(src, dst)
 				if err != nil {
 					if refusal(err) {
-						refused.Add(1) // queue full, or endpoint currently faulty
+						refused.Add(1) // backpressure, or endpoint currently faulty
 						continue
 					}
 					failed.Add(1)

@@ -124,7 +124,9 @@ type FaultsResponse struct {
 	Applied int `json:"applied,omitempty"`
 }
 
-// ShardSnapshot is one shard's slice of the metrics scrape.
+// ShardSnapshot is one shard's slice of the metrics scrape. Queue is
+// the shard's SubmitTree and collective requests in flight (at most
+// Config.QueueDepth); gcwire misses are not counted.
 type ShardSnapshot struct {
 	Shard       int   `json:"shard"`
 	Served      int64 `json:"served"`
@@ -184,8 +186,8 @@ type MetricsSnapshot struct {
 	Collectives *CollectiveTotals `json:"collectives,omitempty"`
 
 	Outcomes map[string]int64 `json:"outcomes"`
-	// Latency is the merged service latency in microseconds (accept to
-	// verdict: a queued request's queue wait included).
+	// Latency is the merged service latency in microseconds, accept to
+	// verdict (a fast-path hit counts as 0).
 	Latency *metrics.Histogram `json:"latency_us"`
 	// Hops is the merged hop-count distribution over delivered routes.
 	Hops *metrics.Histogram `json:"hops"`
@@ -241,7 +243,7 @@ func (s *Server) Metrics() *MetricsSnapshot {
 			Sampled:      sh.sampled.Value(),
 			Errors:       sh.errored.Value(),
 			Outcomes:     make(map[string]int64),
-			Queue:        len(sh.ch),
+			Queue:        int(sh.inflight.Load()),
 			Collectives:  sh.collectives.Value(),
 			Latency:      sh.latency.Snapshot(),
 			Hops:         sh.hops.Snapshot(),

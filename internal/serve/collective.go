@@ -12,12 +12,13 @@ import (
 
 // Collective serving: broadcast and multicast as first-class request
 // types riding the same sharded pipeline as unicast routes. A
-// collective is one queued task — it shares the shard's bounded queue
-// (so backpressure applies), is planned against the worker's epoch
-// snapshot (so a fault swap mid-flight is invisible), and is accounted
-// exactly once in the accepted == served conservation law. The
-// per-destination outcome ladder lives inside the CollectiveReport;
-// the response-level outcome the metrics tally is the summary rung.
+// collective is planned on the goroutine that submits it; it counts
+// against its root shard's in-flight bound (so backpressure applies),
+// is planned against one epoch snapshot (so a fault swap mid-flight is
+// invisible), and is accounted exactly once in the accepted == served
+// conservation law. The per-destination outcome ladder lives inside
+// the CollectiveReport; the response-level outcome the metrics tally
+// is the summary rung.
 
 // CollectiveResponse is the served verdict for one broadcast or
 // multicast request.
@@ -49,14 +50,15 @@ func (s *Server) SubmitMulticast(ctx context.Context, root gc.NodeID, dests []gc
 	return s.submitCollective(ctx, root, dests, true)
 }
 
-// submitCollective validates, queues, and waits. Out-of-range nodes
-// are submission errors (the HTTP 400 class), checked before anything
-// is enqueued so a bad request never costs a queue slot. dests is nil
-// for a broadcast; multicast distinguishes an explicit empty list. A
-// collective is always planned here, on the member that receives it:
-// its verdict depends on the origin and the fault set only, and every
-// member holds the fault set. The answer gets the same replay-window
-// and stale-frontier marking markDegraded gives unicast responses.
+// submitCollective validates, admits and plans on the caller.
+// Out-of-range nodes are submission errors (the HTTP 400 class),
+// checked before admission so a bad request never costs an in-flight
+// slot. dests is nil for a broadcast; multicast distinguishes an
+// explicit empty list. A collective is always planned here, on the
+// member that receives it: its verdict depends on the origin and the
+// fault set only, and every member holds the fault set. The answer
+// gets the same replay-window and stale-frontier marking markDegraded
+// gives unicast responses.
 func (s *Server) submitCollective(ctx context.Context, root gc.NodeID, dests []gc.NodeID, multicast bool) (*CollectiveResponse, error) {
 	if int(root) >= s.cube.Nodes() {
 		return nil, fmt.Errorf("serve: node out of range for GC(%d,2^%d)", s.cube.N(), s.cube.Alpha())
@@ -66,24 +68,13 @@ func (s *Server) submitCollective(ctx context.Context, root gc.NodeID, dests []g
 			return nil, fmt.Errorf("serve: destination %d out of range for GC(%d,2^%d)", d, s.cube.N(), s.cube.Alpha())
 		}
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var cancel context.CancelFunc
-	if _, has := ctx.Deadline(); !has && s.cfg.DefaultDeadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultDeadline)
-		defer cancel()
-	}
-	t := &task{
-		request: request{ctx: ctx, src: root, enq: time.Now()},
-		dests:   dests, multicast: multicast,
-		cresp: make(chan CollectiveResponse, 1),
-	}
-	if err := s.enqueue(s.shardFor(root), t); err != nil {
+	sh := s.shardFor(root)
+	if err := s.admit(sh); err != nil {
 		return nil, err
 	}
-	r := <-t.cresp
-	resp := &r
+	defer s.release(sh)
+	r := s.newRequest(ctx, 0, root, 0, core.TreeAuto)
+	resp := s.processCollective(sh, sh.state.Load(), &r, dests, multicast)
 	if s.Replaying() {
 		resp = degradeCollective(resp, "journal replay in progress; verdict from seed fault state")
 	} else if m := s.stale.Load(); m != nil {
@@ -95,49 +86,55 @@ func (s *Server) submitCollective(ctx context.Context, root gc.NodeID, dests []g
 	return resp, nil
 }
 
-// processCollective serves one queued collective on its shard worker.
-func (s *Server) processCollective(sh *shard, rs *shardRouters, t *task) {
-	if err := t.ctx.Err(); err != nil {
-		s.finishCollective(sh, t, CollectiveResponse{Report: s.canceledCollective(t), Epoch: rs.es.epoch})
-		return
+// processCollective is the one step of every collective request, run
+// on the goroutine that submitted it, against rs (its shard's routers
+// for one epoch): the deadline check, the plan and the accounting
+// (finishCollective). r.src is the root; dests is the multicast list
+// (nil, with multicast unset, for a broadcast). The request must
+// already be counted accepted.
+func (s *Server) processCollective(sh *shard, rs *shardRouters, r *request, dests []gc.NodeID, multicast bool) *CollectiveResponse {
+	if testHookProcess != nil {
+		testHookProcess()
 	}
-	r := rs.coll
+	if err := r.ctx.Err(); err != nil {
+		return s.finishCollective(sh, r, CollectiveResponse{Report: s.canceledCollective(r.src, dests, multicast), Epoch: rs.es.epoch})
+	}
+	router := rs.coll
 	if n, sampled := s.sample(sh); sampled {
 		sh.sampled.Inc()
-		sh.ring.Emit(trace.Event{Kind: trace.KindPacket, From: uint32(t.src), To: uint32(t.src), Arg: int32(n)})
-		r = rs.collTraced
+		sh.ring.Emit(trace.Event{Kind: trace.KindPacket, From: uint32(r.src), To: uint32(r.src), Arg: int32(n)})
+		router = rs.collTraced
 	}
 	var rep *core.CollectiveReport
 	var err error
-	if t.multicast {
-		rep, err = r.MulticastPlan(t.src, t.dests)
+	if multicast {
+		rep, err = router.MulticastPlan(r.src, dests)
 	} else {
-		rep, err = r.BroadcastPlan(t.src)
+		rep, err = router.BroadcastPlan(r.src)
 	}
 	if err != nil {
-		s.finishCollective(sh, t, CollectiveResponse{Err: err, Epoch: rs.es.epoch})
-		return
+		return s.finishCollective(sh, r, CollectiveResponse{Err: err, Epoch: rs.es.epoch})
 	}
-	s.finishCollective(sh, t, CollectiveResponse{Report: rep, Epoch: rs.es.epoch})
+	return s.finishCollective(sh, r, CollectiveResponse{Report: rep, Epoch: rs.es.epoch})
 }
 
 // canceledCollective builds the all-canceled report for a collective
-// whose deadline died in the queue: every requested destination is
-// answered OutcomeCanceled — answered, counted, never dropped. The
-// canceled destinations tally as Unreached, keeping the partition law
-// (delivered + degraded + unreached == requested) intact.
-func (s *Server) canceledCollective(t *task) *core.CollectiveReport {
-	rep := &core.CollectiveReport{Origin: t.src, Root: t.src}
+// whose deadline died before it was planned: every requested
+// destination is answered OutcomeCanceled — answered, counted, never
+// dropped. The canceled destinations tally as Unreached, keeping the
+// partition law (delivered + degraded + unreached == requested) intact.
+func (s *Server) canceledCollective(root gc.NodeID, dests []gc.NodeID, multicast bool) *core.CollectiveReport {
+	rep := &core.CollectiveReport{Origin: root, Root: root}
 	defer func() { rep.Unreached = len(rep.Dests) }()
-	if t.multicast {
-		rep.Dests = make([]core.DestStatus, len(t.dests))
-		for i, d := range t.dests {
+	if multicast {
+		rep.Dests = make([]core.DestStatus, len(dests))
+		for i, d := range dests {
 			rep.Dests[i] = core.DestStatus{Dest: d, Outcome: core.OutcomeCanceled, Hops: -1}
 		}
 	} else {
 		rep.Dests = make([]core.DestStatus, 0, s.cube.Nodes()-1)
 		for v := 0; v < s.cube.Nodes(); v++ {
-			if gc.NodeID(v) != t.src {
+			if gc.NodeID(v) != root {
 				rep.Dests = append(rep.Dests, core.DestStatus{Dest: gc.NodeID(v), Outcome: core.OutcomeCanceled, Hops: -1})
 			}
 		}
@@ -145,13 +142,14 @@ func (s *Server) canceledCollective(t *task) *core.CollectiveReport {
 	return rep
 }
 
-// finishCollective records one served collective and answers it —
-// once through here per accepted collective, the same conservation
-// law finish enforces for unicast tasks.
-func (s *Server) finishCollective(sh *shard, t *task, r CollectiveResponse) {
+// finishCollective records one served collective, releases any
+// deadline the server set on it and returns its verdict — once through
+// here per accepted collective, the same conservation law finish
+// enforces for unicast requests.
+func (s *Server) finishCollective(sh *shard, req *request, r CollectiveResponse) *CollectiveResponse {
 	sh.served.Inc()
 	sh.collectives.Inc()
-	sh.latency.Add(float64(time.Since(t.enq).Microseconds()))
+	sh.latency.Add(float64(time.Since(req.enq).Microseconds()))
 	if r.Err != nil {
 		sh.errored.Inc()
 	} else {
@@ -160,7 +158,10 @@ func (s *Server) finishCollective(sh *shard, t *task, r CollectiveResponse) {
 		sh.collDegraded.Add(int64(r.Report.Degraded))
 		sh.collUnreached.Add(int64(r.Report.Unreached))
 	}
-	t.cresp <- r
+	if req.cancel != nil {
+		req.cancel()
+	}
+	return &r
 }
 
 // collectiveSummaryOutcome folds a per-destination ladder into the one

@@ -55,7 +55,7 @@ func collectiveOracle(cube *gc.Cube, fs *fault.Set, root gc.NodeID) []bool {
 // the BFS oracle for the fault set it was served under: zero false
 // unreachables, zero false (or duplicate) deliveries, and the
 // delivered + degraded + unreached partition exact. An all-canceled
-// verdict (deadline died in the queue) is exempt from reachability but
+// verdict (deadline died before planning) is exempt from reachability but
 // not from conservation.
 func checkCollectiveAgainstOracle(t testing.TB, cube *gc.Cube, fs *fault.Set, resp *CollectiveResponse) {
 	t.Helper()
@@ -297,7 +297,7 @@ func TestWireCollective(t *testing.T) {
 
 // TestCollectiveChurnSoak is the PR's acceptance gate: concurrent
 // broadcast and multicast clients race 64 copy-on-write fault epochs
-// (some with deadlines short enough to die in the queue), every
+// (some with deadlines short enough to die before planning), every
 // answered collective is validated against the BFS delivery oracle for
 // the exact epoch it was served under, and after the drain the
 // accepted == served conservation law holds with the collective ladder
@@ -308,7 +308,6 @@ func TestCollectiveChurnSoak(t *testing.T) {
 		Cube:            cube,
 		Shards:          4,
 		QueueDepth:      64,
-		Batch:           8,
 		TraceEvery:      32,
 		DefaultDeadline: 2 * time.Second,
 	})
@@ -347,7 +346,7 @@ func TestCollectiveChurnSoak(t *testing.T) {
 				ctx := context.Background()
 				var cancel context.CancelFunc
 				if rng.Intn(4) == 0 {
-					// A deadline short enough to kill some requests mid-queue:
+					// A deadline short enough to kill some requests unplanned:
 					// the racing-cancellation arm of the soak.
 					ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.Intn(300))*time.Microsecond)
 				}

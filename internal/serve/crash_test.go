@@ -423,10 +423,10 @@ func TestServeDegradedDuringReplay(t *testing.T) {
 	_ = srv.Shutdown(ctx)
 }
 
-// TestServeReplayCacheHit pins the window the worker still probes the
-// route cache in: while the startup replay runs the fast path refuses
-// every request, so a pair cached during the replay is answered by the
-// worker's own probe, as a cache hit degrade-marked with the replay
+// TestServeReplayCacheHit pins the window the miss step still probes
+// the route cache in: while the startup replay runs the fast path
+// refuses every request, so a pair cached during the replay is
+// answered by serveRoute's own probe, as a cache hit degrade-marked with the replay
 // reason, not planned again.
 func TestServeReplayCacheHit(t *testing.T) {
 	cube := gc.New(8, 2)

@@ -3,8 +3,12 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -177,8 +181,9 @@ func TestTracesDisabled(t *testing.T) {
 	}
 }
 
-// TestHTTPBackpressureAndDrain: a full queue is 429 + Retry-After; a
-// draining server is 503 on /route and /healthz.
+// TestHTTPBackpressureAndDrain: a request over its shard's in-flight
+// bound is 429 + Retry-After; a draining server is 503 on /route and
+// /healthz.
 func TestHTTPBackpressureAndDrain(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
@@ -189,21 +194,12 @@ func TestHTTPBackpressureAndDrain(t *testing.T) {
 	defer func() { testHookProcess = nil }()
 
 	cube := gc.New(6, 2)
-	s := mustServer(t, Config{Cube: cube, Shards: 1, QueueDepth: 1, Batch: 1})
+	s := mustServer(t, Config{Cube: cube, Shards: 1, QueueDepth: 1})
 	h := NewHandler(s)
 
-	done := make(chan struct{}, 2)
+	done := make(chan struct{}, 1)
 	go func() { get(t, h, "/route?src=1&dst=2"); done <- struct{}{} }()
-	<-entered
-	go func() { get(t, h, "/route?src=1&dst=3"); done <- struct{}{} }()
-	deadline := time.After(5 * time.Second)
-	for s.Metrics().Accepted < 2 {
-		select {
-		case <-deadline:
-			t.Fatal("queue never filled")
-		case <-time.After(time.Millisecond):
-		}
-	}
+	<-entered // held mid-plan: the shard has 1 of 1 in flight
 
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest("GET", "/route?src=1&dst=4", nil))
@@ -212,7 +208,9 @@ func TestHTTPBackpressureAndDrain(t *testing.T) {
 	}
 	close(release)
 	<-done
-	<-done
+	if m := s.Metrics(); m.Accepted != 1 || m.Served != 1 || m.Rejected != 1 {
+		t.Fatalf("accepted=%d served=%d rejected=%d, want 1/1/1", m.Accepted, m.Served, m.Rejected)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -224,5 +222,67 @@ func TestHTTPBackpressureAndDrain(t *testing.T) {
 	}
 	if code, _ := get(t, h, "/healthz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("draining /healthz: %d", code)
+	}
+}
+
+// TestHTTPKeepsTimers is TestWireReaderKeepsTimers for HTTP: a /route
+// miss is planned on its handler's goroutine, which readies no other
+// goroutine, so one keep-alive client looping misses (cache disabled)
+// must not stall the process's timers. Fault batches applied beside it
+// on a journaled server (2 ms group commit) must still be acked in
+// milliseconds.
+func TestHTTPKeepsTimers(t *testing.T) {
+	cube := gc.New(10, 3)
+	s := mustServer(t, Config{Cube: cube, CacheCapacity: -1, Journal: &JournalConfig{Dir: t.TempDir(), Sync: 2 * time.Millisecond}})
+	if err := s.WaitJournal(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+	client := ts.Client()
+
+	stop, routed := make(chan struct{}), make(chan error, 1)
+	go func() {
+		rng := rand.New(rand.NewSource(1))
+		for {
+			select {
+			case <-stop:
+				routed <- nil
+				return
+			default:
+			}
+			resp, err := client.Get(fmt.Sprintf("%s/route?src=%d&dst=%d", ts.URL, rng.Intn(cube.Nodes()), rng.Intn(cube.Nodes())))
+			if err != nil {
+				routed <- err
+				return
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				routed <- fmt.Errorf("/route: status %d", resp.StatusCode)
+				return
+			}
+		}
+	}()
+	const applies = 60
+	acks := make([]time.Duration, applies)
+	for i := range acks {
+		time.Sleep(10 * time.Millisecond)
+		start := time.Now()
+		if _, _, err := s.ApplyFaults(nil); err != nil {
+			t.Fatal(err)
+		}
+		acks[i] = time.Since(start)
+	}
+	close(stop)
+	if err := <-routed; err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(acks)
+	if p90 := acks[applies*9/10]; p90 > 100*time.Millisecond {
+		t.Fatalf("fault acks beside a busy HTTP client: p50 %v, p90 %v, want p90 <= 100ms", acks[applies/2], p90)
+	}
+	if m := s.Metrics(); m.Served == 0 || m.FastPathHits != 0 {
+		t.Fatalf("served=%d fast-path hits=%d, want misses only", m.Served, m.FastPathHits)
 	}
 }

@@ -186,7 +186,6 @@ func TestMultipathSoakFaultChurn(t *testing.T) {
 			Trees:           4,
 			Adaptive:        adaptive,
 			QueueDepth:      64,
-			Batch:           8,
 			CacheCapacity:   2048,
 			DefaultDeadline: 2 * time.Second,
 		})

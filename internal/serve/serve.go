@@ -15,15 +15,23 @@
 //   - a tracer-attached twin of each, writing into the shard's private
 //     trace.Ring, used for every TraceEvery-th request (sampled
 //     observability, simnet-style);
-//   - a bounded task queue and its worker, for SubmitTree (and so
-//     HTTP) and collectives (backpressure: a full queue rejects with
+//   - an in-flight count of the SubmitTree (and so HTTP) and
+//     collective requests planning on it, bounded by QueueDepth
+//     (backpressure: a request over the bound is refused with
 //     ErrBackpressure, which the HTTP layer turns into 429 +
-//     Retry-After). A gcwire miss skips the queue: the connection's
-//     reader runs the worker's own step (serveRoute) itself;
+//     Retry-After);
 //   - a RouteCache stamped with the epoch's fault fingerprint, so a
 //     fault mutation atomically invalidates stale paths;
 //   - per-shard metrics.AtomicHistogram for latency and hops, merged
 //     lock-free at scrape time.
+//
+// No shard has a goroutine of its own. Every request is planned on the
+// goroutine that submits it, through one step: serveRoute for a
+// unicast route that missed the route cache, processCollective for a
+// broadcast or multicast. The route is a pure function of (source,
+// destination, frozen fault set), so callers share a shard's routers
+// without a lock. A gcwire reader plans its connection's misses itself,
+// outside the in-flight bound (TCP flow control paces it instead).
 //
 // Fault state evolves by copy-on-write (fault.Set.MutateCopy): a
 // mutation builds the next frozen set, bumps the epoch, swaps each
@@ -31,11 +39,10 @@
 // caches. In-flight requests finish against the epoch they started
 // with; there is no epoch lock on the hot path.
 //
-// Shutdown drains: new submissions are refused with ErrDraining, every
-// queued request and every miss a gcwire reader has accepted is
-// answered, then the workers exit. The soak test pins the conservation
-// law — accepted == served, and the latency histogram counts every
-// served request exactly once.
+// Shutdown drains: new submissions are refused with ErrDraining, and it
+// returns once every request already accepted is answered. The soak
+// test pins the conservation law — accepted == served, and the latency
+// histogram counts every served request exactly once.
 package serve
 
 import (
@@ -43,7 +50,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,15 +68,16 @@ import (
 // Submission errors. Routing-level failures are not errors: they are
 // rungs on the core.Outcome ladder inside the Response.
 var (
-	// ErrBackpressure: the target shard's queue is full. The caller
-	// should retry after RetryAfter.
-	ErrBackpressure = errors.New("serve: shard queue full")
+	// ErrBackpressure: the target shard already has QueueDepth requests
+	// in flight. The caller should retry after RetryAfter.
+	ErrBackpressure = errors.New("serve: shard at its in-flight bound")
 	// ErrDraining: the server is shutting down and accepts no new work.
 	ErrDraining = errors.New("serve: server draining")
 )
 
 // RetryAfter is the backoff hint attached to backpressure rejections
-// (the HTTP layer's Retry-After header).
+// (the HTTP layer's Retry-After header): a shard over its in-flight
+// bound frees a slot as soon as one of its requests is answered.
 const RetryAfter = 1 * time.Second
 
 // Config parameterizes a Server. Zero values pick the documented
@@ -80,14 +87,12 @@ type Config struct {
 	Cube *gc.Cube
 	// Faults seeds the initial fault state (cloned; nil means fault-free).
 	Faults *fault.Set
-	// Shards is the worker count; requests map to shards by source
+	// Shards is the shard count; requests map to shards by source
 	// ending class modulo Shards. Default min(GOMAXPROCS, 2^alpha).
 	Shards int
-	// QueueDepth bounds each shard's pending queue (default 256).
+	// QueueDepth bounds each shard's SubmitTree and collective requests
+	// in flight (default 256); one more is refused with ErrBackpressure.
 	QueueDepth int
-	// Batch bounds how many queued requests a worker drains per wakeup
-	// (default 32). Batching amortizes the per-wakeup epoch-state load.
-	Batch int
 	// CacheCapacity is the per-shard route-cache entry bound. 0 picks
 	// simnet.DefaultRouteCacheCapacity/16; negative disables caching.
 	// The cache serves planner mode only — adaptive flights rediscover.
@@ -136,9 +141,6 @@ func (c *Config) fill() error {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
-	if c.Batch <= 0 {
-		c.Batch = 32
-	}
 	if c.CacheCapacity == 0 {
 		c.CacheCapacity = simnet.DefaultRouteCacheCapacity / 16
 	}
@@ -164,33 +166,21 @@ type Response struct {
 	CacheHit bool
 }
 
-// request is one unicast route request from submission until its
-// verdict is delivered. A queued miss carries it by value into its
-// task; a gcwire reader keeps its own on the stack.
+// request is one route or collective request from submission until
+// its verdict is delivered, kept on its planning goroutine's stack.
 type request struct {
 	ctx context.Context
 	// cancel releases a deadline the server set on ctx (the wire
 	// DeadlineMS or DefaultDeadline); nil otherwise.
-	cancel   context.CancelFunc
+	cancel context.CancelFunc
+	// src is the source, or a collective's root; a collective leaves
+	// dst and tree unused.
 	src, dst gc.NodeID
 	// tree is the requested multipath tree: an explicit pin in
 	// [0, Trees.K()), or TreeAuto (-1) for per-flow striping (and for
 	// single-tree servers, where it is ignored).
 	tree int
 	enq  time.Time
-}
-
-// task is one queued request. A task with cresp non-nil is a
-// collective (src is the root; dests is the multicast list, nil with
-// multicast unset for a broadcast) and is answered on cresp; otherwise
-// it is a unicast route answered on done, where its submitter waits.
-type task struct {
-	request
-
-	done      chan *Response
-	dests     []gc.NodeID
-	multicast bool
-	cresp     chan CollectiveResponse
 }
 
 // epochState is the immutable fault state of one epoch, shared by all
@@ -219,13 +209,16 @@ type shardRouters struct {
 	pinned []core.Routing
 }
 
-// shard is one worker's private world.
+// shard is one slice of the source ending classes and its routing
+// state, metrics and in-flight bound.
 type shard struct {
 	id    int
-	ch    chan *task
 	state atomic.Pointer[shardRouters]
 	cache *simnet.RouteCache // nil when disabled
 	ring  *trace.Ring        // nil when TraceEvery == 0
+	// inflight counts the admitted SubmitTree and collective requests
+	// not yet answered (admit, release); QueueDepth bounds it.
+	inflight atomic.Int64
 
 	latency *metrics.AtomicHistogram // microseconds
 	hops    *metrics.AtomicHistogram
@@ -261,14 +254,14 @@ type Server struct {
 	// single-tree) — the balance view of the flow striping.
 	treeServed []metrics.Counter
 
-	// mu guards draining against enqueue and holdDrain (RLock), so
-	// Shutdown can close the shard channels without racing a send and
-	// Wait for wg without racing an Add.
+	// mu guards draining against admit and holdDrain (RLock), so
+	// Shutdown can Wait for wg without racing an Add.
 	mu       sync.RWMutex
 	draining bool
 	// drain mirrors draining for lock-free reads on the cache-hit fast
-	// path, which never touches the shard channels and so needs no
-	// ordering against their close — only a refusal bit.
+	// path and on a gcwire reader that already holds a drain pass, which
+	// add nothing to wg and so need no ordering against Shutdown's Wait,
+	// only a refusal bit.
 	drain atomic.Bool
 
 	// faultsMu serializes ApplyFaults; readers go through state.
@@ -277,7 +270,7 @@ type Server struct {
 	epoch    atomic.Uint64
 
 	shards   []*shard
-	wg       sync.WaitGroup // the workers, and readers holding a drain pass
+	wg       sync.WaitGroup // admitted requests and readers holding a drain pass
 	accepted metrics.Counter
 	rejected metrics.Counter
 	started  time.Time
@@ -304,7 +297,8 @@ type Server struct {
 	degradedStale metrics.Counter
 }
 
-// New builds and starts a server: workers are running on return.
+// New builds a server, ready to serve on return. It starts no goroutine
+// unless a journal is configured, which replays in the background.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -331,7 +325,6 @@ func New(cfg Config) (*Server, error) {
 	for i := range s.shards {
 		sh := &shard{
 			id:      i,
-			ch:      make(chan *task, cfg.QueueDepth),
 			latency: metrics.NewAtomicHistogram(0, latencyHi, latencyBuckets),
 			hops:    metrics.NewAtomicHistogram(0, s.maxHops, hopsBuckets),
 		}
@@ -347,8 +340,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		sh.state.Store(s.buildShardRouters(sh, es))
 		s.shards[i] = sh
-		s.wg.Add(1)
-		go s.worker(sh)
 	}
 	if cfg.Journal != nil {
 		// The journal opens and replays in the background: the server is
@@ -494,9 +485,10 @@ func (s *Server) shardFor(src gc.NodeID) *shard {
 // routing verdicts on Response.Report.Outcome. ctx bounds the request;
 // Config.DefaultDeadline applies when ctx carries no deadline.
 //
-// A planner-mode request is answered on this goroutine when the route
-// cache holds its path (FastRouteTree); otherwise, and always in
-// adaptive mode, it queues on its shard, whose worker answers it.
+// The request is answered on this goroutine: from the route cache when
+// it holds the path (FastRouteTree, planner mode only), otherwise
+// planned here. While QueueDepth requests are already in flight on the
+// source's shard it is refused with ErrBackpressure.
 //
 // In a cluster the request is answered here whoever owns src's ending
 // class: every member holds the global fault set. Responses served
@@ -511,17 +503,13 @@ func (s *Server) SubmitTree(ctx context.Context, src, dst gc.NodeID, tree int) (
 	if err := s.validate(src, dst, tree); err != nil {
 		return nil, err
 	}
-	t := &task{request: s.newRequest(ctx, 0, src, dst, tree), done: make(chan *Response, 1)}
-	if err := s.enqueue(s.shardFor(src), t); err != nil {
-		if t.cancel != nil {
-			t.cancel()
-		}
+	sh := s.shardFor(src)
+	if err := s.admit(sh); err != nil {
 		return nil, err
 	}
-	// Every accepted request is answered exactly once — including
-	// during a drain, and with OutcomeCanceled once its deadline dies —
-	// so this receive cannot leak.
-	return <-t.done, nil
+	defer s.release(sh)
+	// The caller keeps the verdict, so it gets a planBuf of its own.
+	return s.serveMiss(ctx, 0, sh, src, dst, tree, new(planBuf)), nil
 }
 
 // validate is the submission-level check of a unicast request:
@@ -533,11 +521,11 @@ func (s *Server) validate(src, dst gc.NodeID, tree int) error {
 	return s.validateTree(tree)
 }
 
-// newRequest stamps a validated unicast request. timeout, when
-// positive, bounds it (the wire's DeadlineMS); otherwise
-// Config.DefaultDeadline applies when ctx has no deadline. finish
-// releases the deadline; a caller that refuses the request instead
-// owes its cancel.
+// newRequest stamps a validated request (a collective's src is its
+// root; its dst and tree go unused). timeout, when positive, bounds it
+// (the wire's DeadlineMS); otherwise Config.DefaultDeadline applies
+// when ctx has no deadline. finish or finishCollective releases the
+// deadline.
 func (s *Server) newRequest(ctx context.Context, timeout time.Duration, src, dst gc.NodeID, tree int) request {
 	if ctx == nil {
 		ctx = context.Background()
@@ -553,27 +541,33 @@ func (s *Server) newRequest(ctx context.Context, timeout time.Duration, src, dst
 	return r
 }
 
-// enqueue puts t on its shard queue without waiting: ErrDraining once
-// Shutdown has begun, ErrBackpressure (counted rejected) when the queue
-// is full. An accepted task is always answered by the worker —
-// including during a drain, and an expired ctx with OutcomeCanceled
-// rather than abandoned — which is what keeps accepted == served exact.
-func (s *Server) enqueue(sh *shard, t *task) error {
+// admit accepts one SubmitTree or collective request onto sh without
+// waiting: ErrDraining once Shutdown has begun, ErrBackpressure
+// (counted rejected) when QueueDepth requests are already in flight on
+// sh. An admitted request is counted accepted and holds a drain pass
+// until its release, so Shutdown waits for its answer — which always
+// comes, during a drain too, and with OutcomeCanceled rather than
+// abandoned once its ctx expires: that keeps accepted == served exact.
+func (s *Server) admit(sh *shard) error {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.draining {
-		s.mu.RUnlock()
 		return ErrDraining
 	}
-	select {
-	case sh.ch <- t:
-		s.accepted.Inc()
-		s.mu.RUnlock()
-		return nil
-	default:
-		s.mu.RUnlock()
+	if sh.inflight.Add(1) > int64(s.cfg.QueueDepth) {
+		sh.inflight.Add(-1)
 		s.rejected.Inc()
 		return ErrBackpressure
 	}
+	s.wg.Add(1) // ordered before Shutdown's Wait: see holdDrain
+	s.accepted.Inc()
+	return nil
+}
+
+// release ends an admitted request once it is answered.
+func (s *Server) release(sh *shard) {
+	sh.inflight.Add(-1)
+	s.wg.Done()
 }
 
 // markDegraded demotes a delivered verdict to DeliveredDegraded while
@@ -606,7 +600,7 @@ type CachedAnswer struct {
 }
 
 // FastRouteTree answers (src, dst) from the shard's route cache without
-// enqueueing, or reports ok=false when the pipeline must be used:
+// planning, or reports ok=false when the request must be planned:
 // adaptive mode, draining, cache disabled, out-of-range nodes, an
 // invalid tree pin (the submission path raises the error), or a miss.
 // An explicit tree pin looks up only paths planned on that tree;
@@ -616,7 +610,7 @@ type CachedAnswer struct {
 // copy-on-write fault swap atomically invalidates fast-path answers: a
 // hit is guaranteed planned against exactly the fault state it is
 // served under. A hit is fully accounted (accepted, served, outcomes,
-// hops, latency, sampling) exactly like a worker-served request, and at
+// hops, latency, sampling) exactly like a planned request, and at
 // once: it is the lookup a gcwire reader makes plus the publish of a
 // one-hit tally (see hitTally), which the reader defers to its next
 // write.
@@ -781,74 +775,26 @@ func responseFromCached(a *CachedAnswer) *Response {
 	return &Response{Report: &rep, Epoch: a.Epoch, CacheHit: true}
 }
 
-// worker drains one shard's queue in batches until the channel closes.
-func (s *Server) worker(sh *shard) {
-	defer s.wg.Done()
-	batch := make([]*task, 0, s.cfg.Batch)
-	var pb planBuf
-	for {
-		t, ok := <-sh.ch
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], t)
-	fill:
-		for len(batch) < s.cfg.Batch {
-			select {
-			case t2, ok2 := <-sh.ch:
-				if !ok2 {
-					break fill
-				}
-				batch = append(batch, t2)
-			default:
-				break fill
-			}
-		}
-		// One epoch-state load serves the whole batch: requests accepted
-		// before a fault mutation may be answered against the new epoch,
-		// which is the freshest — never a stale — view.
-		rs := sh.state.Load()
-		for _, tk := range batch {
-			if tk.cresp != nil {
-				s.processCollective(sh, rs, tk)
-			} else {
-				tk.done <- pb.detach(s.serveRoute(sh, rs, &tk.request, &pb))
-			}
-		}
-	}
-}
-
-// planBuf is one planning goroutine's reusable verdict: a shard
-// worker's or a gcwire reader's. serveRoute plans a planner-mode route
-// into path and reports it in rep and resp, so answering a miss
-// allocates nothing; all three are overwritten by the goroutine's next
-// request.
+// planBuf is a planned verdict's storage. serveRoute plans a
+// planner-mode route into path and reports it in rep and resp, so a
+// gcwire reader that reuses one planBuf for all its misses answers them
+// without allocating; each miss overwrites the last. A SubmitTree call
+// owns a fresh one, since its caller keeps the verdict.
 type planBuf struct {
 	path []gc.NodeID
 	rep  core.RouteReport
 	resp Response
 }
 
-// detach copies a verdict out of pb for a submitter that keeps it.
-func (pb *planBuf) detach(resp *Response) *Response {
-	cp := *resp
-	if cp.Report == &pb.rep {
-		rep := pb.rep
-		rep.Path = slices.Clone(rep.Path)
-		cp.Report = &rep
-	}
-	return &cp
-}
-
 // testHookProcess, when non-nil, runs at the top of every serveRoute
-// call, on a shard worker or a gcwire reader. Tests use it to hold
-// either mid-request and observe backpressure and drain
-// deterministically.
+// and processCollective call, on the goroutine planning the request.
+// Tests use it to hold requests mid-step and observe backpressure and
+// drain deterministically.
 var testHookProcess func()
 
 // serveRoute is the one step of every unicast request that missed the
-// fast path, run by a shard worker for a queued task and by a gcwire
-// reader for its own miss: the deadline check, the degrade-window
+// fast path, run on the goroutine that submitted it (SubmitTree, and so
+// HTTP) or on the gcwire reader that read it: the deadline check, the degrade-window
 // cache probe, the router (traced, pinned or plain), the cache store,
 // the accounting and the degrade marking (finish). The request must
 // already be counted accepted. The verdict returned lives in pb until
@@ -980,8 +926,10 @@ func (s *Server) holdDrain() bool {
 	s.mu.RLock()
 	ok := !s.draining
 	if ok {
-		// The workers keep wg above zero until draining is set, so this
-		// Add never races Shutdown's Wait.
+		// wg may be zero here, so this Add must happen before Shutdown's
+		// Wait. It does: every Add (here and in admit) runs under
+		// mu.RLock while draining is false, so it happens before
+		// Shutdown's Lock, which sets draining, and so before its Wait.
 		s.wg.Add(1)
 	}
 	s.mu.RUnlock()
@@ -992,11 +940,10 @@ func (s *Server) holdDrain() bool {
 func (s *Server) releaseDrain() { s.wg.Done() }
 
 // routeHere answers one unicast request that missed the fast path on
-// the calling goroutine — a gcwire reader holding a drain pass
-// (holdDrain) — through the shard worker's own step, serveRoute. The
-// verdict lives in pb until its next use. A non-nil error is a
-// submission-level refusal: out-of-range nodes, an invalid tree, or
-// the drain.
+// a gcwire reader holding a drain pass (holdDrain), outside the
+// in-flight bound. The verdict lives in pb until its next use. A
+// non-nil error is a submission-level refusal: out-of-range nodes, an
+// invalid tree, or the drain.
 func (s *Server) routeHere(timeout time.Duration, src, dst gc.NodeID, tree int, pb *planBuf) (*Response, error) {
 	if err := s.validate(src, dst, tree); err != nil {
 		return nil, err
@@ -1004,18 +951,24 @@ func (s *Server) routeHere(timeout time.Duration, src, dst gc.NodeID, tree int, 
 	if s.drain.Load() {
 		return nil, ErrDraining
 	}
-	r := s.newRequest(context.Background(), timeout, src, dst, tree)
 	s.accepted.Inc()
-	sh := s.shardFor(src)
-	return s.serveRoute(sh, sh.state.Load(), &r, pb), nil
+	return s.serveMiss(context.Background(), timeout, s.shardFor(src), src, dst, tree, pb), nil
+}
+
+// serveMiss plans one accepted unicast request on the calling goroutine
+// against sh's current epoch, through serveRoute, into pb: the one miss
+// routine of SubmitTree and the gcwire reader.
+func (s *Server) serveMiss(ctx context.Context, timeout time.Duration, sh *shard, src, dst gc.NodeID, tree int, pb *planBuf) *Response {
+	r := s.newRequest(ctx, timeout, src, dst, tree)
+	return s.serveRoute(sh, sh.state.Load(), &r, pb)
 }
 
 // ApplyFaults validates and applies a batch of fault mutations as one
 // copy-on-write epoch step: the next frozen set is built with
 // fault.Set.MutateCopy, the epoch is bumped, every shard's router
 // state is swapped atomically and its route cache re-stamped with the
-// new fault fingerprint. In-flight requests complete against whichever
-// epoch their worker loaded; subsequent batches see the new one.
+// new fault fingerprint. In-flight requests complete against the epoch
+// they loaded when planning began; later ones see the new one.
 //
 // With a journal configured the step is durable-before-ack: the event
 // diff is committed (and fsynced, per the group-commit policy) before
@@ -1073,9 +1026,9 @@ func (s *Server) swapShards(es *epochState) {
 		// can never pass with the new token against a not-yet-cleared
 		// shard and serve an old-epoch path as the new fault state.
 		// Readers still holding the old fingerprint fail the token check
-		// (the stamp is already new), and their workers' stale PutTagged
-		// writes are dropped by the same check — both directions of the
-		// swap stay atomic.
+		// (the stamp is already new), and stale PutTagged writes of
+		// requests planned on the old epoch are dropped by the same
+		// check — both directions of the swap stay atomic.
 		if sh.cache != nil {
 			sh.cache.InvalidateTo(es.fp)
 		}
@@ -1136,29 +1089,22 @@ func applyOp(fs *fault.Set, op FaultOp) {
 }
 
 // Shutdown drains the server: new submissions are refused with
-// ErrDraining, every queued request and every miss a gcwire reader has
-// accepted is answered, workers exit. It
-// returns ctx's error if the drain outlives it (workers keep draining
+// ErrDraining, and every request already accepted, by SubmitTree, a
+// collective or a gcwire reader, is answered. It returns ctx's error
+// if the drain outlives it (the accepted requests are answered
 // regardless). Shutdown is idempotent; concurrent calls all wait for
 // the one drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	first := !s.draining
 	s.draining = true
 	s.drain.Store(true) // refuse fast-path answers from here on
 	s.mu.Unlock()
-	if first {
-		// No sender can be in flight: enqueue holds mu.RLock around its
-		// send and re-checks draining under it. Workers and gcwire
-		// readers holding a drain pass (holdDrain) count in wg.
-		for _, sh := range s.shards {
-			close(sh.ch)
-		}
-	}
 	done := make(chan struct{})
 	go func() {
+		// Admitted requests and gcwire readers holding a drain pass count
+		// in wg; none can join it now that draining is set.
 		s.wg.Wait()
-		// The journal outlives the workers by one step: every mutation
+		// The journal outlives the requests by one step: every mutation
 		// already acked is fsynced (Commit is synchronous), so this
 		// close only seals the live segment.
 		s.closeJournal()

@@ -276,9 +276,9 @@ func TestExpiredDeadlineAnswered(t *testing.T) {
 	}
 }
 
-// TestBackpressure: with the single worker held mid-task, submissions
-// beyond the queue depth are refused with ErrBackpressure and counted
-// as rejected, never enqueued.
+// TestBackpressure: with QueueDepth requests held mid-plan on a
+// shard, the next submission is refused with ErrBackpressure and
+// counted as rejected, never planned.
 func TestBackpressure(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
@@ -289,35 +289,25 @@ func TestBackpressure(t *testing.T) {
 	defer func() { testHookProcess = nil }()
 
 	cube := gc.New(8, 2)
-	s := mustServer(t, Config{Cube: cube, Shards: 1, QueueDepth: 2, Batch: 1})
+	s := mustServer(t, Config{Cube: cube, Shards: 1, QueueDepth: 2})
 
-	// Distinct destinations: each request is its own queued task, and
-	// none can be answered from another's cached plan.
+	// Distinct destinations: each request plans on its own, and none
+	// can be answered from another's cached plan.
 	var wg sync.WaitGroup
-	results := make(chan error, 3)
+	results := make(chan error, 2)
 	submit := func(dst gc.NodeID) {
 		defer wg.Done()
 		_, err := s.SubmitTree(context.Background(), 1, dst, core.TreeAuto)
 		results <- err
 	}
-	wg.Add(1)
-	go submit(200)
-	<-entered // worker now holds request 1; queue is empty
-
 	wg.Add(2)
+	go submit(200)
 	go submit(201)
-	go submit(202) // queue now holds 2 of 2
-	deadline := time.After(5 * time.Second)
-	for s.Metrics().Accepted < 3 {
-		select {
-		case <-deadline:
-			t.Fatal("queue never filled")
-		case <-time.After(time.Millisecond):
-		}
-	}
+	<-entered
+	<-entered // both held mid-plan: the shard has 2 of 2 in flight
 
 	if _, err := s.SubmitTree(context.Background(), 1, 203, core.TreeAuto); !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("4th submit: err=%v, want ErrBackpressure", err)
+		t.Fatalf("3rd submit: err=%v, want ErrBackpressure", err)
 	}
 	close(release)
 	wg.Wait()
@@ -328,8 +318,82 @@ func TestBackpressure(t *testing.T) {
 		}
 	}
 	m := s.Metrics()
-	if m.Rejected != 1 || m.Accepted != 3 || m.Served != 3 {
-		t.Fatalf("accepted=%d served=%d rejected=%d, want 3/3/1", m.Accepted, m.Served, m.Rejected)
+	if m.Rejected != 1 || m.Accepted != 2 || m.Served != 2 {
+		t.Fatalf("accepted=%d served=%d rejected=%d, want 2/2/1", m.Accepted, m.Served, m.Rejected)
+	}
+}
+
+// TestSubmitPlansOnCaller: SubmitTree and the collectives plan on the
+// goroutine that submits them, so on a one-shard server two unicast
+// misses and a broadcast are inside their steps at the same time.
+// Shutdown, begun while all three are held there, returns only once
+// each is answered, and refuses what is submitted after it began.
+func TestSubmitPlansOnCaller(t *testing.T) {
+	entered := make(chan struct{}, 3)
+	release := make(chan struct{})
+	testHookProcess = func() {
+		entered <- struct{}{}
+		<-release
+	}
+	defer func() { testHookProcess = nil }()
+
+	s := mustServer(t, Config{Cube: gc.New(8, 2), Shards: 1})
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	for _, dst := range []gc.NodeID{200, 201} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := s.SubmitTree(ctx, 1, dst, core.TreeAuto)
+			errs <- err
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r, err := s.SubmitBroadcast(ctx, 1)
+		if err == nil {
+			err = r.Err
+		}
+		errs <- err
+	}()
+	timeout := time.After(5 * time.Second)
+	for held := 0; held < 3; held++ {
+		select {
+		case <-entered:
+		case <-timeout:
+			t.Fatalf("%d of 3 requests inside their steps at once, want 3", held)
+		}
+	}
+
+	shut := make(chan error, 1)
+	go func() { shut <- s.Shutdown(ctx) }()
+	waitFor(t, "the drain to begin", s.Draining)
+	select {
+	case err := <-shut:
+		t.Fatalf("Shutdown returned (%v) with 3 requests unanswered", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if _, err := s.SubmitTree(ctx, 1, 202, core.TreeAuto); !errors.Is(err, ErrDraining) {
+		t.Fatalf("submit during the drain: err=%v, want ErrDraining", err)
+	}
+	close(release)
+	if err := <-shut; err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Metrics(); m.Accepted != 3 || m.Served != 3 {
+		t.Fatalf("after Shutdown: accepted=%d served=%d, want 3/3", m.Accepted, m.Served)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("held request failed: %v", err)
+		}
+	}
+	if _, err := s.SubmitTree(ctx, 1, 203, core.TreeAuto); !errors.Is(err, ErrDraining) {
+		t.Fatalf("submit after Shutdown: err=%v, want ErrDraining", err)
 	}
 }
 
@@ -395,7 +459,6 @@ func TestSoakConservation(t *testing.T) {
 		Cube:            cube,
 		Shards:          4,
 		QueueDepth:      64,
-		Batch:           8,
 		TraceEvery:      16,
 		CacheCapacity:   2048,
 		DefaultDeadline: 2 * time.Second,

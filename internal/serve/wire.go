@@ -33,22 +33,23 @@ import (
 // steady-state hit therefore costs zero heap allocations and no
 // goroutine switch.
 //
-// A miss is answered on the reader too, with no queue and no
-// goroutine handoff: the reader loads the shard's routers and runs the
-// shard worker's own step (Server.serveRoute: deadline, degrade-window
-// cache probe, planner, cache store, accounting, degrade marking) into
-// a per-connection plan buffer, then encodes the reply into the same
+// A miss is answered on the reader too, with no goroutine handoff: the
+// reader loads the shard's routers and runs the step every unicast miss
+// takes (Server.serveRoute: deadline, degrade-window cache probe,
+// planner, cache store, accounting, degrade marking) into a
+// per-connection plan buffer, then encodes the reply into the same
 // write buffer as its hits, so the burst's replies leave in its one
 // flush. A planner-mode miss allocates nothing. One drain hold per
 // burst (Server.holdDrain) keeps Shutdown waiting until every miss the
-// reader has accepted is answered. There is no shard-queue bound on
-// the wire: a client that pipelines faster than its reader plans is
-// slowed by TCP flow control, and one that stops reading parks only
-// its own reader once flushAt bytes wait for the socket. Only a
-// collective (a whole-plan computation the reader must not wait on)
-// rides a goroutine and the shard queue; it appends its reply to the
-// connection's writeCombiner and flushes it itself. Out-of-order
-// replies are the protocol's contract, correlated by request id.
+// reader has accepted is answered. The shards' in-flight bound does not
+// apply to wire misses: a client that pipelines faster than its reader
+// plans is slowed by TCP flow control, and one that stops reading
+// parks only its own reader once flushAt bytes wait for the socket.
+// Only a collective (a whole-plan computation the reader must not wait
+// on) runs on a goroutine of its own, which plans it under its shard's
+// in-flight bound, appends its reply to the connection's writeCombiner
+// and flushes it itself. Out-of-order replies are the protocol's
+// contract, correlated by request id.
 type WireServer struct {
 	srv *Server
 	ln  net.Listener
@@ -311,8 +312,8 @@ read:
 		}
 	}
 	flush()
-	// Let in-flight collectives answer (Shutdown guarantees queued tasks
-	// are served); each flushes its own reply before it is done.
+	// Let in-flight collectives answer; each flushes its own reply before
+	// it is done.
 	wc.inflight.Wait()
 	ws.mu.Lock()
 	delete(ws.conns, c)
@@ -377,10 +378,10 @@ func appendRefusal(dst []byte, id uint64, err error) []byte {
 	return wire.AppendError(dst, id, code, err.Error())
 }
 
-// collectiveMiss serves a broadcast/multicast request off the reader
-// goroutine — a collective is always a whole-plan computation, never a
-// cache hit — and sends its CollectiveResult frame through the
-// connection's combiner. The frame's Flags byte is not read: a
+// collectiveMiss plans a broadcast/multicast request on a goroutine of
+// its own, off the reader — a collective is always a whole-plan
+// computation, never a cache hit — and sends its CollectiveResult frame
+// through the connection's combiner. The frame's Flags byte is not read: a
 // collective is planned on the member that receives it, so NoForward
 // changes nothing.
 func (ws *WireServer) collectiveMiss(wc *wireConn, id uint64, root gc.NodeID, dests []gc.NodeID, multicast bool, deadlineMS uint32) {

@@ -74,7 +74,7 @@ func TestWireEndToEnd(t *testing.T) {
 	}
 
 	// Pipelined batch: same pairs repeated, so replies mix fast-path
-	// hits with queued misses and arrive out of order.
+	// hits with planned misses.
 	pairs := make([][2]gc.NodeID, 64)
 	for i := range pairs {
 		pairs[i] = [2]gc.NodeID{gc.NodeID(i % 16), gc.NodeID(200 + i%8)}
@@ -330,9 +330,9 @@ func TestWireHitsAccountedBeforeReply(t *testing.T) {
 }
 
 // TestMissEpochSoak is the miss path's -race battery: a small pair set
-// with the cache disabled queues every request on its shard while a
-// churner drives copy-on-write fault epochs. Every answer to a queued
-// miss is validated against the exact fault set of the epoch on its
+// with the cache disabled plans every request while a churner drives
+// copy-on-write fault epochs. Every answer to a planned miss is
+// validated against the exact fault set of the epoch on its
 // label — a plan computed against any other epoch's faults would walk
 // through a node that epoch considers faulty or take a non-edge hop.
 func TestMissEpochSoak(t *testing.T) {
@@ -341,8 +341,7 @@ func TestMissEpochSoak(t *testing.T) {
 		Cube:            cube,
 		Shards:          2,
 		QueueDepth:      64,
-		Batch:           8,
-		CacheCapacity:   -1, // no cache: every request queues
+		CacheCapacity:   -1, // no cache: every request is planned
 		DefaultDeadline: 2 * time.Second,
 	})
 	if err != nil {
@@ -489,7 +488,6 @@ func TestFastPathEpochSoak(t *testing.T) {
 		Cube:            cube,
 		Shards:          2,
 		QueueDepth:      64,
-		Batch:           8,
 		CacheCapacity:   4096, // hot cache: FastRouteTree hits dominate
 		DefaultDeadline: 2 * time.Second,
 	})
@@ -686,7 +684,7 @@ func runServeWireBench(b *testing.B, cfg Config) {
 }
 
 // heldServer starts a server whose first unicast miss stops inside
-// serveRoute, on a shard worker or a gcwire reader, until release is
+// serveRoute, on its caller or a gcwire reader, until release is
 // called; held closes once it is there. Later misses that reach
 // serveRoute wait for the release too. Tests defer release so a
 // failure never leaves the goroutine (and every drain waiting on it)

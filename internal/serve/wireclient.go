@@ -414,8 +414,8 @@ func (w *WireClient) routeRawTree(src, dst gc.NodeID, flags, tree uint8, out *Wi
 
 // RouteBatch pipelines len(pairs) route requests in one write and
 // fills out[i] with the verdict for pairs[i], reusing each slot's
-// slice capacity. Replies arrive in any order (cache hits overtake
-// queued misses); the request id correlates them. out must be at least
+// slice capacity. Replies may arrive in any order; the request id
+// correlates them. out must be at least
 // as long as pairs. A connection torn mid-batch fails the whole call
 // with ErrConnClosed — slots not yet answered hold stale data and must
 // not be read.

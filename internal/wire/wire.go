@@ -99,7 +99,7 @@ const (
 const (
 	CodeBadRequest   uint16 = 400 // malformed frame or out-of-range node
 	CodeFaultyNode   uint16 = 409 // source or destination currently faulty
-	CodeBackpressure uint16 = 429 // shard queue full; retry later
+	CodeBackpressure uint16 = 429 // shard at its in-flight bound; retry later
 	CodeInternal     uint16 = 500 // server-side failure (journal append refused)
 	CodeDraining     uint16 = 503 // server shutting down
 )

@@ -40,8 +40,9 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("gcube: server returned %d: %s", e.Code, e.Body)
 }
 
-// IsBackpressure reports a 429 reply — the server's queue was full and
-// the request should be retried after its Retry-After hint.
+// IsBackpressure reports a 429 reply — the request's shard already had
+// its bound of requests in flight — which should be retried after its
+// Retry-After hint.
 func (e *StatusError) IsBackpressure() bool { return e.Code == http.StatusTooManyRequests }
 
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {

@@ -22,7 +22,7 @@
 //     Both constructors take the same functional options (WithFaults,
 //     WithSubstrate, WithTracer, WithTrees, WithTree); there is no
 //     struct form.
-//   - Serving: NewServer runs the sharded worker pool of
+//   - Serving: NewServer runs the sharded route server of
 //     internal/serve in-process; NewHTTPHandler exposes it over
 //     HTTP/JSON; Client speaks that protocol to a remote gcserved.
 package gcube
@@ -170,8 +170,8 @@ type (
 // NewTraceRing returns a bounded concurrent event ring.
 func NewTraceRing(capacity int) *TraceRing { return trace.NewRing(capacity) }
 
-// Serving subsystem: the sharded, batching route server of
-// internal/serve, embeddable in-process or exposed over HTTP.
+// Serving subsystem: the sharded route server of internal/serve,
+// embeddable in-process or exposed over HTTP.
 type (
 	Server          = serve.Server
 	ServerConfig    = serve.Config
@@ -185,9 +185,9 @@ type (
 
 // Collectives: one-to-all broadcast and one-to-many multicast planned
 // on the Gaussian tree, with closed-form re-rooting when the origin is
-// faulty (DESIGN.md §14). Server.SubmitBroadcast/SubmitMulticast serve
-// them through the same sharded queues as unicast; the per-destination
-// verdicts ride the same Outcome ladder.
+// faulty (DESIGN.md §14). Server.SubmitBroadcast/SubmitMulticast plan
+// them on the caller under the same per-shard in-flight bound as
+// unicast; the per-destination verdicts ride the same Outcome ladder.
 type (
 	// CollectiveReport is the planner's verdict: effective root,
 	// re-rooting flag, and one DestStatus per destination with the
@@ -246,8 +246,8 @@ var (
 	ErrDraining     = serve.ErrDraining
 )
 
-// NewServer builds and starts a route server; workers are running on
-// return. Shut it down with Server.Shutdown.
+// NewServer builds a route server, ready to serve on return. Shut it
+// down with Server.Shutdown.
 func NewServer(cfg ServerConfig) (*Server, error) { return serve.New(cfg) }
 
 // NewHTTPHandler exposes a Server over HTTP/JSON (/route, /faults,
