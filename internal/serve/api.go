@@ -133,8 +133,8 @@ type ShardSnapshot struct {
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	// CacheDeclined counts planned routes the cache refused to store: a
-	// pair seen for the first time while the cache is full
-	// (simnet.RouteCache.Declined).
+	// pair seen for the first time while the cache is full (or both of
+	// its buckets are), counted by the shard cache's doorkeeper.
 	CacheDeclined int64              `json:"cache_declined"`
 	FastPathHits  int64              `json:"fast_path_hits"`
 	Sampled       int64              `json:"sampled"`

@@ -20,8 +20,9 @@
 //     (backpressure: a request over the bound is refused with
 //     ErrBackpressure, which the HTTP layer turns into 429 +
 //     Retry-After);
-//   - a RouteCache stamped with the epoch's fault fingerprint, so a
-//     fault mutation atomically invalidates stale paths;
+//   - a lock-free route cache stamped with the epoch's fault
+//     fingerprint and a generation, so a fault mutation atomically
+//     invalidates stale paths;
 //   - per-shard metrics.AtomicHistogram for latency and hops, merged
 //     lock-free at scrape time.
 //
@@ -61,7 +62,6 @@ import (
 	"gaussiancube/internal/metrics"
 	"gaussiancube/internal/mtree"
 	"gaussiancube/internal/repair"
-	"gaussiancube/internal/simnet"
 	"gaussiancube/internal/trace"
 )
 
@@ -94,7 +94,7 @@ type Config struct {
 	// in flight (default 256); one more is refused with ErrBackpressure.
 	QueueDepth int
 	// CacheCapacity is the per-shard route-cache entry bound. 0 picks
-	// simnet.DefaultRouteCacheCapacity/16; negative disables caching.
+	// 4096; negative disables caching.
 	// The cache serves planner mode only — adaptive flights rediscover.
 	CacheCapacity int
 	// TraceEvery samples every Nth request per shard through a
@@ -142,7 +142,7 @@ func (c *Config) fill() error {
 		c.QueueDepth = 256
 	}
 	if c.CacheCapacity == 0 {
-		c.CacheCapacity = simnet.DefaultRouteCacheCapacity / 16
+		c.CacheCapacity = defaultCacheCapacity
 	}
 	if c.TraceRing <= 0 {
 		c.TraceRing = 4096
@@ -214,8 +214,8 @@ type shardRouters struct {
 type shard struct {
 	id    int
 	state atomic.Pointer[shardRouters]
-	cache *simnet.RouteCache // nil when disabled
-	ring  *trace.Ring        // nil when TraceEvery == 0
+	cache *routeCache // nil when disabled
+	ring  *trace.Ring // nil when TraceEvery == 0
 	// inflight counts the admitted SubmitTree and collective requests
 	// not yet answered (admit, release); QueueDepth bounds it.
 	inflight atomic.Int64
@@ -329,7 +329,7 @@ func New(cfg Config) (*Server, error) {
 			hops:    metrics.NewAtomicHistogram(0, s.maxHops, hopsBuckets),
 		}
 		if cfg.CacheCapacity > 0 {
-			sh.cache = simnet.NewRouteCache(cfg.CacheCapacity)
+			sh.cache = newRouteCache(cfg.CacheCapacity)
 			// Stamp the cache with the seed epoch's fingerprint so the
 			// token-checked Get/Put pairs work from the first request even
 			// when the server starts with a non-empty fault set.
@@ -605,15 +605,15 @@ type CachedAnswer struct {
 // invalid tree pin (the submission path raises the error), or a miss.
 // An explicit tree pin looks up only paths planned on that tree;
 // core.TreeAuto resolves the flow's stripe first (a no-op on
-// single-tree servers). The cache lookup is token-checked against the
-// shard's current epoch fingerprint inside the cache's shard lock, so a
-// copy-on-write fault swap atomically invalidates fast-path answers: a
-// hit is guaranteed planned against exactly the fault state it is
-// served under. A hit is fully accounted (accepted, served, outcomes,
-// hops, latency, sampling) exactly like a planned request, and at
-// once: it is the lookup a gcwire reader makes plus the publish of a
-// one-hit tally (see hitTally), which the reader defers to its next
-// write.
+// single-tree servers). The cache lookup takes no lock: it is
+// token-checked against the shard's current epoch fingerprint and the
+// cache's generation stamp, so a copy-on-write fault swap atomically
+// invalidates fast-path answers: a hit is guaranteed planned against
+// exactly the fault state it is served under. A hit is fully accounted
+// (accepted, served, outcomes, hops, latency, sampling) exactly like a
+// planned request, and at once: it is the lookup a gcwire reader
+// makes plus the publish of a one-hit tally (see hitTally), which the
+// reader defers to its next write.
 func (s *Server) FastRouteTree(src, dst gc.NodeID, tree int) (CachedAnswer, bool) {
 	sh, ans, ok := s.lookupHit(src, dst, tree)
 	if ok {
@@ -626,7 +626,9 @@ func (s *Server) FastRouteTree(src, dst gc.NodeID, tree int) (CachedAnswer, bool
 }
 
 // lookupHit is FastRouteTree's cache lookup without the hit's
-// accounting: the caller owes it to the answer's shard, sh.
+// accounting: the caller owes it to the answer's shard, sh. It takes no
+// lock and, past the cache's reference bit, writes no shared word
+// unless tracing samples the request.
 func (s *Server) lookupHit(src, dst gc.NodeID, tree int) (*shard, CachedAnswer, bool) {
 	if s.cfg.Adaptive || s.drain.Load() {
 		return nil, CachedAnswer{}, false
@@ -1020,11 +1022,12 @@ func (s *Server) ApplyFaults(ops []FaultOp) (epoch uint64, faults int, err error
 // a copy-on-write fault swap, also used when the journal replay lands.
 func (s *Server) swapShards(es *epochState) {
 	for _, sh := range s.shards {
-		// The cache is re-stamped and cleared BEFORE the shard's router
-		// state is published: no reader can hold the new fingerprint
-		// until every cache shard is empty, so a token-checked GetTagged
-		// can never pass with the new token against a not-yet-cleared
-		// shard and serve an old-epoch path as the new fault state.
+		// The cache is re-stamped BEFORE the shard's router state is
+		// published. The new stamp carries a new generation, and a hit
+		// must match both its fingerprint and its generation, so entries
+		// of every earlier generation stop being served at once, even
+		// while InvalidateTo is still nilling their slots and even when
+		// the new fingerprint equals an older one (an A→B→A toggle).
 		// Readers still holding the old fingerprint fail the token check
 		// (the stamp is already new), and stale PutTagged writes of
 		// requests planned on the old epoch are dropped by the same

@@ -13,7 +13,6 @@ import (
 	"gaussiancube/internal/core"
 	"gaussiancube/internal/fault"
 	"gaussiancube/internal/gc"
-	"gaussiancube/internal/simnet"
 )
 
 func mustServer(t testing.TB, cfg Config) *Server {
@@ -180,16 +179,18 @@ func TestCacheAllMissStreamDeclined(t *testing.T) {
 }
 
 // TestApplyFaultsInvalidatesBeforePublish deterministically pins the
-// swap-ordering invariant of ApplyFaults: each shard's route cache is
-// re-stamped and cleared BEFORE the new router state is published, so
-// no submitter can hold the new epoch fingerprint while stale entries
-// are still readable. The cache's stamp-to-clear window — the only
-// moment a reader with the new token could see an old entry — is
-// exposed via a test hook; a FastRouteTree inside it must miss, because
-// the shard state it loads still carries the old fingerprint. With the
-// operations reversed (publish first, invalidate second), the probe
-// hits a not-yet-cleared entry and labels an old-epoch path with the
-// new epoch.
+// swap invariant of ApplyFaults: no submitter is served an old-epoch
+// path labelled with the new epoch. Each shard's route cache is
+// re-stamped (new fingerprint, new generation) BEFORE the new router
+// state is published, and only then are the old generation's slots
+// nilled. The cache's stamp-to-nil window, when old entries still sit
+// in their slots, is exposed via a test hook; a FastRouteTree inside it
+// must miss. Two guards make it miss: the shard state it loads still
+// carries the old fingerprint, which no longer matches the stamp, and
+// the old entries' generation no longer matches either. With the swap
+// reversed (publish first, invalidate second) and hits checking only
+// the fingerprint, the probe hits an old entry and labels an old-epoch
+// path with the new epoch.
 func TestApplyFaultsInvalidatesBeforePublish(t *testing.T) {
 	cube := gc.New(8, 2)
 	s := mustServer(t, Config{Cube: cube, Shards: 1, CacheCapacity: 1024})
@@ -206,11 +207,11 @@ func TestApplyFaultsInvalidatesBeforePublish(t *testing.T) {
 		epoch uint64
 	}
 	var probes []probe
-	simnet.TestHookInvalidateAfterStamp = func() {
+	testHookInvalidateAfterStamp = func() {
 		ans, ok := s.FastRouteTree(3, 200, core.TreeAuto)
 		probes = append(probes, probe{ok, ans.Epoch})
 	}
-	defer func() { simnet.TestHookInvalidateAfterStamp = nil }()
+	defer func() { testHookInvalidateAfterStamp = nil }()
 
 	epoch, _, err := s.ApplyFaults([]FaultOp{{Op: OpInject, Kind: KindNode, Node: 101}})
 	if err != nil {

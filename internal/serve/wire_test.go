@@ -474,14 +474,16 @@ func TestMissEpochSoak(t *testing.T) {
 }
 
 // TestFastPathEpochSoak is the cache-enabled twin of TestMissEpochSoak
-// and the regression test for the swap-ordering race: ApplyFaults must
-// re-stamp and clear every route-cache shard BEFORE publishing the new
-// shard router state. With the orders reversed, a submitter that loads
-// the new epoch fingerprint can pass GetTagged's token check against a
-// not-yet-cleared cache shard and serve an old-epoch path labeled as
-// the new fault state. A hot cache under churning epochs makes exactly
-// that window: every delivered response is validated against the fault
-// set of the epoch it is labeled with.
+// and the regression test for the swap race: a fast-path hit must never
+// serve an old-epoch path labelled as the new fault state. ApplyFaults
+// re-stamps every shard's route cache with the new fingerprint and a
+// new generation BEFORE publishing the new shard router state, and a
+// lock-free GetTagged serves an entry only when both match, so a
+// submitter that loads the new fingerprint finds no entry of an earlier
+// generation even while the swap is still nilling their slots. A hot
+// cache under churning epochs races hits against those swaps: every
+// delivered response is validated against the fault set of the epoch
+// it is labeled with.
 func TestFastPathEpochSoak(t *testing.T) {
 	cube := gc.New(8, 2)
 	s, err := New(Config{

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"gaussiancube/internal/fault"
@@ -104,52 +103,5 @@ func BenchmarkRunWormhole(b *testing.B) {
 		if _, err := RunWormhole(cfg); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkRouteCacheParallel measures token-checked hits over a warmed
-// route cache from parallel readers, the lookup the serving fast path
-// makes per request. A hit allocates nothing.
-func BenchmarkRouteCacheParallel(b *testing.B) {
-	const token = 7
-	c := NewRouteCache(1 << 16)
-	c.InvalidateTo(token)
-	rng := rand.New(rand.NewSource(42))
-	keys := make([][2]gc.NodeID, 4096)
-	for i := range keys {
-		keys[i] = [2]gc.NodeID{gc.NodeID(rng.Intn(1 << 10)), gc.NodeID(rng.Intn(1 << 10))}
-		c.PutTagged(keys[i][0], keys[i][1], -1, []gc.NodeID{keys[i][0], keys[i][1]}, 0, token)
-	}
-	var seed atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := int(seed.Add(1)) * 977
-		for pb.Next() {
-			k := keys[i%len(keys)]
-			i++
-			if _, _, ok := c.GetTagged(k[0], k[1], -1, token); !ok {
-				b.Error("warmed key missed")
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkRouteCachePutTaggedFull measures PutTagged on an all-miss
-// stream into a full cache, the store a serving worker makes after
-// planning a pair that never recurs: each op is a key not seen before.
-func BenchmarkRouteCachePutTaggedFull(b *testing.B) {
-	const token = 7
-	c := NewRouteCache(1 << 12)
-	c.InvalidateTo(token)
-	path := []gc.NodeID{0, 1}
-	for i := 0; i < 1<<14; i++ {
-		c.PutTagged(gc.NodeID(i), 1, -1, path, 0, token)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.PutTagged(gc.NodeID(i), 2, -1, path, 0, token)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // TestRouteCacheTreeIsolation pins the multipath cache contract: a path
 // stored under one tree is invisible to every other tree (and to the
-// single-tree view), for both the plain and the epoch-tagged surfaces.
+// single-tree view).
 // Without the key's tree field a sibling-tree failover could be served
 // a path planned on a different tree under the same (src, dst, epoch).
 func TestRouteCacheTreeIsolation(t *testing.T) {
@@ -35,14 +35,6 @@ func TestRouteCacheTreeIsolation(t *testing.T) {
 	got1, _ := c.GetTree(1, 2, 1)
 	if len(got0) != len(p0) || len(got1) != len(p1) {
 		t.Fatalf("per-tree entries collided: tree0=%v tree1=%v", got0, got1)
-	}
-
-	c.PutTagged(1, 2, 2, p0, 7, 0)
-	if _, _, ok := c.GetTagged(1, 2, 3, 0); ok {
-		t.Fatal("tagged lookup crossed tree boundary")
-	}
-	if _, tag, ok := c.GetTagged(1, 2, 2, 0); !ok || tag != 7 {
-		t.Fatalf("tagged entry lost on its own tree: tag=%d ok=%v", tag, ok)
 	}
 }
 

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,8 +11,8 @@ import (
 // (source, destination), evicting by CLOCK (second chance). It replaces
 // the unbounded per-run route map: shards keep lock contention low when
 // the cache is shared by concurrent simulations (the parallel sweep
-// workers of internal/experiments) or serving goroutines, and the
-// per-shard bound keeps memory flat under long permutation workloads.
+// workers of internal/experiments), and the per-shard bound keeps
+// memory flat under long permutation workloads.
 //
 // A hit takes only its shard's read lock and sets the entry's reference
 // bit (storing it only when it is clear), so concurrent readers of a
@@ -21,15 +20,6 @@ import (
 // Put into a full shard sweeps the shard's list from the tail under the
 // write lock: a referenced entry has its bit cleared and goes back to
 // the head, and the first unreferenced one is recycled.
-//
-// PutTagged, the serving layer's store, admits a new key into a full
-// shard only on its second sight. Each shard keeps a doorkeeper (the
-// TinyLFU idea: a small bitset of hashed keys) in which a declined key
-// is marked, so a pair that comes back is stored on its next store,
-// while a stream of pairs that never recur costs a bitset probe
-// instead of a store and an eviction. A shard with free slots, and an
-// overwrite, always admit. Put and PutTree store always: the
-// simulator's cache keeps its reuse and CLOCK order unchanged.
 //
 // The key does not encode the topology or the fault configuration, so a
 // cache shared across runs (or across fault transitions within one run)
@@ -68,7 +58,6 @@ type routeKey struct {
 type cacheEntry struct {
 	key  routeKey
 	path []gc.NodeID
-	tag  uint32 // caller-defined metadata (see PutTagged)
 	// ref is the CLOCK reference bit: set by hits under the shard's read
 	// lock, cleared by the eviction sweep under its write lock.
 	ref        atomic.Bool
@@ -80,13 +69,6 @@ type cacheShard struct {
 	capacity   int
 	table      map[routeKey]*cacheEntry
 	head, tail *cacheEntry
-	// door is the admission doorkeeper, a bitset of hashed keys seen
-	// once while the shard was full; nil until the first gated insert
-	// into a full shard. fresh counts the keys marked since its last
-	// clear, which comes after capacity of them.
-	door     []uint64
-	fresh    int
-	declined atomic.Int64 // gated inserts refused by the doorkeeper
 }
 
 // NewRouteCache builds a cache bounded to roughly the given total number
@@ -111,13 +93,6 @@ func (c *RouteCache) Epoch() uint64 { return c.epoch.Load() }
 // Invalidations returns how many times InvalidateTo flushed the cache.
 func (c *RouteCache) Invalidations() int64 { return c.invalidations.Load() }
 
-// TestHookInvalidateAfterStamp, when non-nil, runs between the epoch
-// stamp and the shard clears of InvalidateTo. Test-only: it exposes
-// the stamp-to-clear window deterministically so consumers can pin
-// their swap-ordering invariants — a reader that can hold the new
-// token inside this window would see stale entries as valid.
-var TestHookInvalidateAfterStamp func()
-
 // InvalidateTo stamps the cache with the fault-state token its next
 // routes are computed against. When the token differs from the current
 // stamp, every entry is dropped — they were planned against a network
@@ -134,22 +109,12 @@ func (c *RouteCache) InvalidateTo(token uint64) bool {
 	if c.epoch.Load() == token { // raced with another invalidator
 		return false
 	}
-	// The stamp is published BEFORE the shards are cleared: a concurrent
-	// PutTagged holding a shard lock either runs before that shard's
-	// clear (and is wiped) or after it (and sees the new stamp inside
-	// the lock, so its stale-token write is dropped). Entries therefore
-	// never outlive the fault state they were planned against.
 	c.epoch.Store(token)
-	if TestHookInvalidateAfterStamp != nil {
-		TestHookInvalidateAfterStamp()
-	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		sh.table = make(map[routeKey]*cacheEntry)
 		sh.head, sh.tail = nil, nil
-		clear(sh.door)
-		sh.fresh = 0
 		sh.mu.Unlock()
 	}
 	c.invalidations.Add(1)
@@ -175,7 +140,7 @@ func (c *RouteCache) GetTree(s, d gc.NodeID, tree int) ([]gc.NodeID, bool) {
 	k := routeKey{s, d, int16(tree)}
 	sh := c.shard(k)
 	sh.mu.RLock()
-	path, _, ok := sh.lookup(k)
+	path, ok := sh.lookup(k)
 	sh.mu.RUnlock()
 	return path, ok
 }
@@ -193,58 +158,8 @@ func (c *RouteCache) PutTree(s, d gc.NodeID, tree int, path []gc.NodeID) {
 	k := routeKey{s, d, int16(tree)}
 	sh := c.shard(k)
 	sh.mu.Lock()
-	sh.store(k, path, 0, false)
+	sh.store(k, path)
 	sh.mu.Unlock()
-}
-
-// GetTagged is the epoch-safe variant of Get used by the serving fast
-// path: it returns the cached path and its tag only when the cache is
-// currently stamped with token, so a hit is guaranteed to have been
-// planned against exactly the fault state the caller loaded. The token
-// comparison happens inside the shard's read lock, pairing with
-// InvalidateTo's stamp-before-clear ordering: the clear takes the write
-// lock, so a reader either finishes before it or sees the new stamp.
-// tree scopes the lookup to one multipath tree (-1 single-tree),
-// exactly as in GetTree.
-func (c *RouteCache) GetTagged(s, d gc.NodeID, tree int, token uint64) ([]gc.NodeID, uint32, bool) {
-	k := routeKey{s, d, int16(tree)}
-	sh := c.shard(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if c.epoch.Load() != token {
-		return nil, 0, false
-	}
-	return sh.lookup(k)
-}
-
-// PutTagged stores the path with a caller-defined tag word (the serving
-// layer packs precomputed detour metadata there so hits never recompute
-// it), but only when the cache is still stamped with token — a write
-// racing a fault-epoch swap is dropped rather than poisoning the new
-// epoch with a stale plan. tree scopes the entry to one multipath tree
-// (-1 single-tree). A new key is admitted into a full shard only on its
-// second sight (see RouteCache); a declined store allocates nothing and
-// counts in Declined. Unlike Put, PutTagged does not take ownership of
-// path: the caller may reuse it, and the cache stores its own copy.
-func (c *RouteCache) PutTagged(s, d gc.NodeID, tree int, path []gc.NodeID, tag uint32, token uint64) {
-	k := routeKey{s, d, int16(tree)}
-	sh := c.shard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if c.epoch.Load() != token {
-		return
-	}
-	sh.store(k, path, tag, true)
-}
-
-// Declined returns how many PutTagged inserts the shards' doorkeepers
-// refused.
-func (c *RouteCache) Declined() int64 {
-	var n int64
-	for i := range c.shards {
-		n += c.shards[i].declined.Load()
-	}
-	return n
 }
 
 // Len returns the current number of cached routes.
@@ -259,38 +174,32 @@ func (c *RouteCache) Len() int {
 	return n
 }
 
-// lookup returns k's path and tag and sets its reference bit. The bit
-// is stored only when it is clear, so hits on a hot entry stay reads.
-// The slice header is copied under the lock: once the lock is released
-// an eviction may recycle the entry and overwrite its path. Called with
+// lookup returns k's path and sets its reference bit. The bit is
+// stored only when it is clear, so hits on a hot entry stay reads. The
+// slice header is copied under the lock: once the lock is released an
+// eviction may recycle the entry and overwrite its path. Called with
 // sh.mu held, read or write.
-func (sh *cacheShard) lookup(k routeKey) ([]gc.NodeID, uint32, bool) {
+func (sh *cacheShard) lookup(k routeKey) ([]gc.NodeID, bool) {
 	e, ok := sh.table[k]
 	if !ok {
-		return nil, 0, false
+		return nil, false
 	}
 	if !e.ref.Load() {
 		e.ref.Store(true)
 	}
-	return e.path, e.tag, true
+	return e.path, true
 }
 
 // store inserts or overwrites k. An overwrite counts as a use; an
 // insert into a full shard recycles the CLOCK victim instead of
-// allocating. With gated set (PutTagged), that insert happens only
-// when the doorkeeper has seen k before, and path, which the caller
-// keeps, is copied only once it is stored. Called with sh.mu
-// write-locked.
-func (sh *cacheShard) store(k routeKey, path []gc.NodeID, tag uint32, gated bool) {
+// allocating. Called with sh.mu write-locked.
+func (sh *cacheShard) store(k routeKey, path []gc.NodeID) {
 	e, ok := sh.table[k]
 	if ok {
 		e.ref.Store(true)
 	} else {
 		if len(sh.table) < sh.capacity {
 			e = &cacheEntry{}
-		} else if gated && !sh.seenBefore(k) {
-			sh.declined.Add(1)
-			return
 		} else {
 			e = sh.evict()
 		}
@@ -298,43 +207,7 @@ func (sh *cacheShard) store(k routeKey, path []gc.NodeID, tag uint32, gated bool
 		sh.table[k] = e
 		sh.pushFront(e)
 	}
-	if gated {
-		path = slices.Clone(path)
-	}
-	e.path, e.tag = path, tag
-}
-
-// seenBefore reports whether the doorkeeper already holds k, marking it
-// when it does not. The bitset has about 8 bits per entry (a power of
-// two, at least one word) and each key sets two of them; it is cleared
-// after capacity first sightings, so it remembers roughly the last
-// shard's worth of declined keys. Called with sh.mu write-locked.
-func (sh *cacheShard) seenBefore(k routeKey) bool {
-	if sh.door == nil {
-		words := 1
-		for words*64 < 8*sh.capacity {
-			words <<= 1
-		}
-		sh.door = make([]uint64, words)
-	}
-	h := uint64(k.s)*0x9e3779b97f4a7c15 ^ uint64(k.d)*0xc2b2ae3d27d4eb4f ^ uint64(uint16(k.tree))*0x165667b19e3779f9
-	h ^= h >> 31
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 29
-	mask := uint64(len(sh.door)*64 - 1)
-	b1, b2 := h&mask, (h>>32)&mask
-	w1, m1 := &sh.door[b1/64], uint64(1)<<(b1%64)
-	w2, m2 := &sh.door[b2/64], uint64(1)<<(b2%64)
-	if *w1&m1 != 0 && *w2&m2 != 0 {
-		return true
-	}
-	*w1 |= m1
-	*w2 |= m2
-	if sh.fresh++; sh.fresh >= sh.capacity {
-		clear(sh.door)
-		sh.fresh = 0
-	}
-	return false
+	e.path = path
 }
 
 // evict sweeps the list from the tail as a CLOCK ring and unlinks the

@@ -1,9 +1,7 @@
 package simnet
 
 import (
-	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"gaussiancube/internal/gc"
@@ -110,175 +108,6 @@ func TestRouteCacheSecondChance(t *testing.T) {
 	want("third sweep", 6, 2, 5)
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", c.Len())
-	}
-}
-
-// TestRouteCacheAdmission pins PutTagged's doorkeeper: a full shard
-// declines a key on its first sight and admits it on its second, an
-// overwrite always lands, the doorkeeper forgets after capacity first
-// sightings, a stale-token write is dropped before admission, and an
-// invalidated (empty) cache admits everything again. Put stays
-// store-always.
-func TestRouteCacheAdmission(t *testing.T) {
-	const token = 3
-	c := NewRouteCache(2 * cacheShards) // two entries per shard
-	c.InvalidateTo(token)
-	k := func(i int) routeKey { return routeKey{s: gc.NodeID(16 * i), d: 1, tree: -1} }
-	for i := 2; i <= 7; i++ {
-		if c.shard(k(i)) != c.shard(k(1)) {
-			t.Fatal("test keys do not share a shard")
-		}
-	}
-	put := func(i int, tag uint32) { c.PutTagged(k(i).s, k(i).d, -1, []gc.NodeID{k(i).s}, tag, token) }
-	has := func(i int) bool { _, _, ok := c.GetTagged(k(i).s, k(i).d, -1, token); return ok }
-	declined := func(step string, want int64) {
-		t.Helper()
-		if got := c.Declined(); got != want {
-			t.Fatalf("%s: Declined = %d, want %d", step, got, want)
-		}
-	}
-
-	put(1, 0)
-	put(2, 0)
-	declined("fill", 0)
-	if !has(1) || !has(2) {
-		t.Fatal("a shard with free slots declined a store")
-	}
-	put(3, 0)
-	if has(3) {
-		t.Fatal("a full shard admitted a key on its first sight")
-	}
-	declined("first sight", 1)
-	put(3, 0)
-	if !has(3) {
-		t.Fatal("a full shard declined a key on its second sight")
-	}
-	declined("second sight", 1)
-
-	put(3, 7)
-	if _, tag, ok := c.GetTagged(k(3).s, k(3).d, -1, token); !ok || tag != 7 {
-		t.Fatalf("overwrite lost: ok=%v tag=%d", ok, tag)
-	}
-	declined("overwrite", 1)
-
-	// k3's first sight was one first sighting; k4's is the second, which
-	// reaches capacity and clears the bitset, so k4 itself is forgotten.
-	put(4, 0)
-	declined("capacity first sightings", 2)
-	put(4, 0)
-	if has(4) {
-		t.Fatal("doorkeeper remembered a key across its reset")
-	}
-	declined("after reset", 3)
-	put(4, 0)
-	if !has(4) {
-		t.Fatal("doorkeeper forgot a key seen after its reset")
-	}
-
-	c.PutTagged(k(6).s, k(6).d, -1, []gc.NodeID{0}, 0, token+1)
-	c.PutTagged(k(6).s, k(6).d, -1, []gc.NodeID{0}, 0, token+1)
-	if _, ok := c.GetTree(k(6).s, k(6).d, -1); ok {
-		t.Fatal("stale-token PutTagged stored")
-	}
-	declined("stale token", 3)
-
-	// Put is not gated: it stores into the full shard at once.
-	c.Put(k(7).s, k(7).d, []gc.NodeID{k(7).s})
-	if _, ok := c.Get(k(7).s, k(7).d); !ok {
-		t.Fatal("Put declined a store")
-	}
-	declined("Put", 3)
-
-	c.InvalidateTo(token + 1)
-	for i := 1; i <= 2; i++ {
-		c.PutTagged(k(i).s, k(i).d, -1, []gc.NodeID{k(i).s}, 0, token+1)
-		if _, _, ok := c.GetTagged(k(i).s, k(i).d, -1, token+1); !ok {
-			t.Fatalf("invalidated cache declined key %d", i)
-		}
-	}
-	declined("after InvalidateTo", 3)
-}
-
-// TestRouteCacheEpochSoak races token-checked hits against fault swaps
-// on a cache small enough that CLOCK sweeps run throughout (run under
-// -race in CI). A writer alternates InvalidateTo and PutTagged of paths
-// specific to each token, recording them before the stamp, and
-// publishes each token only once InvalidateTo returns, as the serving
-// layer's fault swap does; readers call GetTagged with the token they
-// loaded. Every hit must return exactly the path and tag put under its
-// own token: a hit served across a swap or from a recycled entry would
-// carry another token's path.
-func TestRouteCacheEpochSoak(t *testing.T) {
-	const (
-		pairs   = 96
-		epochs  = 200
-		readers = 4
-	)
-	c := NewRouteCache(64) // four entries per shard
-	var (
-		mu      sync.RWMutex
-		want    = map[uint64][][]gc.NodeID{}
-		current atomic.Uint64
-	)
-	stop := make(chan struct{})
-	go func() {
-		defer close(stop)
-		rng := rand.New(rand.NewSource(5))
-		for token := uint64(1); token <= epochs; token++ {
-			paths := make([][]gc.NodeID, pairs)
-			for i := range paths {
-				paths[i] = []gc.NodeID{gc.NodeID(i), gc.NodeID(rng.Intn(1 << 20)), gc.NodeID(token)}
-			}
-			mu.Lock()
-			want[token] = paths
-			mu.Unlock()
-			c.InvalidateTo(token)
-			current.Store(token)
-			for round := 0; round < 3; round++ {
-				for i := range paths {
-					c.PutTagged(gc.NodeID(i), 0, -1, paths[i], uint32(token), token)
-				}
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	var hits atomic.Int64
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				token := current.Load()
-				i := rng.Intn(pairs)
-				path, tag, ok := c.GetTagged(gc.NodeID(i), 0, -1, token)
-				if !ok {
-					continue
-				}
-				hits.Add(1)
-				mu.RLock()
-				exp := want[token]
-				mu.RUnlock()
-				if tag != uint32(token) || len(path) != 3 ||
-					path[0] != exp[i][0] || path[1] != exp[i][1] || path[2] != exp[i][2] {
-					t.Errorf("token %d pair %d: hit %v tag %d, want %v tag %d", token, i, path, tag, exp[i], token)
-					return
-				}
-			}
-		}(int64(r + 1))
-	}
-	wg.Wait()
-	if hits.Load() == 0 {
-		t.Fatal("soak served no hits")
-	}
-	if c.Len() > 64 {
-		t.Fatalf("cache grew past its bound: %d", c.Len())
 	}
 }
 
