@@ -131,8 +131,12 @@ func run(args []string, out io.Writer) error {
 		if *quick {
 			trials, pairs = 6, 8
 		}
-		for _, f := range experiments.Severance(sweep.MaxN-4,
-			[]int{0, 2, 4, 8, 16, 32}, 1, trials, pairs, 1) {
+		figs, err := experiments.Severance(sweep.MaxN-4,
+			[]int{0, 2, 4, 8, 16, 32}, 1, trials, pairs, 1)
+		if err != nil {
+			return err
+		}
+		for _, f := range figs {
 			fmt.Fprint(out, plot(f).Table())
 			fmt.Fprintln(out)
 		}

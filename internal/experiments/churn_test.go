@@ -37,3 +37,52 @@ func TestChurnFigures(t *testing.T) {
 		}
 	}
 }
+
+// TestChurnShape: on aggregate the adaptive engine never does worse
+// than static routing (it subsumes static planning and adds waiting).
+// The retries, waits, epochs and cache invalidations behind that are
+// asserted on simnet itself (TestAdaptiveBeatsStaticUnderChurn,
+// TestTimelineCacheCoherence, TestTimelineEpochAccounting).
+func TestChurnShape(t *testing.T) {
+	figs, err := Churn(6, []float64{25, 8}, 12, 60, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range figs {
+		static := seriesY(t, f, "static source routing")
+		adaptive := seriesY(t, f, "adaptive per-hop")
+		for i := range static {
+			if adaptive[i] < static[i] {
+				t.Errorf("%s point %d: adaptive %v below static %v", f.ID, i, adaptive[i], static[i])
+			}
+		}
+	}
+}
+
+// TestChurnDeterministic: the parallel trial runner must not make the
+// figures depend on scheduling.
+func TestChurnDeterministic(t *testing.T) {
+	a, err := churn(6, []float64{10}, 10, 40, 6, 9, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := churn(6, []float64{10}, 10, 40, 6, 9, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != len(b) {
+		t.Fatalf("figure counts %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		compareFigures(t, a[i], b[i])
+	}
+}
+
+func TestChurnValidation(t *testing.T) {
+	if _, err := Churn(6, []float64{5}, 10, 0, 4, 1); err == nil {
+		t.Fatal("zero horizon must be rejected")
+	}
+	if _, err := Churn(6, []float64{5}, 10, 40, 0, 1); err == nil {
+		t.Fatal("zero trials must be rejected")
+	}
+}

@@ -77,8 +77,6 @@ type Dynamic struct {
 	// repair: the fault is expected to heal, so routing may choose to
 	// wait it out instead of detouring.
 	transient map[faultKey]bool
-	subs      []func(epoch uint64)
-	evSubs    []func(Event)
 	batchSubs []func(epoch, fp uint64, events []Event)
 
 	// Notification turnstile: callbacks for epoch e complete before any
@@ -199,8 +197,7 @@ func (d *Dynamic) TransientAt(v gc.NodeID, dim uint) bool {
 	if !d.active.LinkFaulty(v, dim) {
 		return false
 	}
-	k := normLink(v, dim)
-	if d.active.links[k] && !d.transient[faultKey{kind: KindLink, node: k.low, dim: k.dim}] {
+	if d.active.linkMarked(v, dim) && !d.transient[keyOf(Fault{Kind: KindLink, Node: v, Dim: dim})] {
 		return false
 	}
 	for _, end := range [2]gc.NodeID{v, v ^ (1 << dim)} {
@@ -225,16 +222,6 @@ func (d *Dynamic) ActiveCount() int {
 	return d.active.Count()
 }
 
-// NextEventTime returns the time of the next unapplied schedule event.
-func (d *Dynamic) NextEventTime() (int, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.next >= len(d.schedule) {
-		return 0, false
-	}
-	return d.schedule[d.next].Time, true
-}
-
 // PendingEvents returns the number of unapplied schedule events.
 func (d *Dynamic) PendingEvents() int {
 	d.mu.RLock()
@@ -242,43 +229,23 @@ func (d *Dynamic) PendingEvents() int {
 	return len(d.schedule) - d.next
 }
 
-// Subscribe registers fn to be called (synchronously, outside the
-// lock) after every epoch transition, with the new epoch.
-func (d *Dynamic) Subscribe(fn func(epoch uint64)) {
-	d.mu.Lock()
-	d.subs = append(d.subs, fn)
-	d.mu.Unlock()
-}
-
-// SubscribeEvents registers fn to be called (synchronously, outside
-// the lock) for every applied state-changing fault transition, in
-// application order and before the epoch subscribers of the same
-// batch. Repair health maps use it to maintain per-tree-edge link
-// counts incrementally instead of rescanning the set per epoch.
+// SubscribeBatch registers fn to be called (synchronously, outside the
+// lock) once per epoch transition with the new epoch, the new state
+// fingerprint, and the applied state-changing events of that
+// transition in application order. Subscribers run in registration
+// order. The events slice is reused scratch: copy it to retain past
+// the callback. Repair health maps fold the events into per-tree-edge
+// link counts; journal writers record the (epoch, fingerprint, events)
+// triples, which replay to bit-identical state.
 //
-// Ordering contract (the one durable journal writers depend on):
-// callbacks are serialized across concurrent mutators in epoch order —
-// every callback of epoch e returns before any callback of epoch e+1
-// starts, so a subscriber appending events to a log observes the exact
-// state history. The cost is that callbacks must not mutate the
-// Dynamic they observe: a reentrant Inject/Repair would wait for its
-// own epoch's turn, which never comes. Reads (Epoch, Snapshot,
-// Fingerprint, oracle queries) are fine.
-func (d *Dynamic) SubscribeEvents(fn func(Event)) {
-	d.mu.Lock()
-	d.evSubs = append(d.evSubs, fn)
-	d.mu.Unlock()
-}
-
-// SubscribeBatch registers fn to be called once per epoch transition
-// with the new epoch, the new state fingerprint, and the applied
-// events of that transition, after the per-event subscribers and
-// before the epoch subscribers. The events slice is reused scratch:
-// copy it to retain past the callback. The SubscribeEvents ordering
-// contract applies — batches arrive in strictly increasing, dense
-// epoch order even under concurrent mutation, which is what lets a
-// journal writer record (epoch, fingerprint, events) triples that
-// replay to bit-identical state.
+// Ordering contract: callbacks are serialized across concurrent
+// mutators in epoch order — every callback of epoch e returns before
+// any callback of epoch e+1 starts, so batches arrive in strictly
+// increasing, dense epoch order and a subscriber appending them to a
+// log observes the exact state history. The cost is that callbacks
+// must not mutate the Dynamic they observe: a reentrant Inject/Repair
+// would wait for its own epoch's turn, which never comes. Reads
+// (Epoch, Snapshot, Fingerprint, oracle queries) are fine.
 func (d *Dynamic) SubscribeBatch(fn func(epoch, fp uint64, events []Event)) {
 	d.mu.Lock()
 	d.batchSubs = append(d.batchSubs, fn)
@@ -349,8 +316,7 @@ func (d *Dynamic) apply(e Event) bool {
 		}
 		d.active.AddNode(f.Node)
 	case e.Op == OpInject: // link
-		k := normLink(f.Node, f.Dim)
-		if d.active.links[k] {
+		if d.active.linkMarked(f.Node, f.Dim) {
 			return false
 		}
 		d.active.AddLink(f.Node, f.Dim)
@@ -360,8 +326,7 @@ func (d *Dynamic) apply(e Event) bool {
 		}
 		d.active.RemoveNode(f.Node)
 	default: // repair link
-		k := normLink(f.Node, f.Dim)
-		if !d.active.links[k] {
+		if !d.active.linkMarked(f.Node, f.Dim) {
 			return false
 		}
 		d.active.RemoveLink(f.Node, f.Dim)
@@ -371,8 +336,7 @@ func (d *Dynamic) apply(e Event) bool {
 
 // bumpAndNotify finishes a mutation: bumps the epoch and refreshes the
 // fingerprint when events were applied, releases d.mu, and notifies
-// event subscribers (per applied event, in order), then batch
-// subscribers, then epoch subscribers.
+// the batch subscribers.
 //
 // Notification is serialized through the epoch turnstile: the epoch
 // counter assigned under d.mu is this mutation's ticket, and callbacks
@@ -380,7 +344,7 @@ func (d *Dynamic) apply(e Event) bool {
 // racing mutations therefore never deliver their callbacks out of
 // epoch order (or interleaved), no matter which goroutine wins the
 // unlock. Callbacks run outside both locks, so they may read the
-// Dynamic freely — but must not mutate it (see SubscribeEvents).
+// Dynamic freely — but must not mutate it (see SubscribeBatch).
 func (d *Dynamic) bumpAndNotify(applied []Event) {
 	if len(applied) == 0 {
 		d.mu.Unlock()
@@ -389,12 +353,7 @@ func (d *Dynamic) bumpAndNotify(applied []Event) {
 	d.epoch++
 	d.fp = d.active.Fingerprint()
 	epoch, fp := d.epoch, d.fp
-	var subs []func(uint64)
-	var evSubs []func(Event)
-	var batchSubs []func(uint64, uint64, []Event)
-	subs = append(subs, d.subs...)
-	evSubs = append(evSubs, d.evSubs...)
-	batchSubs = append(batchSubs, d.batchSubs...)
+	subs := d.batchSubs // registration only appends past this length
 	d.mu.Unlock()
 
 	d.notifyMu.Lock()
@@ -403,16 +362,8 @@ func (d *Dynamic) bumpAndNotify(applied []Event) {
 	}
 	d.notifyMu.Unlock()
 
-	for _, e := range applied {
-		for _, fn := range evSubs {
-			fn(e)
-		}
-	}
-	for _, fn := range batchSubs {
-		fn(epoch, fp, applied)
-	}
 	for _, fn := range subs {
-		fn(epoch)
+		fn(epoch, fp, applied)
 	}
 
 	d.notifyMu.Lock()

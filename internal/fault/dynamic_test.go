@@ -115,7 +115,7 @@ func TestDynamicSubscribeAndInject(t *testing.T) {
 	cube := gc.New(6, 1)
 	d := NewDynamic(cube, nil)
 	var seen []uint64
-	d.Subscribe(func(e uint64) { seen = append(seen, e) })
+	d.SubscribeBatch(func(e, _ uint64, _ []Event) { seen = append(seen, e) })
 	if !d.Inject(Fault{Kind: KindNode, Node: 7}, true) {
 		t.Fatal("inject of a healthy node must change state")
 	}

@@ -211,6 +211,12 @@ func (s *Set) LinkFaulty(v gc.NodeID, dim uint) bool {
 	if s.NodeFaulty(v) || s.NodeFaulty(v^(1<<dim)) {
 		return true
 	}
+	return s.linkMarked(v, dim)
+}
+
+// linkMarked reports whether the link at v in dimension dim is marked
+// faulty itself, whatever the state of its endpoints.
+func (s *Set) linkMarked(v gc.NodeID, dim uint) bool {
 	return len(s.links) != 0 && s.links[normLink(v, dim)]
 }
 

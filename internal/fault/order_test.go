@@ -9,14 +9,15 @@ import (
 )
 
 // TestSubscriberEpochOrderUnderConcurrentMutation pins the ordering
-// contract documented on SubscribeEvents/SubscribeBatch: callbacks are
-// serialized in strictly increasing, dense epoch order even when many
-// goroutines mutate the Dynamic concurrently. A durable journal writer
-// records exactly what these callbacks deliver, so any interleaving or
-// reordering here would persist a history that replays to the wrong
-// state. Run under -race: the subscriber appends to plain slices
-// without its own locking, so the test also proves the turnstile
-// provides the happens-before edges the contract promises.
+// contract documented on SubscribeBatch: callbacks are serialized in
+// strictly increasing, dense epoch order even when many goroutines
+// mutate the Dynamic concurrently, and the subscribers of one epoch
+// run in registration order. A durable journal writer records exactly
+// what these callbacks deliver, so any interleaving or reordering here
+// would persist a history that replays to the wrong state. Run under
+// -race: the subscribers append to plain slices without their own
+// locking, so the test also proves the turnstile provides the
+// happens-before edges the contract promises.
 func TestSubscriberEpochOrderUnderConcurrentMutation(t *testing.T) {
 	cube := gc.New(8, 2)
 	d := NewDynamic(cube, nil)
@@ -27,24 +28,20 @@ func TestSubscriberEpochOrderUnderConcurrentMutation(t *testing.T) {
 		events []Event
 	}
 	var (
-		batches     []batchRec
-		eventEpochs []uint64 // live epoch when each event callback ran
-		epochSeen   []uint64 // epoch-subscriber arrivals
-		pending     []Event  // events since the last batch callback
+		batches    []batchRec
+		counted    []int    // events per batch, as the second subscriber saw them
+		liveEpochs []uint64 // live epoch when the second subscriber ran
 	)
-	d.SubscribeEvents(func(e Event) {
-		pending = append(pending, e)
-		eventEpochs = append(eventEpochs, d.Epoch())
-	})
 	d.SubscribeBatch(func(epoch, fp uint64, events []Event) {
 		batches = append(batches, batchRec{epoch: epoch, fp: fp, events: append([]Event(nil), events...)})
-		if len(pending) != len(events) {
-			t.Errorf("batch %d delivered %d events but %d per-event callbacks ran since the last batch",
-				epoch, len(events), len(pending))
-		}
-		pending = pending[:0]
 	})
-	d.Subscribe(func(epoch uint64) { epochSeen = append(epochSeen, epoch) })
+	d.SubscribeBatch(func(epoch, _ uint64, events []Event) {
+		if n := len(batches); n == 0 || batches[n-1].epoch != epoch {
+			t.Errorf("second subscriber ran for epoch %d before the first", epoch)
+		}
+		counted = append(counted, len(events))
+		liveEpochs = append(liveEpochs, d.Epoch())
+	})
 
 	const (
 		goroutines = 8
@@ -82,25 +79,21 @@ func TestSubscriberEpochOrderUnderConcurrentMutation(t *testing.T) {
 			t.Fatalf("batch %d (epoch %d) delivered no events", i, b.epoch)
 		}
 	}
-	for i, e := range epochSeen {
-		if want := uint64(i + 1); e != want {
-			t.Fatalf("epoch subscriber saw %d at position %d; want %d", e, i, want)
-		}
+	if len(counted) != len(batches) {
+		t.Fatalf("second subscriber ran %d times for %d batches", len(counted), len(batches))
 	}
-	// An event callback runs after its own epoch was bumped, so the live
-	// epoch read inside it is at least the batch it belongs to. It may be
+	// A callback runs after its own epoch was bumped, so the live epoch
+	// read inside it is at least the batch it belongs to. It may be
 	// later: a racing mutator bumps the epoch under d.mu before it waits
 	// its turn at the turnstile, so the live counter can run ahead of the
 	// batch being delivered (subscribers use the epoch they are handed,
-	// not the live one). The pending-count check in the batch callback
-	// ties each event to its batch.
-	idx := 0
-	for _, b := range batches {
-		for range b.events {
-			if eventEpochs[idx] < b.epoch {
-				t.Fatalf("event callback %d observed epoch %d inside batch %d", idx, eventEpochs[idx], b.epoch)
-			}
-			idx++
+	// not the live one).
+	for i, b := range batches {
+		if counted[i] != len(b.events) {
+			t.Fatalf("epoch %d: subscribers saw %d and %d events", b.epoch, len(b.events), counted[i])
+		}
+		if liveEpochs[i] < b.epoch {
+			t.Fatalf("callback for batch %d observed live epoch %d", b.epoch, liveEpochs[i])
 		}
 	}
 

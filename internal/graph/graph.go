@@ -59,15 +59,6 @@ func EdgeCount(t Topology) int {
 	return total / 2
 }
 
-// Degrees returns the degree of every vertex.
-func Degrees(t Topology) []int {
-	out := make([]int, t.Nodes())
-	for v := range out {
-		out[v] = len(t.Neighbors(NodeID(v)))
-	}
-	return out
-}
-
 // BFS computes single-source shortest-path distances from src.
 // Unreachable vertices get distance -1.
 func BFS(t Topology, src NodeID) []int {

@@ -115,9 +115,6 @@ func (f *Forest) SeveredEdges() []Edge {
 // Components returns the number of connected components.
 func (f *Forest) Components() int { return f.ncomp }
 
-// Component returns the component label of v, in [0, Components()).
-func (f *Forest) Component(v Node) int { return int(f.comp[v]) }
-
 // SameComponent reports whether u and v are connected around the
 // severed edges.
 func (f *Forest) SameComponent(u, v Node) bool { return f.comp[u] == f.comp[v] }

@@ -264,11 +264,6 @@ func (t *Tree) CoverWalkStep(a, a2, b Node, x uint64) int {
 	return 1
 }
 
-// SubtreeSize returns the number of vertices in v's subtree under the
-// rooting at 0 (v included) — a table lookup, precomputed with the
-// rooting. SubtreeSize(0) is the whole tree.
-func (t *Tree) SubtreeSize(v Node) int { return int(t.subSize[v]) }
-
 // ComponentAcross returns the number of vertices on w's side when the
 // tree edge {v, w} is cut: w's subtree when w is v's child, everything
 // above otherwise. It is the coverage bound re-rooting onto w can

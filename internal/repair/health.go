@@ -126,7 +126,7 @@ func (h *Health) edgeIndexOf(u, v gtree.Node) int {
 // Apply folds one fault transition into the map: op == fault.OpInject
 // when the component became faulty, fault.OpRepair when it healed.
 // Callers must deliver each state-changing transition exactly once
-// (fault.Dynamic.SubscribeEvents does); see AttachDynamic.
+// (fault.Dynamic.SubscribeBatch does); see AttachDynamic.
 func (h *Health) Apply(f fault.Fault, op fault.EventOp) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -209,7 +209,11 @@ func (h *Health) Rebuild(s *fault.Set) {
 // advances. Attach before handing d to concurrent advancers: the
 // snapshot and the subscription are not atomic together.
 func (h *Health) AttachDynamic(d *fault.Dynamic) {
-	d.SubscribeEvents(func(e fault.Event) { h.Apply(e.Fault, e.Op) })
+	d.SubscribeBatch(func(_, _ uint64, events []fault.Event) {
+		for _, e := range events {
+			h.Apply(e.Fault, e.Op)
+		}
+	})
 	h.Rebuild(d.Snapshot())
 }
 

@@ -18,7 +18,7 @@ import (
 var ErrJournal = errors.New("serve: journal")
 
 // JournalConfig wires a durable fault journal (internal/journal) into
-// a Server via Config.Journal or WithJournal.
+// a Server via Config.Journal.
 type JournalConfig struct {
 	// Dir is the journal directory. Required.
 	Dir string
@@ -32,13 +32,6 @@ type JournalConfig struct {
 	// FS overrides the storage backend — the crash-injection tests
 	// plant a journal.FailpointFS here. nil means the real filesystem.
 	FS journal.FS
-}
-
-// WithJournal attaches a journal configuration to the Config —
-// convenience for literal-style construction.
-func (c Config) WithJournal(jc JournalConfig) Config {
-	c.Journal = &jc
-	return c
 }
 
 // Journal states surfaced by /healthz and /metrics.
