@@ -6,6 +6,7 @@ import (
 	"gaussiancube/internal/bitutil"
 	"gaussiancube/internal/gc"
 	"gaussiancube/internal/gtree"
+	"gaussiancube/internal/trace"
 )
 
 // Served collective planning: the per-destination verdict envelope the
@@ -154,17 +155,20 @@ func (r *Router) planCollective(origin gc.NodeID, dests []gc.NodeID) (*Collectiv
 		}
 		rep.Dests[i] = st
 	}
-	r.traceCollective(rep)
+	rep.Trace(r.cube, r.tracer)
 	return rep, nil
 }
 
-// traceCollective narrates one collective into the attached tracer:
-// every tree delivery as a hop event (parent before child, so the
-// stream replays into the exact delivery paths), terminated by one
-// outcome event carrying the delivered count. Tracing off costs
-// nothing.
-func (r *Router) traceCollective(rep *CollectiveReport) {
-	if r.tracer == nil || !r.tracer.Enabled() || rep.Tree == nil {
+// Trace narrates the collective into t: every tree delivery as a hop
+// event (parent before child, so the stream replays into the exact
+// delivery paths), terminated by one outcome event carrying the
+// delivered count. c is the cube the collective was planned over. A
+// finished report is all it reads, so a collective is planned on an
+// untraced router and narrated after the plan when it is sampled. A
+// nil or disabled tracer costs nothing; a report without a tree (root
+// and every neighbour faulted) emits nothing.
+func (rep *CollectiveReport) Trace(c *gc.Cube, t trace.Tracer) {
+	if t == nil || !t.Enabled() || rep.Tree == nil {
 		return
 	}
 	bt := rep.Tree
@@ -173,9 +177,9 @@ func (r *Router) traceCollective(rep *CollectiveReport) {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, w := range bt.Children(v) {
-			r.emitHop(v, w, uint(bitutil.LowestBit(uint64(v^w))))
+			t.Emit(hopEvent(c.Alpha(), v, w, uint(bitutil.LowestBit(uint64(v^w)))))
 			stack = append(stack, w)
 		}
 	}
-	r.traceOutcome(int32(rep.Delivered+rep.Degraded), "collective")
+	t.Emit(trace.Event{Kind: trace.KindOutcome, Arg: int32(rep.Delivered + rep.Degraded), Note: "collective"})
 }

@@ -27,19 +27,6 @@ import (
 	"gaussiancube/internal/trace"
 )
 
-// resolveTree picks the tree of ts a route from s to d is planned for:
-// pin when it indexes a tree of ts, the flow hash otherwise (TreeAuto).
-// -1 means no tree set — the route is single-tree.
-func resolveTree(ts *mtree.TreeSet, pin int, s, d gc.NodeID) int {
-	if ts == nil {
-		return -1
-	}
-	if pin >= 0 && pin < ts.K() {
-		return pin
-	}
-	return ts.TreeForFlow(s, d)
-}
-
 // Trees returns the router's multipath tree set (nil when single-tree).
 func (r *Router) Trees() *mtree.TreeSet { return r.trees }
 
@@ -59,8 +46,10 @@ func (r *Router) Trees() *mtree.TreeSet { return r.trees }
 // When no stripe bit is flippable the steer declines and the crossing
 // stays on the single-tree ladder. On success the full remaining route
 // is appended onto path (whose last element must be cur) and done is
-// true; on failure path is returned unchanged.
-func (r *Router) steerCrossing(ctx context.Context, path []gc.NodeID, cur gc.NodeID, dim uint, d gc.NodeID, depth, tree int) ([]gc.NodeID, bool) {
+// true; on failure path is returned unchanged. fl is the route's
+// flow, steering toward fl.tree's stripe.
+func (r *Router) steerCrossing(ctx context.Context, path []gc.NodeID, cur gc.NodeID, dim uint, d gc.NodeID, depth int, fl flow) ([]gc.NodeID, bool) {
+	tree, t := fl.tree, fl.tracer
 	home := r.trees.HomeNode(tree, cur)
 	// Greedily select the flippable, fault-free stripe bits.
 	w := cur
@@ -90,26 +79,26 @@ func (r *Router) steerCrossing(ctx context.Context, path []gc.NodeID, cur gc.Nod
 		fd := uint(bitutil.LowestBit(x))
 		x &^= 1 << fd
 		nxt := v ^ (1 << fd)
-		if r.tracer != nil {
-			r.emitHop(v, nxt, fd)
+		if t != nil {
+			r.emitHop(t, v, nxt, fd)
 		}
 		leg = append(leg, nxt)
 		v = nxt
 	}
 	// Cross inside the stripe. The steer event precedes its hop so the
 	// narrative names the tree before the walk advances.
-	if r.tracer != nil {
-		r.tracer.Emit(trace.Event{
+	if t != nil {
+		t.Emit(trace.Event{
 			Kind: trace.KindTreeSteer, Dim: uint8(dim),
 			From: uint32(w), To: uint32(land), Arg: int32(tree),
 		})
-		r.emitHop(w, land, dim)
+		r.emitHop(t, w, land, dim)
 	}
 	leg = append(leg, land)
-	full, err := r.routeNested(ctx, leg, land, d, depth+1, tree)
+	full, err := r.routeNested(ctx, leg, land, d, depth+1, fl)
 	if err != nil {
-		if r.tracer != nil {
-			r.traceAbandoned(len(full) - mark)
+		if t != nil {
+			r.traceAbandoned(t, len(full)-mark)
 		}
 		return path[:mark], false
 	}

@@ -147,7 +147,7 @@ func (res *Result) Breakdown(c *gc.Cube) (treeHops, cubeHops int) {
 // Route computes a route from s to d.
 func (r *Router) Route(s, d gc.NodeID) (*Result, error) {
 	var walk []gtree.Node
-	path, m, err := r.route(context.Background(), nil, &walk, s, d)
+	path, m, err := r.route(context.Background(), nil, &walk, s, d, r.tree, r.tracer)
 	if err != nil {
 		return nil, err
 	}
@@ -164,9 +164,10 @@ func (r *Router) Route(s, d gc.NodeID) (*Result, error) {
 
 // RouteInto computes a route from s to d and appends its hop-by-hop
 // path (endpoints included) onto dst, returning the extended slice. It
-// is AppendRoute without the context and the report.
+// is AppendRoute without the context and the report, on the router's
+// own tree pin and tracer (WithTree, WithTracer).
 func (r *Router) RouteInto(dst []gc.NodeID, s, d gc.NodeID) ([]gc.NodeID, error) {
-	dst, _, err := r.AppendRoute(context.Background(), dst, s, d)
+	dst, _, err := r.AppendRoute(context.Background(), dst, s, d, r.tree, r.tracer)
 	return dst, err
 }
 
@@ -181,8 +182,16 @@ func (r *Router) RouteInto(dst []gc.NodeID, s, d gc.NodeID) ([]gc.NodeID, error)
 // as context.Background) performs zero heap allocations, fault-free or
 // through the adaptive GEEC substrate, FREH and the BFS fallback.
 // RouteMeta.Report lifts the results onto the outcome ladder.
-func (r *Router) AppendRoute(ctx context.Context, dst []gc.NodeID, s, d gc.NodeID) ([]gc.NodeID, RouteMeta, error) {
-	return r.route(ctx, dst, nil, s, d)
+//
+// tree and t are this route's own: the route is planned on the tree
+// the router's tree set resolves tree to (mtree.TreeSet.Resolve: an
+// index of the set pins it, TreeAuto stripes per flow; ignored on a
+// single-tree router), and narrated into t (nil: untraced). The
+// router's WithTree and WithTracer settings are only the defaults of
+// Route, RouteInto and RouteContext, so one router serves every tree
+// and every sampled request of a fault state.
+func (r *Router) AppendRoute(ctx context.Context, dst []gc.NodeID, s, d gc.NodeID, tree int, t trace.Tracer) ([]gc.NodeID, RouteMeta, error) {
+	return r.route(ctx, dst, nil, s, d, tree, t)
 }
 
 // RouteMeta is what the planner reports beside a path.
@@ -255,27 +264,28 @@ func (m RouteMeta) Report(path []gc.NodeID, err error) (RouteReport, error) {
 // class walk; a canceled route returns ctx's error and skips the BFS
 // fallback — the caller has already lost interest. ctx must be
 // non-nil; context.Background().Err() allocates nothing, so the
-// warmed-up fault-free path stays allocation-free.
-func (r *Router) route(ctx context.Context, dst []gc.NodeID, walk *[]gtree.Node, s, d gc.NodeID) ([]gc.NodeID, RouteMeta, error) {
+// warmed-up fault-free path stays allocation-free. tree and t are the
+// route's tree pin and tracer (AppendRoute).
+func (r *Router) route(ctx context.Context, dst []gc.NodeID, walk *[]gtree.Node, s, d gc.NodeID, tree int, t trace.Tracer) ([]gc.NodeID, RouteMeta, error) {
 	m := RouteMeta{Tree: -1}
 	if int(s) >= r.cube.Nodes() || int(d) >= r.cube.Nodes() {
 		return dst, m, fmt.Errorf("core: node out of range for GC(%d,2^%d)", r.cube.N(), r.cube.Alpha())
 	}
 	if r.faults != nil && (r.faults.NodeFaulty(s) || r.faults.NodeFaulty(d)) {
-		if r.tracer != nil {
-			r.traceOutcome(trace.OutcomeError, "faulty-endpoint")
+		if t != nil {
+			r.traceOutcome(t, trace.OutcomeError, "faulty-endpoint")
 		}
 		return dst, m, ErrFaultyEndpoint
 	}
 	sc := r.scratch.Get().(*routeScratch)
 	defer r.scratch.Put(sc)
-	sc.tree = resolveTree(r.trees, r.tree, s, d)
+	sc.flow = flow{tree: r.trees.Resolve(tree, s, d), tracer: t}
 	m.Tree = sc.tree
 	r.planInto(&sc.plan, s, d)
 	if r.repair != nil {
 		if _, ok := r.repair.CheckWalk(s, d, sc.plan.classes); !ok {
-			if r.tracer != nil {
-				r.traceOutcome(trace.OutcomeError, "partitioned")
+			if t != nil {
+				r.traceOutcome(t, trace.OutcomeError, "partitioned")
 			}
 			return dst, m, ErrPartitioned
 		}
@@ -291,15 +301,15 @@ func (r *Router) route(ctx context.Context, dst []gc.NodeID, walk *[]gtree.Node,
 	abandoned := len(path) - 1
 	sc.path = path[:0] // retain the grown buffer for the next route
 	if err == nil {
-		if r.tracer != nil {
-			r.traceOutcome(trace.OutcomeOK, "")
+		if t != nil {
+			r.traceOutcome(t, trace.OutcomeOK, "")
 		}
 		return dst, m, nil
 	}
 	if cerr := ctx.Err(); cerr != nil {
-		if r.tracer != nil {
-			r.traceAbandoned(abandoned)
-			r.traceOutcome(trace.OutcomeError, "canceled")
+		if t != nil {
+			r.traceAbandoned(t, abandoned)
+			r.traceOutcome(t, trace.OutcomeError, "canceled")
 		}
 		return dst, m, cerr
 	}
@@ -310,16 +320,16 @@ func (r *Router) route(ctx context.Context, dst []gc.NodeID, walk *[]gtree.Node,
 		}
 	}
 	if !found {
-		if r.tracer != nil {
-			r.traceAbandoned(abandoned)
-			r.traceOutcome(trace.OutcomeError, "unreachable")
+		if t != nil {
+			r.traceAbandoned(t, abandoned)
+			r.traceOutcome(t, trace.OutcomeError, "unreachable")
 		}
 		return dst, m, err
 	}
-	if r.tracer != nil {
-		r.traceAbandoned(abandoned)
-		r.traceFallbackPath(dst[start:])
-		r.traceOutcome(trace.OutcomeOK, "bfs-fallback")
+	if t != nil {
+		r.traceAbandoned(t, abandoned)
+		r.traceFallbackPath(t, dst[start:])
+		r.traceOutcome(t, trace.OutcomeOK, "bfs-fallback")
 	}
 	m.Fallback = true
 	return dst, m, nil
@@ -632,44 +642,50 @@ func (r *Router) linkDown(v gc.NodeID, dim uint) bool {
 	return r.faults != nil && r.faults.LinkFaulty(v, dim)
 }
 
-// Tracing emission helpers. Every call site is guarded by a tracer nil
-// check, so a tracer-less router pays one untaken branch per site and
-// allocates nothing (the regression the alloc tests pin).
+// Tracing emission helpers. Each takes the route's tracer, and every
+// call site is guarded by a nil check on it, so an untraced route pays
+// one untaken branch per site and allocates nothing (the regression the
+// alloc tests pin).
 
-// emitHop records one committed hop; the event kind splits at alpha —
-// a tree hop between ending classes below it, a cube-dimension flip at
-// or above it.
-func (r *Router) emitHop(from, to gc.NodeID, dim uint) {
+// hopEvent is the event of one committed hop; its kind splits at alpha
+// — a tree hop between ending classes below it, a cube-dimension flip
+// at or above it.
+func hopEvent(alpha uint, from, to gc.NodeID, dim uint) trace.Event {
 	k := trace.KindFlip
-	if dim < r.cube.Alpha() {
+	if dim < alpha {
 		k = trace.KindHop
 	}
-	r.tracer.Emit(trace.Event{Kind: k, Dim: uint8(dim), From: uint32(from), To: uint32(to)})
+	return trace.Event{Kind: k, Dim: uint8(dim), From: uint32(from), To: uint32(to)}
+}
+
+// emitHop records one committed hop.
+func (r *Router) emitHop(t trace.Tracer, from, to gc.NodeID, dim uint) {
+	t.Emit(hopEvent(r.cube.Alpha(), from, to, dim))
 }
 
 // emitPathHops emits hop events for every transition of path.
-func (r *Router) emitPathHops(path []gc.NodeID) {
+func (r *Router) emitPathHops(t trace.Tracer, path []gc.NodeID) {
 	for i := 1; i < len(path); i++ {
-		r.emitHop(path[i-1], path[i], uint(bitutil.LowestBit(uint64(path[i-1]^path[i]))))
+		r.emitHop(t, path[i-1], path[i], uint(bitutil.LowestBit(uint64(path[i-1]^path[i]))))
 	}
 }
 
 // traceAbandoned rolls the trace back over the hops of an abandoned
 // strategy attempt, keeping the stream replayable.
-func (r *Router) traceAbandoned(hops int) {
+func (r *Router) traceAbandoned(t trace.Tracer, hops int) {
 	if hops > 0 {
-		r.tracer.Emit(trace.Event{Kind: trace.KindRollback, Arg: int32(hops)})
+		t.Emit(trace.Event{Kind: trace.KindRollback, Arg: int32(hops)})
 	}
 }
 
 // traceFallbackPath narrates the BFS last resort as a detour.
-func (r *Router) traceFallbackPath(fb []gc.NodeID) {
-	r.tracer.Emit(trace.Event{Kind: trace.KindDetourEnter, Note: "bfs-fallback"})
-	r.emitPathHops(fb)
-	r.tracer.Emit(trace.Event{Kind: trace.KindDetourExit})
+func (r *Router) traceFallbackPath(t trace.Tracer, fb []gc.NodeID) {
+	t.Emit(trace.Event{Kind: trace.KindDetourEnter, Note: "bfs-fallback"})
+	r.emitPathHops(t, fb)
+	t.Emit(trace.Event{Kind: trace.KindDetourExit})
 }
 
 // traceOutcome terminates one route's narrative.
-func (r *Router) traceOutcome(arg int32, note string) {
-	r.tracer.Emit(trace.Event{Kind: trace.KindOutcome, Arg: arg, Note: note})
+func (r *Router) traceOutcome(t trace.Tracer, arg int32, note string) {
+	t.Emit(trace.Event{Kind: trace.KindOutcome, Arg: arg, Note: note})
 }

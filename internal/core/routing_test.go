@@ -53,7 +53,7 @@ func TestRouteContextCanceled(t *testing.T) {
 
 	r := NewRouter(cube)
 	dst := make([]gc.NodeID, 1, 32)
-	out, _, err := r.route(ctx, dst, nil, 1, 200)
+	out, _, err := r.AppendRoute(ctx, dst, 1, 200, TreeAuto, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("route on canceled ctx: err=%v, want context.Canceled", err)
 	}

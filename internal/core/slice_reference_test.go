@@ -139,7 +139,7 @@ func (r *Router) refFixClassDims(sc *refSliceScratch, path []gc.NodeID, cur gc.N
 		for _, x := range hypercube.ECubeRoute(g.Cube(), from, to)[1:] {
 			nxt := g.ToGC(x)
 			if r.tracer != nil {
-				r.emitHop(cur, nxt, uint(bitutil.LowestBit(uint64(cur^nxt))))
+				r.emitHop(r.tracer, cur, nxt, uint(bitutil.LowestBit(uint64(cur^nxt))))
 			}
 			cur = nxt
 			path = append(path, cur)
@@ -171,7 +171,7 @@ func (r *Router) refFixClassDims(sc *refSliceScratch, path []gc.NodeID, cur gc.N
 	for _, x := range walk[1:] {
 		nxt := g.ToGC(x)
 		if r.tracer != nil {
-			r.emitHop(cur, nxt, uint(bitutil.LowestBit(uint64(cur^nxt))))
+			r.emitHop(r.tracer, cur, nxt, uint(bitutil.LowestBit(uint64(cur^nxt))))
 		}
 		cur = nxt
 		path = append(path, cur)
@@ -205,7 +205,7 @@ func (r *Router) refCrossTreeEdge(sc *routeScratch, ref *refSliceScratch, path [
 	tgt := cur ^ (1 << dim)
 	if r.faults == nil || (!r.faults.LinkFaulty(cur, dim) && !r.faults.NodeFaulty(tgt)) {
 		if r.tracer != nil {
-			r.emitHop(cur, tgt, dim)
+			r.emitHop(r.tracer, cur, tgt, dim)
 		}
 		return append(path, tgt), tgt, false, nil
 	}
@@ -219,7 +219,7 @@ func (r *Router) refCrossTreeEdge(sc *routeScratch, ref *refSliceScratch, path [
 				for _, x := range ref.ehWalk[1:] {
 					nxt := pair.ToGC(x)
 					if r.tracer != nil {
-						r.emitHop(cur, nxt, uint(bitutil.LowestBit(uint64(cur^nxt))))
+						r.emitHop(r.tracer, cur, nxt, uint(bitutil.LowestBit(uint64(cur^nxt))))
 					}
 					cur = nxt
 					path = append(path, cur)
@@ -235,7 +235,7 @@ func (r *Router) refCrossTreeEdge(sc *routeScratch, ref *refSliceScratch, path [
 	if r.repair == nil {
 		return path, cur, false, ErrUnreachable
 	}
-	path, done, err := r.repairDetour(context.Background(), path, cur, to, dim, d, 0, sc.tree)
+	path, done, err := r.repairDetour(context.Background(), path, cur, to, dim, d, 0, sc.flow)
 	return path, cur, done, err
 }
 
@@ -286,7 +286,7 @@ type sliceOutcome struct {
 func diffSliceEngines(r *Router, ring *trace.Ring, sc *routeScratch, ref *refSliceScratch, s, d gc.NodeID) (sliceOutcome, error) {
 	run := func(exec func() ([]gc.NodeID, error)) sliceOutcome {
 		ring.Reset()
-		sc.tree = -1
+		sc.flow = flow{tree: -1, tracer: r.tracer}
 		r.planInto(&sc.plan, s, d)
 		path, err := exec()
 		return sliceOutcome{append([]gc.NodeID(nil), path...), err, ring.Events()}

@@ -41,10 +41,11 @@ const (
 // realization, then completes the route to d from the landing node.
 // On success the full remaining route is appended onto path and done
 // is true; on failure path is returned unchanged.
-// On a multipath router (tree >= 0) candidates inside the tree's own
-// frame stripe are tried before sibling stripes — the middle rungs of
-// the failover ladder.
-func (r *Router) repairDetour(ctx context.Context, path []gc.NodeID, cur gc.NodeID, to gtree.Node, dim uint, d gc.NodeID, depth, tree int) ([]gc.NodeID, bool, error) {
+// On a route planned for a multipath tree (fl.tree >= 0) candidates
+// inside the tree's own frame stripe are tried before sibling stripes
+// — the middle rungs of the failover ladder.
+func (r *Router) repairDetour(ctx context.Context, path []gc.NodeID, cur gc.NodeID, to gtree.Node, dim uint, d gc.NodeID, depth int, fl flow) ([]gc.NodeID, bool, error) {
+	tree, t := fl.tree, fl.tracer
 	if depth >= maxRepairDepth {
 		return path, false, ErrUnreachable
 	}
@@ -63,10 +64,10 @@ func (r *Router) repairDetour(ctx context.Context, path []gc.NodeID, cur gc.Node
 		if r.faults.LinkFaulty(w, dim) || r.faults.NodeFaulty(land) {
 			continue
 		}
-		leg, err := r.routeNested(ctx, path, cur, w, depth+1, tree)
+		leg, err := r.routeNested(ctx, path, cur, w, depth+1, fl)
 		if err != nil {
-			if r.tracer != nil {
-				r.traceAbandoned(len(leg) - mark)
+			if t != nil {
+				r.traceAbandoned(t, len(leg)-mark)
 			}
 			path = path[:mark]
 			continue
@@ -74,22 +75,22 @@ func (r *Router) repairDetour(ctx context.Context, path []gc.NodeID, cur gc.Node
 		// Cross the severed tree edge at the surviving realization. The
 		// crossing hop follows its annotation so the narrative names the
 		// frame before the walk advances through it.
-		if r.tracer != nil {
+		if t != nil {
 			cause := trace.CatB
 			if r.faults.NodeFaulty(cur ^ (1 << dim)) {
 				cause = trace.CatC
 			}
-			r.tracer.Emit(trace.Event{
+			t.Emit(trace.Event{
 				Kind: trace.KindRepairCrossing, Cat: cause,
 				Dim: uint8(dim), From: uint32(w), To: uint32(land),
 			})
-			r.emitHop(w, land, dim)
+			r.emitHop(t, w, land, dim)
 		}
 		leg = append(leg, land)
-		full, err := r.routeNested(ctx, leg, land, d, depth+1, tree)
+		full, err := r.routeNested(ctx, leg, land, d, depth+1, fl)
 		if err != nil {
-			if r.tracer != nil {
-				r.traceAbandoned(len(full) - mark)
+			if t != nil {
+				r.traceAbandoned(t, len(full)-mark)
 			}
 			path = path[:mark]
 			continue
@@ -104,14 +105,14 @@ func (r *Router) repairDetour(ctx context.Context, path []gc.NodeID, cur gc.Node
 // element must be s). Nested legs get no BFS fallback — a failed leg
 // is rolled back by the caller, which tries the next candidate — but
 // they do get the partition pre-check and further detours (bounded by
-// depth).
-func (r *Router) routeNested(ctx context.Context, path []gc.NodeID, s, d gc.NodeID, depth, tree int) ([]gc.NodeID, error) {
+// depth). The leg is planned for the parent route's flow, fl.
+func (r *Router) routeNested(ctx context.Context, path []gc.NodeID, s, d gc.NodeID, depth int, fl flow) ([]gc.NodeID, error) {
 	if s == d {
 		return path, nil
 	}
 	sc := r.scratch.Get().(*routeScratch)
 	defer r.scratch.Put(sc)
-	sc.tree = tree
+	sc.flow = fl
 	r.planInto(&sc.plan, s, d)
 	if r.repair != nil {
 		if _, ok := r.repair.CheckWalk(s, d, sc.plan.classes); !ok {

@@ -109,6 +109,22 @@ func (ts *TreeSet) TreeForFlow(src, dst gc.NodeID) int {
 	return int(h>>16^h) & (ts.k - 1)
 }
 
+// Resolve picks the tree a route from s to d is planned on: pin when it
+// indexes a tree of the set, the flow stripe (TreeForFlow) otherwise.
+// A nil set resolves every route to -1, the single-tree route. Every
+// layer that plans, keys a cache or reports a tree resolves through
+// here, so they agree by construction; a resolved tree resolves to
+// itself.
+func (ts *TreeSet) Resolve(pin int, s, d gc.NodeID) int {
+	if ts == nil {
+		return -1
+	}
+	if pin >= 0 && pin < ts.k {
+		return pin
+	}
+	return ts.TreeForFlow(s, d)
+}
+
 // Links returns every physical link tree owns: for each of the
 // 2^alpha - 1 class-tree edges, the realizations at the stripe's
 // frames, normalized. The slice is freshly allocated.

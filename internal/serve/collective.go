@@ -87,35 +87,38 @@ func (s *Server) submitCollective(ctx context.Context, root gc.NodeID, dests []g
 }
 
 // processCollective is the one step of every collective request, run
-// on the goroutine that submitted it, against rs (its shard's routers
-// for one epoch): the deadline check, the plan and the accounting
+// on the goroutine that submitted it, against es (the epoch its shard
+// serves): the deadline check, the plan on es's planner, its narration
+// into the shard's ring when sampled, and the accounting
 // (finishCollective). r.src is the root; dests is the multicast list
 // (nil, with multicast unset, for a broadcast). The request must
 // already be counted accepted.
-func (s *Server) processCollective(sh *shard, rs *shardRouters, r *request, dests []gc.NodeID, multicast bool) *CollectiveResponse {
+func (s *Server) processCollective(sh *shard, es *epochState, r *request, dests []gc.NodeID, multicast bool) *CollectiveResponse {
 	if testHookProcess != nil {
 		testHookProcess()
 	}
 	if err := r.ctx.Err(); err != nil {
-		return s.finishCollective(sh, r, CollectiveResponse{Report: s.canceledCollective(r.src, dests, multicast), Epoch: rs.es.epoch})
+		return s.finishCollective(sh, r, CollectiveResponse{Report: s.canceledCollective(r.src, dests, multicast), Epoch: es.epoch})
 	}
-	router := rs.coll
-	if n, sampled := s.sample(sh); sampled {
+	n, sampled := s.sample(sh)
+	if sampled {
 		sh.sampled.Inc()
 		sh.ring.Emit(trace.Event{Kind: trace.KindPacket, From: uint32(r.src), To: uint32(r.src), Arg: int32(n)})
-		router = rs.collTraced
 	}
 	var rep *core.CollectiveReport
 	var err error
 	if multicast {
-		rep, err = router.MulticastPlan(r.src, dests)
+		rep, err = es.router.MulticastPlan(r.src, dests)
 	} else {
-		rep, err = router.BroadcastPlan(r.src)
+		rep, err = es.router.BroadcastPlan(r.src)
 	}
 	if err != nil {
-		return s.finishCollective(sh, r, CollectiveResponse{Err: err, Epoch: rs.es.epoch})
+		return s.finishCollective(sh, r, CollectiveResponse{Err: err, Epoch: es.epoch})
 	}
-	return s.finishCollective(sh, r, CollectiveResponse{Report: rep, Epoch: rs.es.epoch})
+	if sampled {
+		rep.Trace(s.cube, sh.ring)
+	}
+	return s.finishCollective(sh, r, CollectiveResponse{Report: rep, Epoch: es.epoch})
 }
 
 // canceledCollective builds the all-canceled report for a collective

@@ -19,7 +19,7 @@ func stepAdaptive(eng *engine, i int32, t int, ar *core.AdaptiveRouter) {
 		if p.sampled {
 			p.ring = trace.NewRing(flightTraceCapacity)
 			p.ring.Emit(trace.Event{Kind: trace.KindPacket, From: uint32(p.node), To: uint32(p.dst), Arg: p.genIdx})
-			fl, err = ar.StartTraced(p.node, p.dst, p.ring)
+			fl, err = ar.StartTraced(p.node, p.dst, core.TreeAuto, p.ring)
 		} else {
 			fl, err = ar.Start(p.node, p.dst)
 		}

@@ -30,12 +30,12 @@ type engine struct {
 	cal     calendar
 	links   *ledger
 
-	// Planning: router and traced (the tracer-attached twin for sampled
-	// packets) plan whole paths; trees stripes flows; cache memoizes
-	// plans across the run.
-	router, traced *core.Router
-	trees          *mtree.TreeSet
-	cache          *RouteCache
+	// Planning: router plans whole paths (narrating a sampled packet's
+	// into the run's tracer); trees stripes flows; cache memoizes plans
+	// across the run.
+	router *core.Router
+	trees  *mtree.TreeSet
+	cache  *RouteCache
 }
 
 // packet is one offered packet's state.
@@ -155,11 +155,6 @@ func (e *engine) run() *Stats {
 			opts = append(opts, core.WithTrees(trees))
 		}
 		e.router = core.NewRouter(cube, opts...)
-		// Sampled packets route through a second, tracer-attached router
-		// so the unsampled hot path stays as fast as an untraced run.
-		if cfg.TraceEvery > 0 {
-			e.traced = core.NewRouter(cube, append(opts, core.WithTracer(cfg.Tracer))...)
-		}
 	}
 	buildPlanner()
 
@@ -277,13 +272,12 @@ func (e *engine) run() *Stats {
 // route plans src→dst, through the cache when the run has one.
 func (e *engine) route(src, dst gc.NodeID, sampled bool) ([]gc.NodeID, error) {
 	stats := e.stats
-	// The cache key carries the flow's tree: the hash below is the same
-	// striping the router applies, so a hit always replays a path
-	// planned on the tree that would plan it now (a reroute re-hashes
-	// from the packet's current node, a genuinely different flow).
-	tree := -1
-	if e.trees != nil {
-		tree = e.trees.TreeForFlow(src, dst)
+	// The cache key carries the flow's tree, and the router plans on
+	// that same tree, so a hit always replays a path planned on the tree
+	// that would plan it now (a reroute re-stripes from the packet's
+	// current node, a genuinely different flow).
+	tree := e.trees.Resolve(core.TreeAuto, src, dst)
+	if tree >= 0 {
 		stats.TreeRoutes[tree]++
 	}
 	if e.cache != nil {
@@ -298,11 +292,11 @@ func (e *engine) route(src, dst gc.NodeID, sampled bool) ([]gc.NodeID, error) {
 			e.cfg.Tracer.Emit(trace.Event{Kind: trace.KindCacheMiss, From: uint32(src), To: uint32(dst)})
 		}
 	}
-	r := e.router
+	var tr trace.Tracer
 	if sampled {
-		r = e.traced
+		tr = e.cfg.Tracer
 	}
-	path, m, err := r.AppendRoute(context.Background(), nil, src, dst)
+	path, m, err := e.router.AppendRoute(context.Background(), nil, src, dst, tree, tr)
 	if err != nil {
 		return nil, err
 	}

@@ -110,7 +110,7 @@ type Config struct {
 	// Trees, when greater than one, stripes traffic over that many
 	// frame-striped multipath spanning trees (internal/mtree): every
 	// planner gets the tree set, each flow is hashed onto a tree
-	// (mtree.TreeForFlow), and the route cache keys entries per tree.
+	// (mtree.TreeSet.Resolve), and the route cache keys entries per tree.
 	// Must be a power of two no larger than 2^(N-Alpha). Zero or one
 	// means single-tree routing, bit-for-bit the pre-multipath behavior.
 	Trees int
