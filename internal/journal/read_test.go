@@ -65,6 +65,13 @@ func TestReadSinceCompacted(t *testing.T) {
 	}
 	defer j.Close()
 	commitAll(t, j, batches)
+	// The writer acknowledges a group before it checkpoints, so the
+	// epoch-30 checkpoint may still be in flight when commitAll returns.
+	// Close waits for the writer to finish it; the reads below then see
+	// the journal's final files.
+	if err := j.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
 	if j.Checkpoints() == 0 {
 		t.Fatal("test needs at least one checkpoint")
 	}
