@@ -26,15 +26,18 @@ type options struct {
 	repair     *repair.Health // nil means no tree-repair planning
 	noFallback bool           // no BFS last resort
 	// tracer, when non-nil, receives the structured event narrative of
-	// every route: hops, detours with category causes, repair
-	// crossings, rollbacks and outcomes. nil means tracing is off and
-	// costs nothing (the hot path's zero-allocation property is
-	// enforced by the alloc regression tests).
+	// every route planned on the router's defaults (Route, RouteInto,
+	// RouteContext, Start, and the collective plans): hops, detours
+	// with category causes, repair crossings, rollbacks and outcomes.
+	// nil means tracing is off and costs nothing (the hot path's
+	// zero-allocation property is enforced by the alloc regression
+	// tests). AppendRoute and StartTraced take a tracer per call.
 	tracer trace.Tracer
 	// trees, when non-nil, activates multipath routing: each route is
-	// planned for one tree of the set (tree, or per-flow when tree does
-	// not index one) and steers its class crossings through that tree's
-	// frame stripe. nil is the paper's single-tree router, bit for bit.
+	// planned for one tree of the set (trees.Resolve of its pin) and
+	// steers its class crossings through that tree's frame stripe. nil
+	// is the paper's single-tree router, bit for bit. tree is the
+	// default pin; AppendRoute and StartTraced take a pin per call.
 	trees *mtree.TreeSet
 	tree  int
 }
@@ -73,10 +76,12 @@ func WithRepair(h *repair.Health) Option { return func(o *options) { o.repair = 
 // strategy.
 func WithoutFallback() Option { return func(o *options) { o.noFallback = true } }
 
-// WithTracer attaches a trace sink. The planner emits one structured
-// event per hop, detour, repair crossing, rollback and terminal outcome
-// (the taxonomy of internal/trace); the event stream of a successful
-// route replays to exactly the returned path — see trace.Replay. The
+// WithTracer attaches the default trace sink: the tracer of every
+// route that does not bring its own (AppendRoute and StartTraced take
+// one per call). The planner emits one structured event per hop,
+// detour, repair crossing, rollback and terminal outcome (the taxonomy
+// of internal/trace); the event stream of a successful route replays
+// to exactly the returned path — see trace.Replay. The
 // adaptive router emits each flight's hops, fault discoveries with
 // their category, backoffs, replans and its terminal outcome (encoded
 // as trace.OutcomeLadderBase + Outcome). A nil tracer keeps tracing
@@ -93,8 +98,9 @@ func WithTrees(ts *mtree.TreeSet) Option {
 }
 
 // WithTree activates multipath routing over ts with every route pinned
-// to the given tree; an index outside [0, ts.K()) stripes per flow, as
-// TreeAuto does.
+// to the given tree by default; an index outside [0, ts.K()) stripes
+// per flow, as TreeAuto does (mtree.TreeSet.Resolve). AppendRoute and
+// StartTraced take their pin per call.
 func WithTree(ts *mtree.TreeSet, tree int) Option {
 	return func(o *options) { o.trees = ts; o.tree = tree }
 }
