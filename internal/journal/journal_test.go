@@ -336,6 +336,43 @@ func TestTornGarbageTailTruncated(t *testing.T) {
 	}
 }
 
+// TestTornCRCTailTruncated: a last record whose length fits but whose
+// payload fails its CRC, with no valid record after it, is a torn
+// write, dropped silently like a short one.
+func TestTornCRCTailTruncated(t *testing.T) {
+	cube := testCube(t)
+	dir := t.TempDir()
+	j, _, err := Open(cube, dir, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	batches, _ := makeBatches(cube, 5, 5)
+	commitAll(t, j, batches)
+	j.Close()
+
+	path := lastSegment(t, dir)
+	f, err := OSFS{}.OpenAppend(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, _ := f.Seek(0, 2)
+	b := []byte{0}
+	f.Seek(size-1, 0)
+	f.Read(b)
+	b[0] ^= 0xff
+	f.Seek(size-1, 0)
+	f.Write(b)
+	f.Close()
+
+	_, st, err := Open(cube, dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen with a CRC-torn tail: %v", err)
+	}
+	if !st.Truncated || st.Epoch != 4 || st.Batches != 4 {
+		t.Fatalf("Truncated=%v epoch=%d batches=%d, want true/4/4", st.Truncated, st.Epoch, st.Batches)
+	}
+}
+
 func TestMidStreamCorruptionRefused(t *testing.T) {
 	cube := testCube(t)
 
